@@ -2,7 +2,10 @@
 
 Hermitian eigendecomposition, principal square roots, gated inverses and
 the Frobenius norm that every residual in the package is measured in.
-All routines are pure functions of small (desk-scale) matrices.
+The decompositions and gates take one d x d matrix or a stack of them,
+shape (n, d, d); a gate on a stack checks every matrix and raises for the
+first one that fails, naming its time when the caller passes the stack's
+times as ``t``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,21 @@ EPS_POS = 1e-10
 COND_MAX = 1e8
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray, rejecting non-finite entries."""
+def as_matrices(a) -> np.ndarray:
+    """Coerce to a square complex ndarray or a stack of them, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex ndarray, rejecting non-finite entries."""
+    m = as_matrices(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -32,63 +43,98 @@ def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
+def fro_norms(a) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def hermitize(a) -> np.ndarray:
     """(A + A†)/2; exactly Hermitian by construction."""
-    m = as_matrix(a)
-    return 0.5 * (m + m.conj().T)
+    m = as_matrices(a)
+    return 0.5 * (m + dagger(m))
 
 
-def herm_defect(a) -> float:
+def herm_defect(a):
+    """||A - A†||_F: a float for one matrix, an array for a stack."""
     m = np.asarray(a, dtype=complex)
-    return fro_norm(m - m.conj().T)
+    return fro_norms(m - dagger(m))
+
+
+def _first_failure(bad) -> int | None:
+    """Index of the first failing matrix, from one flag or a flag per matrix."""
+    bad = np.atleast_1d(bad)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _at(t, k):
+    """Time of matrix k of a stack, or None when the caller gave no times."""
+    if t is None:
+        return None
+    return float(np.atleast_1d(t)[k])
+
+
+def check_hermitian(a, eps_herm: float = EPS_HERM, t=None) -> None:
+    """Raise NotHermitian for the first matrix with ||A - A†|| > eps_herm ||A||."""
+    m = np.asarray(a, dtype=complex)
+    defect = np.atleast_1d(herm_defect(m))
+    k = _first_failure(defect > eps_herm * fro_norms(m))
+    if k is not None:
+        raise NotHermitian(float(defect[k]), t=_at(t, k))
 
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    eigenvalues: np.ndarray   # real, ascending
+    eigenvalues: np.ndarray   # real, ascending (one row per matrix of a stack)
     eigenvectors: np.ndarray  # orthonormal columns
 
 
-def eig_hermitian(a, eps_herm: float = EPS_HERM) -> HermitianEigen:
+def eig_hermitian(a, eps_herm: float = EPS_HERM, t=None) -> HermitianEigen:
     """Spectral decomposition, gated on a relative Hermiticity check.
 
     The decomposition itself runs on hermitize(a) so that floating-point
     drift below the gate is harmless.
     """
-    m = as_matrix(a)
-    defect = herm_defect(m)
-    if defect > eps_herm * fro_norm(m):
-        raise NotHermitian(defect)
+    m = as_matrices(a)
+    check_hermitian(m, eps_herm, t)
     w, v = np.linalg.eigh(hermitize(m))
     return HermitianEigen(w, v)
 
 
-def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS) -> np.ndarray:
+def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
+                   t=None) -> np.ndarray:
     """Unique Hermitian positive-definite S with S @ S == a.
 
     Positivity gate is relative: lambda_min must exceed eps_pos * lambda_max.
     """
-    eig = eig_hermitian(a, eps_herm)
+    eig = eig_hermitian(a, eps_herm, t)
     w, v = eig.eigenvalues, eig.eigenvectors
-    lo, hi = float(w[0]), float(w[-1])
-    if hi <= 0.0 or lo <= eps_pos * hi:
-        raise NotPositiveDefinite(lo, hi)
-    return (v * np.sqrt(w)) @ v.conj().T
+    lo, hi = np.atleast_1d(w[..., 0]), np.atleast_1d(w[..., -1])
+    k = _first_failure((hi <= 0.0) | (lo <= eps_pos * hi))
+    if k is not None:
+        raise NotPositiveDefinite(float(lo[k]), float(hi[k]), t=_at(t, k))
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
-def cond_2norm(a) -> float:
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+def cond_2norm(a):
+    """2-norm condition number: a float for one matrix, an array for a stack."""
+    s = np.linalg.svd(as_matrices(a), compute_uv=False)
+    with np.errstate(divide="ignore"):
+        c = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
+    return float(c) if c.ndim == 0 else c
 
 
-def inverse(a, cond_max: float = COND_MAX) -> np.ndarray:
+def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     """Matrix inverse, refused above a condition-number ceiling."""
-    m = as_matrix(a)
-    c = cond_2norm(m)
-    if not c <= cond_max:
-        raise IllConditioned(c)
+    m = as_matrices(a)
+    c = np.atleast_1d(cond_2norm(m))
+    k = _first_failure(~(c <= cond_max))
+    if k is not None:
+        raise IllConditioned(float(c[k]), t=_at(t, k))
     return np.linalg.inv(m)
 
 

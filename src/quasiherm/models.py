@@ -104,10 +104,8 @@ def nonhermitian_dyson(steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
     w_inv = linalg.inverse(w)
     zero = np.zeros((2, 2), dtype=complex)
     omega_analytic = (lambda t: w, lambda t: zero, lambda t: w_inv)
-    kwargs = _base_kwargs("nonhermitian-dyson", grid, theta, omega_analytic,
-                          initial_state, hbar, tolerances)
-    kwargs["dyson"] = dyson
-    return Scenario(**kwargs)
+    return Scenario(**_base_kwargs("nonhermitian-dyson", grid, theta, omega_analytic,
+                                   initial_state, hbar, tolerances))
 
 
 BUILTINS = {

@@ -5,6 +5,15 @@ derivative) or SAMPLED (uniform snapshots, piecewise-cubic Hermite
 interpolation with finite-difference slopes). The derived omega schedule
 wraps a metric schedule and serves omega, its inverse and its time
 derivative, with a finite-difference fallback for the derivative.
+
+Every evaluator takes a time or a 1-D array of times; an array gives a
+stack of shape (n, d, d), one matrix per time. Closed-form callables are
+called once per time, the sampled interpolant is evaluated for all times
+at once. The integrators evaluate each operator once per point of the
+half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
+steps at a time (TimeGrid.blocks). On such a grid the finite-difference
+derivative takes its stencil points from the grid itself (an index shift),
+so each metric root is computed once per point.
 """
 
 from __future__ import annotations
@@ -14,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, OutOfRange
+from .errors import OutOfRange
 
 _SPAN_SLACK = 1e-9
+_LATTICE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,57 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
+    def half_times(self) -> np.ndarray:
+        """Nodes and step midpoints; the nodes are times() bit for bit."""
+        return np.linspace(self.t_start, self.t_end, 2 * self.steps + 1)
+
+    def blocks(self, max_steps: int) -> list["GridBlock"]:
+        """Consecutive blocks of at most max_steps steps covering the grid."""
+        count = -(-self.steps // max(1, max_steps))
+        edges = [self.steps * i // count for i in range(count + 1)]
+        return [GridBlock(self, a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+@dataclass(frozen=True)
+class GridBlock:
+    """Steps first..last of a grid, with the grid's own spacing and times."""
+    grid: TimeGrid
+    first: int
+    last: int
+
+    @property
+    def steps(self) -> int:
+        return self.last - self.first
+
+    @property
+    def spacing(self) -> float:
+        return self.grid.spacing
+
+    def times(self) -> np.ndarray:
+        return self.grid.times()[self.first:self.last + 1]
+
+    def half_times(self) -> np.ndarray:
+        return self.grid.half_times()[2 * self.first:2 * self.last + 1]
+
+
+def _times(t) -> tuple[np.ndarray, bool]:
+    """(1-D float array of times, whether t was a single time)."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"expected a time or a 1-D array of times, got shape {ts.shape}")
+    return np.atleast_1d(ts), ts.ndim == 0
+
+
+def _as_stack(a, n: int) -> np.ndarray:
+    """A matrix or a stack as a stack of n matrices."""
+    a = np.asarray(a, dtype=complex)
+    return a.reshape((n,) + a.shape[-2:])
+
+
+def evaluate_each(fn, ts) -> np.ndarray:
+    """Stack of fn(t) for each t: one call per time."""
+    return np.stack([np.asarray(fn(t), dtype=complex) for t in ts])
+
 
 class OperatorSchedule:
     """t -> A(t) on a fixed span; callable, with a .derivative method."""
@@ -50,7 +111,7 @@ class OperatorSchedule:
         self.kind = kind
         self.dim = dim
         self.span = (float(span[0]), float(span[1]))
-        self._value = value_fn
+        self._value = value_fn   # 1-D array of times -> stack
         self._deriv = deriv_fn
         self.sample_times = sample_times
         self.snapshots = snapshots
@@ -59,15 +120,18 @@ class OperatorSchedule:
 
     @classmethod
     def closed_form(cls, dim, span, value_fn, deriv_fn, label=""):
-        return cls(cls.CLOSED_FORM, dim, span, value_fn, deriv_fn, label=label)
+        return cls(cls.CLOSED_FORM, dim, span,
+                   lambda ts: evaluate_each(value_fn, ts),
+                   lambda ts: evaluate_each(deriv_fn, ts), label=label)
 
     @classmethod
     def constant_matrix(cls, matrix, span, label=""):
         m = linalg.as_matrix(matrix)
         zero = np.zeros_like(m)
-        sched = cls(cls.CLOSED_FORM, m.shape[0], span,
-                    lambda t: m, lambda t: zero, constant=m, label=label)
-        return sched
+        return cls(cls.CLOSED_FORM, m.shape[0], span,
+                   lambda ts: np.broadcast_to(m, (ts.size,) + m.shape),
+                   lambda ts: np.broadcast_to(zero, (ts.size,) + m.shape),
+                   constant=m, label=label)
 
     @classmethod
     def sampled(cls, times, snapshots):
@@ -90,9 +154,8 @@ class OperatorSchedule:
         slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * spacing)
 
         def value_fn(t):
-            j = min(int((t - ts[0]) / spacing), ts.size - 2)
-            j = max(j, 0)
-            s = (t - ts[j]) / spacing
+            j = np.clip(((t - ts[0]) / spacing).astype(int), 0, ts.size - 2)
+            s = ((t - ts[j]) / spacing)[:, None, None]
             s2, s3 = s * s, s * s * s
             h00 = 2.0 * s3 - 3.0 * s2 + 1.0
             h10 = s3 - 2.0 * s2 + s
@@ -103,36 +166,73 @@ class OperatorSchedule:
 
         sched = cls(cls.SAMPLED, dim, (ts[0], ts[-1]), value_fn, None,
                     sample_times=ts, snapshots=mats)
-
-        def deriv_fn(t):
-            return _fd_derivative(sched, t, spacing)
-
-        sched._deriv = deriv_fn
+        sched._deriv = lambda t: _fd_derivative(sched, t, spacing, sched.span)
         return sched
 
-    def _check_span(self, t):
+    def _check_span(self, ts):
         lo, hi = self.span
         slack = _SPAN_SLACK * (hi - lo)
-        if t < lo - slack or t > hi + slack:
+        bad = (ts < lo - slack) | (ts > hi + slack)
+        if bad.any():
+            t = ts[int(np.argmax(bad))]
             raise OutOfRange(f"t={t:g} outside schedule span [{lo:g}, {hi:g}]")
 
     def __call__(self, t) -> np.ndarray:
-        self._check_span(t)
-        return self._value(t)
+        ts, single = _times(t)
+        self._check_span(ts)
+        out = self._value(ts)
+        return out[0] if single else out
 
     def derivative(self, t) -> np.ndarray:
-        self._check_span(t)
-        return self._deriv(t)
+        ts, single = _times(t)
+        self._check_span(ts)
+        out = self._deriv(ts)
+        return out[0] if single else out
 
 
-def _fd_derivative(eval_fn, t, step):
-    """Central difference, falling back to second-order one-sided at span edges."""
-    lo, hi = eval_fn.span
-    if t - step >= lo and t + step <= hi:
-        return (eval_fn(t + step) - eval_fn(t - step)) / (2.0 * step)
-    if t - step < lo:
-        return (-3.0 * eval_fn(t) + 4.0 * eval_fn(t + step) - eval_fn(t + 2.0 * step)) / (2.0 * step)
-    return (3.0 * eval_fn(t) - 4.0 * eval_fn(t - step) + eval_fn(t - 2.0 * step)) / (2.0 * step)
+def _fd_derivative(fn, ts, step, span, values=None):
+    """d/dt of fn at the times ts by central differences with the given step,
+    second-order one-sided where a central stencil would leave the span.
+
+    fn maps a 1-D array of times to a stack. When ts is a uniform grid whose
+    spacing divides step, the stencil points are grid points (an index
+    shift) plus a halo beyond either end of ts; fn is called once for all of
+    them, or only for the halo when values = fn(ts) is given. Other ts are
+    differentiated one time at a time.
+    """
+    n = ts.size
+    h = ts[1] - ts[0] if n > 1 else step
+    r = int(round(step / h)) if h > 0 else 0
+    if n > 1 and (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
+                  or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
+        return np.concatenate([_fd_derivative(fn, ts[i:i + 1], step, span)
+                               for i in range(n)])
+    lo, hi = span
+    fwd = ts - step < lo
+    bwd = ~fwd & (ts + step > hi)
+    j = np.arange(n)[:, None]
+    # three stencil points per time, as lattice indices, and their weights
+    idx = np.where(fwd[:, None], j + r * np.array([0, 1, 2]),
+                   np.where(bwd[:, None], j - r * np.array([0, 1, 2]),
+                            j + r * np.array([1, -1, -1])))
+    weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
+                       np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
+    need = np.unique(idx[weights != 0.0])
+    inside = (need >= 0) & (need < n)
+    lattice_t = np.where(need < 0, ts[0] + need * h,
+                         np.where(need >= n, ts[-1] + (need - (n - 1)) * h,
+                                  ts[np.clip(need, 0, n - 1)]))
+    if values is None:
+        f = fn(lattice_t)
+    else:
+        f = np.empty((need.size,) + values.shape[1:], dtype=complex)
+        f[inside] = values[need[inside]]
+        if not inside.all():
+            f[~inside] = fn(lattice_t[~inside])
+    pos = np.searchsorted(need, idx)
+    w = weights[:, :, None, None]
+    return (w[:, 0] * f[pos[:, 0]] + w[:, 1] * f[pos[:, 1]]
+            + w[:, 2] * f[pos[:, 2]]) / (2.0 * step)
 
 
 class OmegaSchedule:
@@ -141,6 +241,7 @@ class OmegaSchedule:
     omega is the principal square root of theta(t) unless analytic forms
     are supplied. The derivative is analytic when available (and not
     suppressed), otherwise a central difference of omega with step fd_step.
+    Each method takes a time or a 1-D array of times, like the schedules.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, fd_step: float,
@@ -157,46 +258,31 @@ class OmegaSchedule:
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
         self._cond_max = cond_max
-        self._omega_cache: dict[float, np.ndarray] = {}
-        self._inv_cache: dict[float, np.ndarray] = {}
 
     def omega(self, t) -> np.ndarray:
-        got = self._omega_cache.get(t)
-        if got is not None:
-            return got
+        ts, single = _times(t)
         if self._omega_fn is not None:
-            w = np.asarray(self._omega_fn(t), dtype=complex)
+            w = evaluate_each(self._omega_fn, ts)
         else:
-            try:
-                w = linalg.principal_sqrt(self.theta(t), self._eps_herm, self._eps_pos)
-            except NotPositiveDefinite as e:
-                raise NotPositiveDefinite(e.lambda_min, e.lambda_max, t=t) from None
-        self._omega_cache[t] = w
-        return w
+            w = linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts)
+        return w[0] if single else w
 
-    def omega_inv(self, t) -> np.ndarray:
-        got = self._inv_cache.get(t)
-        if got is not None:
-            return got
+    def omega_inv(self, t, omega=None) -> np.ndarray:
+        """omega(t)^-1; pass omega = self.omega(t) if it is already at hand."""
+        ts, single = _times(t)
         if self._omega_inv_fn is not None:
-            wi = np.asarray(self._omega_inv_fn(t), dtype=complex)
+            wi = evaluate_each(self._omega_inv_fn, ts)
         else:
-            wi = linalg.inverse(self.omega(t), self._cond_max)
-        self._inv_cache[t] = wi
-        return wi
+            w = self.omega(ts) if omega is None else _as_stack(omega, ts.size)
+            wi = linalg.inverse(w, self._cond_max, t=ts)
+        return wi[0] if single else wi
 
-    def omega_dot(self, t) -> np.ndarray:
+    def omega_dot(self, t, omega=None) -> np.ndarray:
+        """d/dt omega(t); pass omega = self.omega(t) if it is already at hand."""
+        ts, single = _times(t)
         if self._omega_dot_fn is not None:
-            return np.asarray(self._omega_dot_fn(t), dtype=complex)
-        return _fd_derivative(self._as_eval(), t, self.fd_step)
-
-    def _as_eval(self):
-        outer = self
-
-        class _Eval:
-            span = outer.span
-
-            def __call__(self, t):
-                return outer.omega(t)
-
-        return _Eval()
+            wd = evaluate_each(self._omega_dot_fn, ts)
+        else:
+            values = None if omega is None else _as_stack(omega, ts.size)
+            wd = _fd_derivative(self.omega, ts, self.fd_step, self.span, values)
+        return wd[0] if single else wd

@@ -170,12 +170,16 @@ def spectral_hamiltonian(s: SpectralData, gram_tol: float = 1e-12) -> np.ndarray
     return (b * s.energies) @ b.conj().T
 
 
-def quasi_hermiticity_defect(h_mat, theta) -> float:
-    """Relative size of theta H - H† theta; zero iff H† = theta H theta^-1."""
-    th = linalg.as_matrix(theta)
-    hm = linalg.as_matrix(h_mat)
-    num = th @ hm - hm.conj().T @ th
-    return linalg.fro_norm(num) / max(linalg.fro_norm(th @ hm), _TINY)
+def quasi_hermiticity_defect(h_mat, theta):
+    """Relative size of theta H - H† theta; zero iff H† = theta H theta^-1.
+
+    A float for one pair of matrices, an array for stacks of them.
+    """
+    th = linalg.as_matrices(theta)
+    hm = linalg.as_matrices(h_mat)
+    th_hm = th @ hm
+    num = th_hm - linalg.dagger(hm) @ th
+    return linalg.fro_norms(num) / np.maximum(linalg.fro_norms(th_hm), _TINY)
 
 
 def quasi_hermiticity_residual(h_mat, m: Metric) -> float:

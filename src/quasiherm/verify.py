@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import (EvolutionResult, Scenario, corrected_generator, evolve,
-                       integrate_u, ur_from_corrected_generator,
-                       ur_from_definition)
-from .errors import NotMeasurable, OracleUnavailable
+from .dynamics import (EvolutionResult, Scenario, evolve, grid_blocks,
+                       half_grid_operators, integrate_u,
+                       ur_from_corrected_generator)
+from .errors import NotMeasurable
 from .spaces import quasi_hermiticity_defect
 
 REFERENCE_REFINEMENT = 8  # resolution multiplier for oracle-free convergence runs
@@ -47,31 +47,24 @@ class Verdict:
 def diagnostics_from_result(res: EvolutionResult) -> list[DiagnosticsRow]:
     """One row per interior grid node."""
     s = res.scenario
-    ts = res.grid.times()
-    dt = res.grid.spacing
-    os = res.omega_sched
-    h_big = s.h_big_of_t(os)
-    gen = corrected_generator(h_big, os, s.hbar)
-    ur = res.ur_series
     rows = []
-    for k in range(1, res.grid.steps):
-        t = ts[k]
-        lhs = 1j * s.hbar * (ur[k + 1] - ur[k - 1]) / (2.0 * dt)
-        h_k = np.asarray(h_big(t), dtype=complex)
-        res_naive = linalg.fro_norm(lhs - h_k @ ur[k])
-        res_corr = linalg.fro_norm(lhs - gen(t) @ ur[k])
-        theta_k = res.theta_series[k]
-        res_metric = (linalg.fro_norm(res.theta_recon[k] - theta_k)
-                      / linalg.fro_norm(theta_k))
-        rows.append(DiagnosticsRow(
-            t=float(t),
-            unitarity_defect=float(res.unitarity_defect[k]),
-            norm_phys=float(res.norms_phys[k]),
-            res_naive=float(res_naive),
-            res_corrected=float(res_corr),
-            res_metric=float(res_metric),
-            res_qh=float(quasi_hermiticity_defect(h_k, theta_k)),
-        ))
+    for blk in grid_blocks(res.grid, s.dim):   # bounds the temporaries
+        k = slice(max(blk.first, 1), blk.last)
+        ur = res.ur_series[k]
+        lhs = (1j * s.hbar * (res.ur_series[k.start + 1:k.stop + 1]
+                              - res.ur_series[k.start - 1:k.stop - 1])
+               / (2.0 * res.grid.spacing))
+        h_big, theta = res.h_big_series[k], res.theta_series[k]
+        columns = (
+            res.grid.times()[k],
+            res.unitarity_defect[k],
+            res.norms_phys[k],
+            linalg.fro_norms(lhs - h_big @ ur),
+            linalg.fro_norms(lhs - res.gen_series[k] @ ur),
+            linalg.fro_norms(res.theta_recon[k] - theta) / linalg.fro_norms(theta),
+            quasi_hermiticity_defect(h_big, theta),
+        )
+        rows += [DiagnosticsRow(*row) for row in zip(*(c.tolist() for c in columns))]
     return rows
 
 
@@ -81,7 +74,8 @@ def run_diagnostics(s: Scenario, fd_omega_dot: bool = False) -> list[Diagnostics
 
 def max_omega_motion(s: Scenario, fd_omega_dot: bool = False) -> float:
     os = s.omega_schedule(fd_omega_dot)
-    return max(linalg.fro_norm(os.omega_dot(t)) for t in s.grid.times())
+    return max(float(linalg.fro_norms(os.omega_dot(blk.times())).max())
+               for blk in grid_blocks(s.grid, s.dim))
 
 
 def verdicts(rows: list[DiagnosticsRow], s: Scenario,
@@ -127,15 +121,19 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
 
 
 def _end_state(s: Scenario, steps: int, probe: str, fd_omega_dot: bool) -> np.ndarray:
+    if probe not in ("u", "ur_corr"):
+        raise ValueError(f"unknown probe {probe!r}")
     s2 = s.with_steps(steps)
     os = s2.omega_schedule(fd_omega_dot)
-    if probe == "u":
-        return integrate_u(s2.h_of_t(os), s2.grid, s2.hbar, dim=s2.dim,
-                           eps_herm=s2.tol("eps_herm"))[-1]
-    if probe == "ur_corr":
-        return ur_from_corrected_generator(s2.h_big_of_t(os), os, s2.grid,
-                                           s2.hbar, dim=s2.dim)[-1]
-    raise ValueError(f"unknown probe {probe!r}")
+    end = None
+    for blk in grid_blocks(s2.grid, s2.dim):
+        if probe == "u":
+            h = s2.h if s2.h is not None else half_grid_operators(s2, os, blk.half_times()).h
+            end = integrate_u(h, blk, s2.hbar, s2.tol("eps_herm"), u0=end)[-1]
+        else:
+            gen = half_grid_operators(s2, os, blk.half_times()).gen
+            end = ur_from_corrected_generator(gen, blk, s2.hbar, u0=end)[-1]
+    return end
 
 
 def _oracle_end(s: Scenario, probe: str) -> np.ndarray:
@@ -163,8 +161,6 @@ def convergence_order(s: Scenario, probe: str = "u",
         ref = _oracle_end(s, probe)
     else:
         ref = _end_state(s, REFERENCE_REFINEMENT * 2 * n, probe, fd_omega_dot)
-    if s.u_oracle is None and ref is None:
-        raise OracleUnavailable("no closed-form oracle and no reference run")
     err_n = linalg.fro_norm(_end_state(s, n, probe, fd_omega_dot) - ref)
     err_2n = linalg.fro_norm(_end_state(s, 2 * n, probe, fd_omega_dot) - ref)
     floor = 1e-13 * max(1.0, linalg.fro_norm(ref))

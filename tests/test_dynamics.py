@@ -6,7 +6,7 @@ from quasiherm.dynamics import (evolve, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
                                 ur_from_definition, ur_from_naive_generator,
                                 validate_scenario)
-from quasiherm.errors import NotHermitian, ValidationError
+from quasiherm.errors import IllConditioned, NotHermitian, ValidationError
 from quasiherm.models import SIGMA_X, u_oracle_sigma_x
 from quasiherm.schedules import OperatorSchedule, TimeGrid
 
@@ -15,13 +15,13 @@ SPAN_HALF_PI = (0.0, np.pi / 2)
 
 def test_integrate_u_zero_generator():
     grid = TimeGrid(0.0, 1.0, 100)
-    u = integrate_u(lambda t: np.zeros((2, 2)), grid, dim=2)
+    u = integrate_u(lambda t: np.zeros((2, 2)), grid)
     assert np.allclose(u, np.eye(2))
 
 
 def test_integrate_u_sigma_x_closed_form():
     grid = TimeGrid(*SPAN_HALF_PI, 1000)
-    u = integrate_u(lambda t: SIGMA_X, grid, dim=2)
+    u = integrate_u(lambda t: SIGMA_X, grid)
     expect = np.array([[0, -1j], [-1j, 0]])
     assert linalg.fro_norm(u[-1] - expect) <= 1e-9
     for k, t in enumerate(grid.times()[::100]):
@@ -30,14 +30,14 @@ def test_integrate_u_sigma_x_closed_form():
 
 def test_integrate_u_unitarity_defect():
     grid = TimeGrid(*SPAN_HALF_PI, 1000)
-    u = integrate_u(lambda t: SIGMA_X, grid, dim=2)
+    u = integrate_u(lambda t: SIGMA_X, grid)
     assert linalg.fro_norm(u[-1].conj().T @ u[-1] - np.eye(2)) <= 1e-10
 
 
 def test_integrate_u_rejects_nonhermitian():
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(NotHermitian):
-        integrate_u(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid, dim=2)
+        integrate_u(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid)
 
 
 def test_ur_definition_identity_metric():
@@ -49,8 +49,8 @@ def test_ur_definition_identity_metric():
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]),
     ).omega_schedule()
-    u = integrate_u(lambda t: SIGMA_X, grid, dim=2)
-    ur = ur_from_definition(u, os_ident, grid)
+    u = integrate_u(lambda t: SIGMA_X, grid)
+    ur = ur_from_definition(u, os_ident.omega_inv(grid.times()), os_ident.omega(0.0))
     assert np.allclose(ur, u)
 
 
@@ -90,7 +90,7 @@ def test_naive_fails_when_metric_moves():
 
 def test_naive_zero_generator():
     grid = TimeGrid(0.0, 1.0, 50)
-    u = ur_from_naive_generator(lambda t: np.zeros((2, 2)), grid, dim=2)
+    u = ur_from_naive_generator(lambda t: np.zeros((2, 2)), grid)
     assert np.allclose(u, np.eye(2))
 
 
@@ -119,8 +119,8 @@ def test_scalar_exponential_hand_solution():
 
 def test_metric_reconstruction_identity_case():
     grid = TimeGrid(0.0, 1.0, 200)
-    u = integrate_u(lambda t: SIGMA_X, grid, dim=2)
-    recon = metric_from_ur(u, np.eye(2))
+    u = integrate_u(lambda t: SIGMA_X, grid)
+    recon = metric_from_ur(u, np.eye(2), grid)
     assert max(linalg.fro_norm(m - np.eye(2)) for m in recon) <= 1e-10
 
 
@@ -175,3 +175,77 @@ def test_evolution_deterministic():
     b = evolve(make_builtin("growing-metric-2d", steps=300))
     assert np.array_equal(a.ur_series, b.ur_series)
     assert np.array_equal(a.norms_phys, b.norms_phys)
+
+
+def classical_rk4(m_of_t, grid):
+    """Reference: RK4 stages one step at a time, U' = M(t) U from the identity."""
+    ts, dt = grid.times(), grid.spacing
+    u = np.eye(2, dtype=complex)
+    out = [u]
+    for t in ts[:-1]:
+        k1 = m_of_t(t) @ u
+        k2 = m_of_t(t + 0.5 * dt) @ (u + 0.5 * dt * k1)
+        k3 = m_of_t(t + 0.5 * dt) @ (u + 0.5 * dt * k2)
+        k4 = m_of_t(t + dt) @ (u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(u)
+    return np.stack(out)
+
+
+def test_step_maps_match_classical_rk4():
+    sigma_z = np.diag([1.0, -1.0])
+    grid = TimeGrid(0.0, 1.0, 200)
+    h = lambda t: SIGMA_X + 3.0 * t * sigma_z  # noqa: E731
+    u = integrate_u(h, grid)
+    ref = classical_rk4(lambda t: -1j * h(t), grid)
+    assert np.allclose(u, ref, rtol=0, atol=1e-13)
+
+
+def test_blocks_continue_the_whole_grid_run():
+    grid = TimeGrid(0.0, 1.0, 100)
+    h = lambda t: SIGMA_X * (1.0 + t)  # noqa: E731
+    whole = integrate_u(h, grid)
+    end = None
+    for blk in grid.blocks(30):
+        part = integrate_u(h, blk, u0=end)
+        assert np.array_equal(part, whole[blk.first:blk.last + 1])
+        end = part[-1]
+
+
+def test_integrate_u_gates_midpoint_stages():
+    bump = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # non-Hermitian only at t = 0.25, the midpoint of the third step
+    h = lambda t: SIGMA_X + (bump if abs(t - 0.25) < 1e-12 else 0.0)  # noqa: E731
+    grid = TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(NotHermitian) as exc:
+        integrate_u(h, grid)
+    assert exc.value.t == pytest.approx(0.25)
+
+
+def test_metric_from_ur_reports_node_time():
+    grid = TimeGrid(0.0, 2.0, 4)
+    ur = np.stack([np.eye(2, dtype=complex)] * 5)
+    ur[3] = np.diag([1.0, 0.0])
+    with pytest.raises(IllConditioned) as exc:
+        metric_from_ur(ur, np.eye(2), grid)
+    assert exc.value.t == 1.5
+
+
+def test_validate_names_first_non_positive_metric_time():
+    grid = TimeGrid(0.0, 1.0, 10)
+    s = dynamics.Scenario(
+        name="sinking", dim=2, grid=grid,
+        theta=OperatorSchedule.closed_form(
+            2, (0.0, 1.0),
+            lambda t: np.diag([1.0, 0.35 - t]).astype(complex),
+            lambda t: np.diag([0.0, -1.0]).astype(complex)),
+        h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
+        initial_state=np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="metric rejected at t=0.4"):
+        validate_scenario(s)
+
+
+def test_unitarity_defect_stays_at_rounding_level(growing_result):
+    # a step map folded into (I + D) would repeat its rounding every step: ~2e-13
+    assert growing_result.grid.steps == 2000
+    assert np.max(growing_result.unitarity_defect) <= 1e-14

@@ -125,3 +125,64 @@ def test_pair_encoding_roundtrip():
     assert np.array_equal(linalg.matrix_from_pairs(linalg.matrix_to_pairs(m)), m)
     v = np.array([1j, 2.5])
     assert np.array_equal(linalg.vector_from_pairs(linalg.vector_to_pairs(v)), v)
+
+
+# --- stacks: each matrix gated and decomposed as if on its own ---
+
+def _spd_stack(rng, n, d):
+    b = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return b @ linalg.dagger(b) + 0.5 * np.eye(d)
+
+
+def test_stacked_decompositions_match_one_by_one(rng):
+    a = _spd_stack(rng, 7, 4)
+    roots = linalg.principal_sqrt(a)
+    inverses = linalg.inverse(a)
+    conds = linalg.cond_2norm(a)
+    defects = linalg.herm_defect(a + 1e-3j * np.eye(4))
+    for k in range(a.shape[0]):
+        assert np.allclose(roots[k], linalg.principal_sqrt(a[k]), rtol=0, atol=1e-14)
+        assert np.allclose(inverses[k], linalg.inverse(a[k]), rtol=0, atol=1e-14)
+        assert conds[k] == pytest.approx(linalg.cond_2norm(a[k]), rel=1e-14)
+        assert defects[k] == pytest.approx(linalg.herm_defect(a[k] + 1e-3j * np.eye(4)),
+                                           rel=1e-14)
+
+
+def test_stacked_hermiticity_gate_names_first_bad_time(rng):
+    a = linalg.hermitize(rng.normal(size=(5, 3, 3)) + 0j)
+    a[3, 0, 1] += 1.0
+    a[4, 1, 2] += 1.0
+    ts = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(NotHermitian) as exc:
+        linalg.eig_hermitian(a, t=ts)
+    assert exc.value.t == ts[3]
+    linalg.eig_hermitian(a[:3], t=ts[:3])
+
+
+def test_stacked_positivity_gate_names_first_bad_time():
+    ts = np.linspace(0.0, 1.0, 11)
+    theta = np.zeros((ts.size, 2, 2), dtype=complex)
+    theta[:, 0, 0] = 1.0
+    theta[:, 1, 1] = 0.35 - ts   # first non-positive at t = 0.4
+    with pytest.raises(NotPositiveDefinite) as exc:
+        linalg.principal_sqrt(theta, t=ts)
+    assert exc.value.t == pytest.approx(0.4)
+    assert exc.value.lambda_min == pytest.approx(-0.05)
+
+
+def test_stacked_inverse_gate_names_first_bad_time():
+    ts = np.array([0.0, 0.5, 1.0, 1.5])
+    a = np.stack([np.eye(2)] * 4).astype(complex)
+    a[2] = np.diag([1.0, 0.0])
+    a[3] = np.diag([1.0, 1e-12])
+    with pytest.raises(IllConditioned) as exc:
+        linalg.inverse(a, t=ts)
+    assert exc.value.t == 1.0
+    assert exc.value.cond == np.inf
+    assert linalg.cond_2norm(a)[2] == np.inf
+
+
+def test_gate_without_times_reports_no_time():
+    with pytest.raises(IllConditioned) as exc:
+        linalg.inverse(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
+    assert exc.value.t is None

@@ -115,3 +115,116 @@ def test_omega_reports_failing_time():
     with pytest.raises(NotPositiveDefinite) as exc:
         os.omega(0.4)
     assert exc.value.t == pytest.approx(0.4)
+
+
+# --- stacked evaluation agrees with one time at a time ---
+
+HALF_GRID = TimeGrid(0.0, 1.0, 10).half_times()
+
+
+def hermite_reference(ts, mats, t):
+    """Cubic Hermite interpolation at one time, with the slopes of OperatorSchedule.sampled."""
+    h = ts[1] - ts[0]
+    slopes = np.empty_like(mats)
+    slopes[1:-1] = (mats[2:] - mats[:-2]) / (2.0 * h)
+    slopes[0] = (-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) / (2.0 * h)
+    slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * h)
+    j = max(min(int((t - ts[0]) / h), ts.size - 2), 0)
+    s = (t - ts[j]) / h
+    return ((2 * s ** 3 - 3 * s ** 2 + 1) * mats[j] + (s ** 3 - 2 * s ** 2 + s) * h * slopes[j]
+            + (-2 * s ** 3 + 3 * s ** 2) * mats[j + 1] + (s ** 3 - s ** 2) * h * slopes[j + 1])
+
+
+def fd_reference(f, t, step, lo, hi):
+    """Central difference at one time, second-order one-sided at the span ends."""
+    if t - step >= lo and t + step <= hi:
+        return (f(t + step) - f(t - step)) / (2.0 * step)
+    if t - step < lo:
+        return (-3.0 * f(t) + 4.0 * f(t + step) - f(t + 2.0 * step)) / (2.0 * step)
+    return (3.0 * f(t) - 4.0 * f(t - step) + f(t - 2.0 * step)) / (2.0 * step)
+
+
+def test_stacked_constant_schedule():
+    m = np.array([[2.0, 1j], [-1j, 3.0]])
+    s = OperatorSchedule.constant_matrix(m, (0.0, 1.0))
+    assert s(HALF_GRID).shape == (HALF_GRID.size, 2, 2)
+    assert all(np.array_equal(a, m) for a in s(HALF_GRID))
+    assert np.array_equal(s.derivative(HALF_GRID), np.zeros((HALF_GRID.size, 2, 2)))
+
+
+def test_stacked_closed_form_schedule():
+    s = growing_theta()
+    stacked, slopes = s(HALF_GRID), s.derivative(HALF_GRID)
+    for k, t in enumerate(HALF_GRID):
+        assert np.array_equal(stacked[k], s(t))
+        assert np.array_equal(slopes[k], s.derivative(t))
+
+
+def test_stacked_sampled_schedule_matches_reference():
+    ts = np.linspace(0.0, 1.0, 6)
+    rng = np.random.default_rng(3)
+    mats = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    s = OperatorSchedule.sampled(ts, mats)
+    stacked = s(HALF_GRID)
+    for k, t in enumerate(HALF_GRID):
+        ref = hermite_reference(ts, mats, t)
+        assert np.allclose(stacked[k], ref, rtol=0, atol=1e-14)
+        assert np.array_equal(stacked[k], s(t))
+    # the derivative is a finite difference of the interpolant with the snapshot spacing
+    grid = np.linspace(0.0, 1.0, 11)   # spacing 0.1 does not divide 0.2: one time at a time
+    slopes = s.derivative(grid)
+    for k, t in enumerate(grid):
+        ref = fd_reference(s, t, 0.2, 0.0, 1.0)
+        assert np.allclose(slopes[k], ref, rtol=0, atol=1e-12)
+
+
+def test_stacked_span_check_names_first_bad_time():
+    s = growing_theta()
+    with pytest.raises(OutOfRange, match="t=1.25"):
+        s(np.array([0.5, 1.25, 1.5]))
+
+
+def test_stacked_omega_matches_scalar_and_reference():
+    os = OmegaSchedule(growing_theta(), fd_step=0.1)
+    w, wi = os.omega(HALF_GRID), os.omega_inv(HALF_GRID)
+    wd = os.omega_dot(HALF_GRID)
+    for k, t in enumerate(HALF_GRID):
+        assert np.allclose(w[k], os.omega(t), rtol=0, atol=1e-15)
+        assert np.allclose(wi[k], os.omega_inv(t), rtol=0, atol=1e-15)
+        # the first two and last two points take the one-sided rule
+        ref = fd_reference(os.omega, t, 0.1, 0.0, 1.0)
+        assert np.allclose(wd[k], ref, rtol=0, atol=1e-13)
+        assert np.allclose(os.omega_dot(t), ref, rtol=0, atol=1e-15)
+    assert np.array_equal(os.omega_inv(HALF_GRID, omega=w), wi)
+    assert np.array_equal(os.omega_dot(HALF_GRID, omega=w), wd)
+
+
+def test_omega_dot_on_a_block_matches_whole_grid():
+    os = OmegaSchedule(growing_theta(), fd_step=0.1)
+    whole = os.omega_dot(HALF_GRID)
+    for first, last in ((0, 5), (3, 9), (14, 21)):
+        part = HALF_GRID[first:last]
+        got = os.omega_dot(part, omega=os.omega(part))
+        assert np.allclose(got, whole[first:last], rtol=0, atol=1e-13)
+
+
+def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
+    # omega = diag(1, (1 + t)^2) is quadratic in t: every stencil is exact
+    theta = OperatorSchedule.closed_form(
+        2, (0.0, 1.0),
+        lambda t: np.diag([1.0, (1.0 + t) ** 4]).astype(complex),
+        lambda t: np.diag([0.0, 4.0 * (1.0 + t) ** 3]).astype(complex))
+    os = OmegaSchedule(theta, fd_step=0.1)
+    wd = os.omega_dot(HALF_GRID)
+    for k in (0, 1, HALF_GRID.size - 2, HALF_GRID.size - 1):
+        assert np.allclose(wd[k], np.diag([0.0, 2.0 * (1.0 + HALF_GRID[k])]), atol=1e-12)
+
+
+def test_grid_blocks_cover_grid():
+    g = TimeGrid(0.0, 1.0, 10)
+    blocks = g.blocks(4)
+    assert [(b.first, b.last) for b in blocks] == [(0, 3), (3, 6), (6, 10)]
+    assert np.array_equal(np.concatenate([b.half_times()[:-1] for b in blocks]
+                                         + [g.half_times()[-1:]]), g.half_times())
+    assert np.array_equal(g.half_times()[::2], g.times())
+    assert [(b.first, b.last) for b in g.blocks(100)] == [(0, 10)]
