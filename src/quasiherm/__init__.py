@@ -11,8 +11,8 @@ from .spaces import (DysonMap, Metric, PhysicalFunctional, Space,
                      SpaceTaggedVector, SpectralData, doubled_bra,
                      hermitian_equivalent, inner_physical, inner_reference,
                      inner_standard, map_to_reference, metric_from_dyson,
-                     metric_from_theta, quasi_hermiticity_residual,
-                     reference_ket, spectral_hamiltonian, standard_ket)
+                     metric_from_theta, reference_ket,
+                     spectral_hamiltonian, standard_ket)
 from .verify import (DiagnosticsRow, Verdict, convergence_order,
                      run_diagnostics, verdicts)
 

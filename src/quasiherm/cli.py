@@ -7,11 +7,12 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage/IO error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import models, scenario_io, verify
 from .dynamics import Scenario
-from .errors import ParseError, QuasihermError, ValidationError
+from .errors import QuasihermError
 
 CSV_COLUMNS = ("t", "unitarity_defect", "norm_phys", "res_naive",
                "res_corrected", "res_metric", "res_qh")
@@ -20,6 +21,22 @@ EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+
+
+def _checked(conv, ok, expected: str):
+    """argparse type: conv(text) when ok accepts it, else a usage error."""
+    def parse(text: str):
+        try:
+            if ok(value := conv(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_STEPS_ARG = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_HBAR_ARG = _checked(float, lambda x: math.isfinite(x) and x > 0, "a positive number")
 
 
 def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None) -> Scenario:
@@ -97,7 +114,8 @@ def cmd_demo(scenario: Scenario) -> int:
     print(f"at t={last.t:.4f}: naive residual {last.res_naive:.4f}, "
           f"corrected residual {last.res_corrected:.3e}")
     _print_verdicts(vs)
-    moving = verify.max_omega_motion(scenario) >= scenario.tol("omega_motion")
+    # verdicts asks the naive residual to exceed a floor exactly when the metric moves
+    moving = any(v.name == "NAIVE_FAILS_IFF_METRIC_MOVES" and v.sense == ">=" for v in vs)
     if all(v.passed for v in vs):
         if moving:
             print("\nThe physical norm stays constant even though the metric "
@@ -130,14 +148,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario and write a CSV report")
     p_run.add_argument("--scenario", required=True,
                        help="builtin name or path to a scenario JSON file")
-    p_run.add_argument("--steps", type=int, default=None, help="override grid steps")
-    p_run.add_argument("--hbar", type=float, default=None, help="override hbar")
+    p_run.add_argument("--steps", type=_STEPS_ARG, default=None, help="override grid steps")
+    p_run.add_argument("--hbar", type=_HBAR_ARG, default=None, help="override hbar")
     p_run.add_argument("--out", required=True, help="CSV output path")
 
     p_demo = sub.add_parser("demo", help="side-by-side naive vs corrected residuals")
     p_demo.add_argument("--scenario", default="growing-metric-2d")
-    p_demo.add_argument("--steps", type=int, default=None)
-    p_demo.add_argument("--hbar", type=float, default=None)
+    p_demo.add_argument("--steps", type=_STEPS_ARG, default=None)
+    p_demo.add_argument("--hbar", type=_HBAR_ARG, default=None)
 
     sub.add_parser("list", help="list builtin scenarios")
 
@@ -156,9 +174,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except QuasihermError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -8,7 +8,8 @@ deliberately, so its failure for moving metrics can be exhibited), and
 from the corrected generator G = H - i hbar omega^-1 omega_dot.
 
 Every operator is evaluated once per point of the half-step grid, as a
-stack: theta, omega, omega^-1, omega_dot, h, H and G. Because the ODEs are
+stack: theta, omega, omega^-1, omega_dot, h, H and G. The integrators take
+their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
 once and only the update is a Python loop. The grid is walked in blocks
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import linalg, spaces
 from .errors import NotHermitian, QuasihermError, ValidationError
-from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid, evaluate_each
+from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid
 
 DEFAULT_TOLERANCES = {
     "eps_herm": 1e-10,
@@ -48,14 +49,6 @@ BLOCK_ENTRIES = 1 << 15  # matrix entries of one operator stack over one block o
 def grid_blocks(grid: TimeGrid, dim: int):
     """The blocks the integrators walk grid in, sized for dim x dim operators."""
     return grid.blocks(BLOCK_ENTRIES // (2 * dim * dim))
-
-
-def _on_half_grid(op, grid) -> np.ndarray:
-    """op on grid.half_times(): op is a callable of t, or already that stack."""
-    if not callable(op):
-        return np.asarray(op, dtype=complex)
-    ts = grid.half_times()
-    return op(ts) if isinstance(op, OperatorSchedule) else evaluate_each(op, ts)
 
 
 def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
@@ -82,16 +75,15 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     return out
 
 
-def integrate_u(h, grid, hbar: float = 1.0, eps_herm: float = linalg.EPS_HERM,
-                u0=None) -> np.ndarray:
+def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
+                eps_herm: float = linalg.EPS_HERM, u0=None) -> np.ndarray:
     """RK4 series for i hbar u' = h(t) u with a Hermiticity gate at every stage.
 
-    h is a callable t -> h(t) or its stack on grid.half_times(); grid is a
-    TimeGrid or one of its blocks, and u0 the value at its first node.
+    h is the stack of h(t) on grid.half_times(); grid is a TimeGrid or one
+    of its blocks, and u0 the value at its first node.
     """
-    hs = _on_half_grid(h, grid)
-    linalg.check_hermitian(hs, eps_herm, t=grid.half_times())
-    return _rk4_series((-1j / hbar) * hs, grid, u0)
+    linalg.check_hermitian(h, eps_herm, t=grid.half_times())
+    return _rk4_series((-1j / hbar) * h, grid, u0)
 
 
 def ur_from_definition(u_series: np.ndarray, omega_inv: np.ndarray,
@@ -100,17 +92,19 @@ def ur_from_definition(u_series: np.ndarray, omega_inv: np.ndarray,
     return omega_inv @ u_series @ omega0
 
 
-def ur_from_naive_generator(h_big, grid, hbar: float = 1.0, u0=None) -> np.ndarray:
+def ur_from_naive_generator(h_big: np.ndarray, grid, hbar: float = 1.0,
+                            u0=None) -> np.ndarray:
     """Integrate i hbar U' = H(t) U. Wrong whenever the metric moves; kept so
     the failure can be measured rather than asserted. h_big, grid and u0 as
     for integrate_u."""
-    return _rk4_series((-1j / hbar) * _on_half_grid(h_big, grid), grid, u0)
+    return _rk4_series((-1j / hbar) * h_big, grid, u0)
 
 
-def ur_from_corrected_generator(gen, grid, hbar: float = 1.0, u0=None) -> np.ndarray:
+def ur_from_corrected_generator(gen: np.ndarray, grid, hbar: float = 1.0,
+                                u0=None) -> np.ndarray:
     """Integrate i hbar U' = G(t) U for G = H - i hbar omega^-1 omega_dot
     (the gen of half_grid_operators). gen, grid and u0 as for integrate_u."""
-    return _rk4_series((-1j / hbar) * _on_half_grid(gen, grid), grid, u0)
+    return _rk4_series((-1j / hbar) * gen, grid, u0)
 
 
 def metric_from_ur(ur_series: np.ndarray, theta0: np.ndarray, grid,
@@ -161,17 +155,22 @@ class Scenario:
     h_big: OperatorSchedule | None = None    # direct mode
     hbar: float = 1.0
     tolerances: dict = field(default_factory=dict)
-    omega_analytic: tuple | None = None      # (omega, omega_dot, [omega_inv]) callables
+    omega_analytic: tuple | None = None      # (omega, omega_dot, [omega_inv]): times -> stack
     u_oracle: Callable | None = None         # u_oracle(elapsed, hbar) -> matrix
 
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not self.hbar > 0:
+            raise ValidationError(f"hbar must be positive, got {self.hbar:g}")
         v = np.asarray(self.initial_state, dtype=complex)
         if v.shape != (self.dim,):
-            raise ValueError("initial state dimension mismatch")
+            raise ValidationError(f"initial_state has shape {v.shape}, "
+                                  f"dimension is {self.dim}")
+        for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
+            if sched is not None and sched.dim != self.dim:
+                raise ValidationError(f"{what} is {sched.dim}x{sched.dim}, "
+                                      f"dimension is {self.dim}")
         self.initial_state = v
 
     @property

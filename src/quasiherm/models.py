@@ -32,87 +32,62 @@ def u_oracle_sigma_x(elapsed: float, hbar: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def _grid(span, steps):
-    return TimeGrid(span[0], span[1], steps)
+def _diag(a: float, b: np.ndarray) -> np.ndarray:
+    """Stack of diag(a, b[k]), one matrix per entry of b."""
+    out = np.zeros((b.size, 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
 
 
-def _base_kwargs(name, grid, theta, omega_analytic, initial_state, hbar, tolerances):
-    if initial_state is None:
-        initial_state = np.array([1.0, 0.0], dtype=complex)
-    h = OperatorSchedule.constant_matrix(SIGMA_X, (grid.t_start, grid.t_end), label="sigma_x")
-    return dict(name=name, dim=2, grid=grid, theta=theta, h=h,
-                initial_state=np.asarray(initial_state, dtype=complex),
-                hbar=hbar, tolerances=dict(tolerances or {}),
-                omega_analytic=omega_analytic, u_oracle=u_oracle_sigma_x)
+def _constant(m: np.ndarray):
+    """The times -> stack function of a fixed matrix."""
+    return lambda ts: np.broadcast_to(m, (ts.size,) + m.shape)
 
 
-def growing_metric_2d(steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
-                      initial_state=None, tolerances=None) -> Scenario:
-    grid = _grid(span, steps)
+def _growing_metric(span):
     theta = OperatorSchedule.closed_form(
         2, span,
-        lambda t: np.array([[1.0, 0.0], [0.0, 1.0 + t * t]], dtype=complex),
-        lambda t: np.array([[0.0, 0.0], [0.0, 2.0 * t]], dtype=complex),
+        lambda ts: _diag(1.0, 1.0 + ts * ts),
+        lambda ts: _diag(0.0, 2.0 * ts),
         label="diag(1, 1+t^2)")
-    omega_analytic = (
-        lambda t: np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 + t * t)]], dtype=complex),
-        lambda t: np.array([[0.0, 0.0], [0.0, t / np.sqrt(1.0 + t * t)]], dtype=complex),
-        lambda t: np.array([[1.0, 0.0], [0.0, 1.0 / np.sqrt(1.0 + t * t)]], dtype=complex),
-    )
-    return Scenario(**_base_kwargs("growing-metric-2d", grid, theta, omega_analytic,
-                                   initial_state, hbar, tolerances))
+    root = lambda ts: np.sqrt(1.0 + ts * ts)  # noqa: E731
+    return theta, (lambda ts: _diag(1.0, root(ts)),
+                   lambda ts: _diag(0.0, ts / root(ts)),
+                   lambda ts: _diag(1.0, 1.0 / root(ts)))
 
 
-def constant_metric_2d(steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
-                       initial_state=None, tolerances=None) -> Scenario:
-    grid = _grid(span, steps)
-    theta_mat = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    theta = OperatorSchedule.constant_matrix(theta_mat, span, label="[[2,1],[1,2]]")
-    w = linalg.principal_sqrt(theta_mat)
-    w_inv = linalg.inverse(w)
-    zero = np.zeros((2, 2), dtype=complex)
-    omega_analytic = (lambda t: w, lambda t: zero, lambda t: w_inv)
-    return Scenario(**_base_kwargs("constant-metric-2d", grid, theta, omega_analytic,
-                                   initial_state, hbar, tolerances))
-
-
-def scalar_exponential(steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
-                       initial_state=None, tolerances=None) -> Scenario:
-    grid = _grid(span, steps)
+def _scalar_exponential(span):
     eye = np.eye(2, dtype=complex)
+
+    def times_eye(f):
+        return lambda ts: f(ts)[:, None, None] * eye
+
     theta = OperatorSchedule.closed_form(
         2, span,
-        lambda t: np.exp(2.0 * t) * eye,
-        lambda t: 2.0 * np.exp(2.0 * t) * eye,
+        times_eye(lambda ts: np.exp(2.0 * ts)),
+        times_eye(lambda ts: 2.0 * np.exp(2.0 * ts)),
         label="exp(2t) I")
-    omega_analytic = (
-        lambda t: np.exp(t) * eye,
-        lambda t: np.exp(t) * eye,
-        lambda t: np.exp(-t) * eye,
-    )
-    return Scenario(**_base_kwargs("scalar-exponential", grid, theta, omega_analytic,
-                                   initial_state, hbar, tolerances))
+    return theta, (times_eye(np.exp), times_eye(np.exp), times_eye(lambda ts: np.exp(-ts)))
 
 
-def nonhermitian_dyson(steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
-                       initial_state=None, tolerances=None) -> Scenario:
-    grid = _grid(span, steps)
-    dyson = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    theta_mat = dyson.conj().T @ dyson
-    theta = OperatorSchedule.constant_matrix(theta_mat, span, label="Omega† Omega")
-    w = linalg.principal_sqrt(theta_mat)
-    w_inv = linalg.inverse(w)
-    zero = np.zeros((2, 2), dtype=complex)
-    omega_analytic = (lambda t: w, lambda t: zero, lambda t: w_inv)
-    return Scenario(**_base_kwargs("nonhermitian-dyson", grid, theta, omega_analytic,
-                                   initial_state, hbar, tolerances))
+def _static_metric(theta_mat: np.ndarray, label: str):
+    """A metric that does not move: omega is its principal root, omega_dot zero."""
+    def metric(span):
+        w = linalg.principal_sqrt(theta_mat)
+        theta = OperatorSchedule.constant_matrix(theta_mat, span, label=label)
+        return theta, (_constant(w), _constant(np.zeros((2, 2), dtype=complex)),
+                       _constant(linalg.inverse(w)))
+    return metric
 
 
-BUILTINS = {
-    "growing-metric-2d": growing_metric_2d,
-    "constant-metric-2d": constant_metric_2d,
-    "scalar-exponential": scalar_exponential,
-    "nonhermitian-dyson": nonhermitian_dyson,
+_DYSON = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+
+BUILTINS = {   # name -> span -> (theta schedule, (omega, omega_dot, omega_inv))
+    "growing-metric-2d": _growing_metric,
+    "constant-metric-2d": _static_metric(
+        np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex), "[[2,1],[1,2]]"),
+    "scalar-exponential": _scalar_exponential,
+    "nonhermitian-dyson": _static_metric(_DYSON.conj().T @ _DYSON, "Omega† Omega"),
 }
 
 
@@ -120,11 +95,18 @@ def builtin_names() -> list[str]:
     return sorted(BUILTINS)
 
 
-def make_builtin(name: str, **overrides) -> Scenario:
+def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
+                 initial_state=None, tolerances=None) -> Scenario:
     try:
-        builder = BUILTINS[name]
+        metric = BUILTINS[name]
     except KeyError:
         raise ValidationError(
             f"unknown builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         ) from None
-    return builder(**overrides)
+    theta, omega_analytic = metric(span)
+    return Scenario(
+        name=name, dim=2, grid=TimeGrid(span[0], span[1], steps), theta=theta,
+        h=OperatorSchedule.constant_matrix(SIGMA_X, span, label="sigma_x"),
+        initial_state=[1.0, 0.0] if initial_state is None else initial_state, hbar=hbar,
+        tolerances=dict(tolerances or {}), omega_analytic=omega_analytic,
+        u_oracle=u_oracle_sigma_x)

@@ -29,17 +29,20 @@ from .errors import ParseError, QuasihermError, ValidationError
 from .schedules import OperatorSchedule, TimeGrid
 
 
+def _convert(what: str, conv, value):
+    """conv(value); a malformed value is a ValidationError that names what."""
+    try:
+        return conv(value)
+    except (KeyError, ValueError, TypeError) as e:
+        raise ValidationError(f"bad {what}: {e}") from e
+
+
 def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
     if isinstance(obj, dict):
-        try:
-            return OperatorSchedule.sampled(obj["times"], [
-                linalg.matrix_from_pairs(s) for s in obj["snapshots"]])
-        except (KeyError, ValueError, TypeError) as e:
-            raise ValidationError(f"bad sampled schedule for {what}: {e}") from e
-    try:
-        return OperatorSchedule.constant_matrix(linalg.matrix_from_pairs(obj), span)
-    except (ValueError, TypeError) as e:
-        raise ValidationError(f"bad matrix for {what}: {e}") from e
+        return _convert(f"sampled schedule for {what}", lambda o: OperatorSchedule.sampled(
+            o["times"], [linalg.matrix_from_pairs(s) for s in o["snapshots"]]), obj)
+    return _convert(f"matrix for {what}", lambda o: OperatorSchedule.constant_matrix(
+        linalg.matrix_from_pairs(o), span), obj)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -55,26 +58,28 @@ def parse_scenario(text: str) -> Scenario:
     kind = model["kind"]
 
     time = obj.get("time", {})
-    span = (float(time.get("start", 0.0)), float(time.get("end", 1.0)))
-    steps = int(time.get("steps", models.DEFAULT_STEPS))
-    hbar = float(obj.get("hbar", 1.0))
+    span = (_convert("time.start", float, time.get("start", 0.0)),
+            _convert("time.end", float, time.get("end", 1.0)))
+    steps = _convert("time.steps", int, time.get("steps", models.DEFAULT_STEPS))
+    grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
+    hbar = _convert("hbar", float, obj.get("hbar", 1.0))
     tolerances = dict(obj.get("tolerances", {}))
     initial = obj.get("initial_state")
-    initial_state = linalg.vector_from_pairs(initial) if initial is not None else None
+    initial_state = (None if initial is None
+                     else _convert("initial_state", linalg.vector_from_pairs, initial))
 
     if kind == "builtin":
         name = model.get("name", "")
         s = models.make_builtin(name, steps=steps, span=span, hbar=hbar,
                                 initial_state=initial_state, tolerances=tolerances)
     elif kind in ("pair", "direct"):
-        dim = int(obj.get("dimension", 0))
+        dim = _convert("dimension", int, obj.get("dimension", 0))
         if dim < 1:
             raise ValidationError("missing or invalid dimension")
         theta = _parse_schedule(model.get("theta"), span, "theta")
         if initial_state is None:
             initial_state = np.zeros(dim, dtype=complex)
             initial_state[0] = 1.0
-        grid = TimeGrid(span[0], span[1], steps)
         common = dict(name=obj.get("name", "custom"), dim=dim, grid=grid,
                       theta=theta, initial_state=initial_state, hbar=hbar,
                       tolerances=tolerances)

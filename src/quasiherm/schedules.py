@@ -7,11 +7,13 @@ wraps a metric schedule and serves omega, its inverse and its time
 derivative, with a finite-difference fallback for the derivative.
 
 Every evaluator takes a time or a 1-D array of times; an array gives a
-stack of shape (n, d, d), one matrix per time. Closed-form callables are
-called once per time, the sampled interpolant is evaluated for all times
-at once. The integrators evaluate each operator once per point of the
-half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
-steps at a time (TimeGrid.blocks). On such a grid the finite-difference
+stack of shape (n, d, d), one matrix per time. A time-dependent operator
+is given only as a function of a 1-D array of times that returns such a
+stack: closed forms, the analytic omega, omega_dot and omega^-1, and the
+sampled interpolant are each called once for all the times (a single time
+is an array of one). The integrators evaluate each operator once per point
+of the half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block
+of steps at a time (TimeGrid.blocks). On such a grid the finite-difference
 derivative takes its stencil points from the grid itself (an index shift),
 so each metric root is computed once per point.
 """
@@ -95,11 +97,6 @@ def _as_stack(a, n: int) -> np.ndarray:
     return a.reshape((n,) + a.shape[-2:])
 
 
-def evaluate_each(fn, ts) -> np.ndarray:
-    """Stack of fn(t) for each t: one call per time."""
-    return np.stack([np.asarray(fn(t), dtype=complex) for t in ts])
-
-
 class OperatorSchedule:
     """t -> A(t) on a fixed span; callable, with a .derivative method."""
 
@@ -120,9 +117,8 @@ class OperatorSchedule:
 
     @classmethod
     def closed_form(cls, dim, span, value_fn, deriv_fn, label=""):
-        return cls(cls.CLOSED_FORM, dim, span,
-                   lambda ts: evaluate_each(value_fn, ts),
-                   lambda ts: evaluate_each(deriv_fn, ts), label=label)
+        """value_fn and deriv_fn map a 1-D array of times to a stack."""
+        return cls(cls.CLOSED_FORM, dim, span, value_fn, deriv_fn, label=label)
 
     @classmethod
     def constant_matrix(cls, matrix, span, label=""):
@@ -194,29 +190,30 @@ def _fd_derivative(fn, ts, step, span, values=None):
     """d/dt of fn at the times ts by central differences with the given step,
     second-order one-sided where a central stencil would leave the span.
 
-    fn maps a 1-D array of times to a stack. When ts is a uniform grid whose
-    spacing divides step, the stencil points are grid points (an index
-    shift) plus a halo beyond either end of ts; fn is called once for all of
-    them, or only for the halo when values = fn(ts) is given. Other ts are
-    differentiated one time at a time.
+    fn maps a 1-D array of times to a stack and is called once. When ts is a
+    uniform grid whose spacing divides step, the stencil points are grid
+    points (an index shift) plus a halo beyond either end of ts, and with
+    values = fn(ts) given fn is called only for the halo. Other ts take
+    their three stencil points each.
     """
     n = ts.size
     h = ts[1] - ts[0] if n > 1 else step
     r = int(round(step / h)) if h > 0 else 0
-    if n > 1 and (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
-                  or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
-        return np.concatenate([_fd_derivative(fn, ts[i:i + 1], step, span)
-                               for i in range(n)])
     lo, hi = span
     fwd = ts - step < lo
     bwd = ~fwd & (ts + step > hi)
-    j = np.arange(n)[:, None]
-    # three stencil points per time, as lattice indices, and their weights
-    idx = np.where(fwd[:, None], j + r * np.array([0, 1, 2]),
-                   np.where(bwd[:, None], j - r * np.array([0, 1, 2]),
-                            j + r * np.array([1, -1, -1])))
+    # three stencil points per time, in steps from it, and their weights
+    offsets = np.where(fwd[:, None], [0, 1, 2],
+                       np.where(bwd[:, None], [0, -1, -2], [1, -1, -1]))
     weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
                        np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
+    w = weights[:, :, None, None]
+    if n > 1 and (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
+                  or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
+        f = fn((ts[:, None] + offsets * step).ravel())
+        f = f.reshape((n, 3) + f.shape[1:])
+        return (w[:, 0] * f[:, 0] + w[:, 1] * f[:, 1] + w[:, 2] * f[:, 2]) / (2.0 * step)
+    idx = np.arange(n)[:, None] + r * offsets   # as lattice indices
     need = np.unique(idx[weights != 0.0])
     inside = (need >= 0) & (need < n)
     lattice_t = np.where(need < 0, ts[0] + need * h,
@@ -230,7 +227,6 @@ def _fd_derivative(fn, ts, step, span, values=None):
         if not inside.all():
             f[~inside] = fn(lattice_t[~inside])
     pos = np.searchsorted(need, idx)
-    w = weights[:, :, None, None]
     return (w[:, 0] * f[pos[:, 0]] + w[:, 1] * f[pos[:, 1]]
             + w[:, 2] * f[pos[:, 2]]) / (2.0 * step)
 
@@ -239,9 +235,11 @@ class OmegaSchedule:
     """omega(t), omega(t)^-1 and d/dt omega(t) derived from a metric schedule.
 
     omega is the principal square root of theta(t) unless analytic forms
-    are supplied. The derivative is analytic when available (and not
-    suppressed), otherwise a central difference of omega with step fd_step.
-    Each method takes a time or a 1-D array of times, like the schedules.
+    are supplied: analytic = (omega, omega_dot[, omega_inv]), each a function
+    of a 1-D array of times that returns a stack. The derivative is analytic
+    when available (and not suppressed), otherwise a central difference of
+    omega with step fd_step. Each method takes a time or a 1-D array of
+    times, like the schedules.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, fd_step: float,
@@ -262,7 +260,7 @@ class OmegaSchedule:
     def omega(self, t) -> np.ndarray:
         ts, single = _times(t)
         if self._omega_fn is not None:
-            w = evaluate_each(self._omega_fn, ts)
+            w = self._omega_fn(ts)
         else:
             w = linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts)
         return w[0] if single else w
@@ -271,7 +269,7 @@ class OmegaSchedule:
         """omega(t)^-1; pass omega = self.omega(t) if it is already at hand."""
         ts, single = _times(t)
         if self._omega_inv_fn is not None:
-            wi = evaluate_each(self._omega_inv_fn, ts)
+            wi = self._omega_inv_fn(ts)
         else:
             w = self.omega(ts) if omega is None else _as_stack(omega, ts.size)
             wi = linalg.inverse(w, self._cond_max, t=ts)
@@ -281,7 +279,7 @@ class OmegaSchedule:
         """d/dt omega(t); pass omega = self.omega(t) if it is already at hand."""
         ts, single = _times(t)
         if self._omega_dot_fn is not None:
-            wd = evaluate_each(self._omega_dot_fn, ts)
+            wd = self._omega_dot_fn(ts)
         else:
             values = None if omega is None else _as_stack(omega, ts.size)
             wd = _fd_derivative(self.omega, ts, self.fd_step, self.span, values)

@@ -88,20 +88,21 @@ def metric_from_dyson(omega_g) -> tuple[DysonMap, Metric]:
     return DysonMap(og, og_inv), metric_from_theta(theta)
 
 
-def inner_reference(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
-    """Plain sesquilinear product on the reference space, antilinear in phi."""
-    _require(Space.REFERENCE, phi, psi)
+def _inner(space: Space, phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
+    _require(space, phi, psi)
     if phi.dim != psi.dim:
         raise ValueError("dimension mismatch")
     return complex(np.vdot(phi.components, psi.components))
+
+
+def inner_reference(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
+    """Plain sesquilinear product on the reference space, antilinear in phi."""
+    return _inner(Space.REFERENCE, phi, psi)
 
 
 def inner_standard(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
     """Plain sesquilinear product on the standard physical space."""
-    _require(Space.STANDARD, phi, psi)
-    if phi.dim != psi.dim:
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(phi.components, psi.components))
+    return _inner(Space.STANDARD, phi, psi)
 
 
 def inner_physical(phi: SpaceTaggedVector, psi: SpaceTaggedVector, m: Metric) -> complex:
@@ -180,10 +181,6 @@ def quasi_hermiticity_defect(h_mat, theta):
     th_hm = th @ hm
     num = th_hm - linalg.dagger(hm) @ th
     return linalg.fro_norms(num) / np.maximum(linalg.fro_norms(th_hm), _TINY)
-
-
-def quasi_hermiticity_residual(h_mat, m: Metric) -> float:
-    return quasi_hermiticity_defect(h_mat, m.theta)
 
 
 def hermitian_equivalent(h_mat, m: Metric) -> tuple[np.ndarray, float]:

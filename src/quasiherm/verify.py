@@ -127,11 +127,12 @@ def _end_state(s: Scenario, steps: int, probe: str, fd_omega_dot: bool) -> np.nd
     os = s2.omega_schedule(fd_omega_dot)
     end = None
     for blk in grid_blocks(s2.grid, s2.dim):
+        ts = blk.half_times()
         if probe == "u":
-            h = s2.h if s2.h is not None else half_grid_operators(s2, os, blk.half_times()).h
+            h = s2.h(ts) if s2.h is not None else half_grid_operators(s2, os, ts).h
             end = integrate_u(h, blk, s2.hbar, s2.tol("eps_herm"), u0=end)[-1]
         else:
-            gen = half_grid_operators(s2, os, blk.half_times()).gen
+            gen = half_grid_operators(s2, os, ts).gen
             end = ur_from_corrected_generator(gen, blk, s2.hbar, u0=end)[-1]
     return end
 

@@ -130,3 +130,32 @@ def test_list_sorted(capsys):
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert names == sorted(names)
     assert len(names) == 4
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--hbar", "-1")])
+def test_run_rejects_bad_flag_with_usage_exit(tmp_path, capsys, flag, value):
+    code = cli.main(["run", "--scenario", "growing-metric-2d", flag, value,
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+BUILTIN = {"kind": "builtin", "name": "growing-metric-2d"}
+PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+           "theta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("time.steps", {"model": BUILTIN, "time": {"steps": "abc"}}),
+    ("initial_state", {"dimension": 2, "model": PAIR_2D,
+                       "initial_state": [[1, 0], [0, 0], [0, 0]]}),
+    ("theta", {"dimension": 3, "model": PAIR_2D}),
+    ("time", {"model": BUILTIN, "time": {"steps": 1}}),
+    ("hbar", {"model": BUILTIN, "hbar": 0}),
+])
+def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert field in capsys.readouterr().err

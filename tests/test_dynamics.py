@@ -13,15 +13,20 @@ from quasiherm.schedules import OperatorSchedule, TimeGrid
 SPAN_HALF_PI = (0.0, np.pi / 2)
 
 
+def on_half_grid(fn, grid):
+    """Stack of fn(t) at each time of grid.half_times(), the integrators' input."""
+    return np.stack([np.asarray(fn(t), dtype=complex) for t in grid.half_times()])
+
+
 def test_integrate_u_zero_generator():
     grid = TimeGrid(0.0, 1.0, 100)
-    u = integrate_u(lambda t: np.zeros((2, 2)), grid)
+    u = integrate_u(on_half_grid(lambda t: np.zeros((2, 2)), grid), grid)
     assert np.allclose(u, np.eye(2))
 
 
 def test_integrate_u_sigma_x_closed_form():
     grid = TimeGrid(*SPAN_HALF_PI, 1000)
-    u = integrate_u(lambda t: SIGMA_X, grid)
+    u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
     expect = np.array([[0, -1j], [-1j, 0]])
     assert linalg.fro_norm(u[-1] - expect) <= 1e-9
     for k, t in enumerate(grid.times()[::100]):
@@ -30,14 +35,14 @@ def test_integrate_u_sigma_x_closed_form():
 
 def test_integrate_u_unitarity_defect():
     grid = TimeGrid(*SPAN_HALF_PI, 1000)
-    u = integrate_u(lambda t: SIGMA_X, grid)
+    u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
     assert linalg.fro_norm(u[-1].conj().T @ u[-1] - np.eye(2)) <= 1e-10
 
 
 def test_integrate_u_rejects_nonhermitian():
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(NotHermitian):
-        integrate_u(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid)
+        integrate_u(on_half_grid(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid), grid)
 
 
 def test_ur_definition_identity_metric():
@@ -49,7 +54,7 @@ def test_ur_definition_identity_metric():
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]),
     ).omega_schedule()
-    u = integrate_u(lambda t: SIGMA_X, grid)
+    u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
     ur = ur_from_definition(u, os_ident.omega_inv(grid.times()), os_ident.omega(0.0))
     assert np.allclose(ur, u)
 
@@ -90,7 +95,7 @@ def test_naive_fails_when_metric_moves():
 
 def test_naive_zero_generator():
     grid = TimeGrid(0.0, 1.0, 50)
-    u = ur_from_naive_generator(lambda t: np.zeros((2, 2)), grid)
+    u = ur_from_naive_generator(on_half_grid(lambda t: np.zeros((2, 2)), grid), grid)
     assert np.allclose(u, np.eye(2))
 
 
@@ -119,7 +124,7 @@ def test_scalar_exponential_hand_solution():
 
 def test_metric_reconstruction_identity_case():
     grid = TimeGrid(0.0, 1.0, 200)
-    u = integrate_u(lambda t: SIGMA_X, grid)
+    u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
     recon = metric_from_ur(u, np.eye(2), grid)
     assert max(linalg.fro_norm(m - np.eye(2)) for m in recon) <= 1e-10
 
@@ -196,7 +201,7 @@ def test_step_maps_match_classical_rk4():
     sigma_z = np.diag([1.0, -1.0])
     grid = TimeGrid(0.0, 1.0, 200)
     h = lambda t: SIGMA_X + 3.0 * t * sigma_z  # noqa: E731
-    u = integrate_u(h, grid)
+    u = integrate_u(on_half_grid(h, grid), grid)
     ref = classical_rk4(lambda t: -1j * h(t), grid)
     assert np.allclose(u, ref, rtol=0, atol=1e-13)
 
@@ -204,10 +209,10 @@ def test_step_maps_match_classical_rk4():
 def test_blocks_continue_the_whole_grid_run():
     grid = TimeGrid(0.0, 1.0, 100)
     h = lambda t: SIGMA_X * (1.0 + t)  # noqa: E731
-    whole = integrate_u(h, grid)
+    whole = integrate_u(on_half_grid(h, grid), grid)
     end = None
     for blk in grid.blocks(30):
-        part = integrate_u(h, blk, u0=end)
+        part = integrate_u(on_half_grid(h, blk), blk, u0=end)
         assert np.array_equal(part, whole[blk.first:blk.last + 1])
         end = part[-1]
 
@@ -218,7 +223,7 @@ def test_integrate_u_gates_midpoint_stages():
     h = lambda t: SIGMA_X + (bump if abs(t - 0.25) < 1e-12 else 0.0)  # noqa: E731
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(NotHermitian) as exc:
-        integrate_u(h, grid)
+        integrate_u(on_half_grid(h, grid), grid)
     assert exc.value.t == pytest.approx(0.25)
 
 
@@ -237,8 +242,8 @@ def test_validate_names_first_non_positive_metric_time():
         name="sinking", dim=2, grid=grid,
         theta=OperatorSchedule.closed_form(
             2, (0.0, 1.0),
-            lambda t: np.diag([1.0, 0.35 - t]).astype(complex),
-            lambda t: np.diag([0.0, -1.0]).astype(complex)),
+            lambda ts: np.stack([np.diag([1.0, 0.35 - t]) for t in ts]).astype(complex),
+            lambda ts: np.stack([np.diag([0.0, -1.0]) for t in ts]).astype(complex)),
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
     with pytest.raises(ValidationError, match="metric rejected at t=0.4"):

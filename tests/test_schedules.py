@@ -5,11 +5,18 @@ from quasiherm.errors import NotPositiveDefinite, OutOfRange
 from quasiherm.schedules import OmegaSchedule, OperatorSchedule, TimeGrid
 
 
+def diag_stack(ts, a, b):
+    """diag(a, b) at each of the times ts; a and b are arrays over ts, or scalars."""
+    out = np.zeros((ts.size, 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
+
+
 def growing_theta(span=(0.0, 1.0)):
     return OperatorSchedule.closed_form(
         2, span,
-        lambda t: np.diag([1.0, 1.0 + t * t]).astype(complex),
-        lambda t: np.diag([0.0, 2.0 * t]).astype(complex))
+        lambda ts: diag_stack(ts, 1.0, 1.0 + ts * ts),
+        lambda ts: diag_stack(ts, 0.0, 2.0 * ts))
 
 
 def test_grid_basics():
@@ -90,8 +97,8 @@ def test_omega_schedule_hand_values():
 
 def test_omega_schedule_analytic_derivative():
     analytic = (
-        lambda t: np.diag([1.0, np.sqrt(1.0 + t * t)]).astype(complex),
-        lambda t: np.diag([0.0, t / np.sqrt(1.0 + t * t)]).astype(complex),
+        lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts)),
+        lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts)),
     )
     os = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=analytic)
     assert np.allclose(os.omega_dot(1.0), np.diag([0.0, 1.0 / np.sqrt(2.0)]), atol=1e-15)
@@ -109,8 +116,8 @@ def test_omega_constant_metric_zero_derivative():
 def test_omega_reports_failing_time():
     theta = OperatorSchedule.closed_form(
         2, (0.0, 1.0),
-        lambda t: np.diag([1.0, t - 0.5]).astype(complex),
-        lambda t: np.diag([0.0, 1.0]).astype(complex))
+        lambda ts: diag_stack(ts, 1.0, ts - 0.5),
+        lambda ts: diag_stack(ts, 0.0, 1.0))
     os = OmegaSchedule(theta, fd_step=1e-3)
     with pytest.raises(NotPositiveDefinite) as exc:
         os.omega(0.4)
@@ -158,6 +165,30 @@ def test_stacked_closed_form_schedule():
     for k, t in enumerate(HALF_GRID):
         assert np.array_equal(stacked[k], s(t))
         assert np.array_equal(slopes[k], s.derivative(t))
+
+
+def test_closed_forms_called_once_per_stack():
+    calls = []
+
+    def counted(fn):
+        def wrapped(ts):
+            calls.append(ts.size)
+            return fn(ts)
+        return wrapped
+
+    theta = OperatorSchedule.closed_form(
+        2, (0.0, 1.0), counted(lambda ts: diag_stack(ts, 1.0, 1.0 + ts * ts)),
+        counted(lambda ts: diag_stack(ts, 0.0, 2.0 * ts)))
+    theta(HALF_GRID)
+    theta.derivative(HALF_GRID)
+    os = OmegaSchedule(theta, fd_step=0.1, analytic=(
+        counted(lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts))),
+        counted(lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts))),
+        counted(lambda ts: diag_stack(ts, 1.0, 1.0 / np.sqrt(1.0 + ts * ts)))))
+    os.omega(HALF_GRID)
+    os.omega_dot(HALF_GRID)
+    os.omega_inv(HALF_GRID)
+    assert calls == [HALF_GRID.size] * 5
 
 
 def test_stacked_sampled_schedule_matches_reference():
@@ -212,8 +243,8 @@ def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
     # omega = diag(1, (1 + t)^2) is quadratic in t: every stencil is exact
     theta = OperatorSchedule.closed_form(
         2, (0.0, 1.0),
-        lambda t: np.diag([1.0, (1.0 + t) ** 4]).astype(complex),
-        lambda t: np.diag([0.0, 4.0 * (1.0 + t) ** 3]).astype(complex))
+        lambda ts: diag_stack(ts, 1.0, (1.0 + ts) ** 4),
+        lambda ts: diag_stack(ts, 0.0, 4.0 * (1.0 + ts) ** 3))
     os = OmegaSchedule(theta, fd_step=0.1)
     wd = os.omega_dot(HALF_GRID)
     for k in (0, 1, HALF_GRID.size - 2, HALF_GRID.size - 1):

@@ -7,7 +7,7 @@ from quasiherm.errors import (BasisNotOrthonormal, IllConditioned,
 from quasiherm.spaces import (SpectralData, doubled_bra, hermitian_equivalent,
                               inner_physical, inner_reference, inner_standard,
                               map_to_reference, metric_from_dyson,
-                              metric_from_theta, quasi_hermiticity_residual,
+                              metric_from_theta, quasi_hermiticity_defect,
                               reference_ket, spectral_hamiltonian, standard_ket)
 
 THETA_12 = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -142,12 +142,12 @@ def test_spectral_roundtrip_random(rng):
 
 def test_qh_residual_values():
     ident = metric_from_theta(np.eye(2))
-    assert quasi_hermiticity_residual(np.array([[1.0, 2.0], [2.0, 0.0]]), ident) == 0.0
+    assert quasi_hermiticity_defect(np.array([[1.0, 2.0], [2.0, 0.0]]), ident.theta) == 0.0
     m = metric_from_theta(np.diag([1.0, 2.0]))
     h_big = np.array([[0.0, np.sqrt(2)], [1 / np.sqrt(2), 0.0]])
-    assert quasi_hermiticity_residual(h_big, m) <= 1e-15
+    assert quasi_hermiticity_defect(h_big, m.theta) <= 1e-15
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert quasi_hermiticity_residual(bad, ident) == pytest.approx(np.sqrt(2))
+    assert quasi_hermiticity_defect(bad, ident.theta) == pytest.approx(np.sqrt(2))
 
 
 def test_hermitian_equivalent_values():
@@ -175,6 +175,6 @@ def test_qh_and_equivalence_random(rng):
         h_small = (lambda x: 0.5 * (x + x.conj().T))(
             rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         h_big = m.omega_inv @ h_small @ m.omega
-        assert quasi_hermiticity_residual(h_big, m) <= 1e-11
+        assert quasi_hermiticity_defect(h_big, m.theta) <= 1e-11
         _, defect = hermitian_equivalent(h_big, m)
         assert defect <= 1e-11
