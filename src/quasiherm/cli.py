@@ -106,7 +106,7 @@ def cmd_demo(scenario: Scenario) -> int:
     if shown[-1] is not rows[-1]:
         shown.append(rows[-1])
     for r in shown:
-        drift = abs(r.norm_phys / norm0 - 1.0) if norm0 else 0.0
+        drift = abs(r.norm_phys / norm0 - 1.0)
         print(f"{r.t:8.4f}  {r.res_naive:16.6e}  {r.res_corrected:20.6e}  "
               f"{drift:12.3e}")
     print()

@@ -15,17 +15,23 @@ the generator at t, t + dt/2 and t + dt; D is formed for all steps at
 once and only the update is a Python loop. The grid is walked in blocks
 of steps, so the working set is a block of stacks plus the node series
 of the result.
+
+Admission has two entry points. validate_scenario gates every node without
+taking a metric root (positivity from eigenvalues alone); evolve applies the
+same gates inside its half-grid pass, on the stacks it computes anyway, so a
+scenario that was never admitted is refused with the same messages.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg, spaces
-from .errors import NotHermitian, QuasihermError, ValidationError
+from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
 from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid
 
 DEFAULT_TOLERANCES = {
@@ -121,7 +127,9 @@ class Operators(NamedTuple):
     h: np.ndarray          # Hermitian generator
     h_big: np.ndarray      # quasi-Hermitian generator H
     gen: np.ndarray        # corrected generator G = H - i hbar omega^-1 omega_dot
+    omega: np.ndarray
     omega_inv: np.ndarray
+    omega_dot: np.ndarray
 
 
 def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Operators:
@@ -134,8 +142,9 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Ope
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    gen = h_big - 1j * s.hbar * (wi @ os.omega_dot(ts, omega=w))
-    return Operators(h, h_big, gen, wi)
+    wd = os.omega_dot(ts, omega=w)
+    gen = h_big - 1j * s.hbar * (wi @ wd)
+    return Operators(h, h_big, gen, w, wi, wd)
 
 
 @dataclass
@@ -167,10 +176,19 @@ class Scenario:
         if v.shape != (self.dim,):
             raise ValidationError(f"initial_state has shape {v.shape}, "
                                   f"dimension is {self.dim}")
+        if not v.any():
+            raise ValidationError("initial_state is the zero vector")
+        ends = np.array([self.grid.t_start, self.grid.t_end])
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
-            if sched is not None and sched.dim != self.dim:
+            if sched is None:
+                continue
+            if sched.dim != self.dim:
                 raise ValidationError(f"{what} is {sched.dim}x{sched.dim}, "
                                       f"dimension is {self.dim}")
+            try:
+                sched.check_span(ends)
+            except OutOfRange as e:
+                raise ValidationError(f"{what} does not cover the grid: {e}") from None
         self.initial_state = v
 
     @property
@@ -192,31 +210,50 @@ class Scenario:
         return replace(self, grid=TimeGrid(self.grid.t_start, self.grid.t_end, steps))
 
 
+@contextmanager
+def _gate(what: str):
+    """Raise a gate that fails inside as a ValidationError naming what and its t."""
+    try:
+        yield
+    except QuasihermError as e:
+        where = "" if getattr(e, "t", None) is None else f" at t={e.t:g}"
+        if isinstance(e, NotHermitian):
+            raise ValidationError(f"{what} not Hermitian{where} "
+                                  f"(defect {e.defect:.3e})") from None
+        raise ValidationError(f"{what} rejected{where}: {e}") from e
+
+
+def _check_quasi_hermitian(s: Scenario, h_big: np.ndarray, theta: np.ndarray,
+                           ts: np.ndarray) -> None:
+    """The direct-mode gate: the quasi-Hermiticity residual of H against
+    theta stays below eps_res at every time of ts."""
+    res = spaces.quasi_hermiticity_defect(h_big, theta)
+    bad = res > s.tol("eps_res")
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
+            f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
+
+
 def validate_scenario(s: Scenario) -> None:
-    """Admission gates on every node; raises ValidationError with the first failing t."""
-    os = s.omega_schedule()
+    """Admission gates on every node; raises ValidationError with the first failing t.
+
+    The metric is gated on its eigenvalues alone (no root is taken), and only
+    where omega is not analytic.
+    """
     for blk in grid_blocks(s.grid, s.dim):
         ts = blk.times()
         theta = s.theta(ts)
-        try:
-            os.omega(ts)  # positive-definiteness gate
-        except QuasihermError as e:
-            where = "" if getattr(e, "t", None) is None else f" at t={e.t:g}"
-            raise ValidationError(f"metric rejected{where}: {e}") from e
+        if s.omega_analytic is None:
+            with _gate("metric"):
+                linalg.check_positive_definite(theta, s.tol("eps_herm"),
+                                               s.tol("eps_pos"), t=ts)
         if s.kind == "pair":
-            try:
+            with _gate("pair-mode generator"):
                 linalg.check_hermitian(s.h(ts), s.tol("eps_herm"), t=ts)
-            except NotHermitian as e:
-                raise ValidationError(f"pair-mode generator not Hermitian at t={e.t:g} "
-                                      f"(defect {e.defect:.3e})") from None
         else:
-            res = spaces.quasi_hermiticity_defect(s.h_big(ts), theta)
-            bad = res > s.tol("eps_res")
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValidationError(
-                    f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
-                    f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
+            _check_quasi_hermitian(s, s.h_big(ts), theta, ts)
 
 
 @dataclass
@@ -235,26 +272,44 @@ class EvolutionResult:
     unitarity_defect: np.ndarray
     h_big_series: np.ndarray       # H at the nodes
     gen_series: np.ndarray         # G = H - i hbar omega^-1 omega_dot at the nodes
+    omega_motion: np.ndarray       # ||omega_dot||_F at the nodes
     fd_omega_dot: bool
 
 
 def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
-    validate_scenario(s)
+    """Integrate s over its grid in one half-grid pass.
+
+    The admission gates of validate_scenario run inside the pass: the metric
+    through the root omega, the Hermiticity of h through integrate_u and, in
+    direct mode, quasi-Hermiticity at the nodes. A failure raises the same
+    ValidationError as admission, naming the first failing t of its block.
+    """
     os = s.omega_schedule(fd_omega_dot)
     grid = s.grid
     shape = (grid.steps + 1, s.dim, s.dim)
     u, ur, ur_naive, ur_corr, theta_recon, h_big, gen = (
         np.empty(shape, dtype=complex) for _ in range(7))
-    defect = np.empty(grid.steps + 1)
+    defect, omega_motion = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
     eye = np.eye(s.dim)
     u[0] = ur_naive[0] = ur_corr[0] = eye
-    omega0 = os.omega(grid.t_start)
     theta_series = s.theta(grid.times())
+    h_gate = ("pair-mode generator" if s.kind == "pair"
+              else "Hermitian equivalent of the direct-mode generator")
 
     for blk in grid_blocks(grid, s.dim):
-        ops = half_grid_operators(s, os, blk.half_times())
+        with _gate("metric"):
+            ops = half_grid_operators(s, os, blk.half_times())
         nodes = slice(blk.first, blk.last + 1)
-        u[nodes] = integrate_u(ops.h, blk, s.hbar, s.tol("eps_herm"), u0=u[blk.first])
+        if blk.first == 0:
+            omega0 = ops.omega[0].copy()
+        omega_motion[nodes] = linalg.fro_norms(ops.omega_dot[::2])
+        # only these node values of omega and omega_dot are needed: free the stacks
+        ops = ops._replace(omega=None, omega_dot=None)
+        if s.kind == "direct":
+            _check_quasi_hermitian(s, ops.h_big[::2], theta_series[nodes], blk.times())
+        with _gate(h_gate):
+            u[nodes] = integrate_u(ops.h, blk, s.hbar, s.tol("eps_herm"),
+                                   u0=u[blk.first])
         ur[nodes] = ur_from_definition(u[nodes], ops.omega_inv[::2], omega0)
         ur_naive[nodes] = ur_from_naive_generator(ops.h_big, blk, s.hbar,
                                                   u0=ur_naive[blk.first])
@@ -271,4 +326,4 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
 
     return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr,
                            theta_series, theta_recon, states, norms, defect,
-                           h_big, gen, fd_omega_dot)
+                           h_big, gen, omega_motion, fd_omega_dot)

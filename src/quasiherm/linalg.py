@@ -105,6 +105,24 @@ def eig_hermitian(a, eps_herm: float = EPS_HERM, t=None) -> HermitianEigen:
     return HermitianEigen(w, v)
 
 
+def _check_spectrum(w, eps_pos: float, t) -> None:
+    """Raise NotPositiveDefinite for the first ascending spectrum w with
+    lambda_min <= eps_pos * lambda_max (or lambda_max <= 0)."""
+    lo, hi = np.atleast_1d(w[..., 0]), np.atleast_1d(w[..., -1])
+    k = _first_failure((hi <= 0.0) | (lo <= eps_pos * hi))
+    if k is not None:
+        raise NotPositiveDefinite(float(lo[k]), float(hi[k]), t=_at(t, k))
+
+
+def check_positive_definite(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
+                            t=None) -> None:
+    """The gate of principal_sqrt from eigenvalues alone: raise NotHermitian or
+    NotPositiveDefinite for the first matrix that principal_sqrt would refuse."""
+    m = as_matrices(a)
+    check_hermitian(m, eps_herm, t)
+    _check_spectrum(np.linalg.eigvalsh(hermitize(m)), eps_pos, t)
+
+
 def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
                    t=None) -> np.ndarray:
     """Unique Hermitian positive-definite S with S @ S == a.
@@ -113,10 +131,7 @@ def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
     """
     eig = eig_hermitian(a, eps_herm, t)
     w, v = eig.eigenvalues, eig.eigenvectors
-    lo, hi = np.atleast_1d(w[..., 0]), np.atleast_1d(w[..., -1])
-    k = _first_failure((hi <= 0.0) | (lo <= eps_pos * hi))
-    if k is not None:
-        raise NotPositiveDefinite(float(lo[k]), float(hi[k]), t=_at(t, k))
+    _check_spectrum(w, eps_pos, t)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 

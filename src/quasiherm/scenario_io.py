@@ -20,12 +20,13 @@ A <schedule> is either a constant matrix or a sampled schedule
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from . import linalg, models, spaces
 from .dynamics import Scenario, validate_scenario
-from .errors import ParseError, QuasihermError, ValidationError
+from .errors import ParseError, ValidationError
 from .schedules import OperatorSchedule, TimeGrid
 
 
@@ -35,6 +36,23 @@ def _convert(what: str, conv, value):
         return conv(value)
     except (KeyError, ValueError, TypeError) as e:
         raise ValidationError(f"bad {what}: {e}") from e
+
+
+def _section(obj: dict, key: str) -> dict:
+    """obj[key] as a JSON object, {} when absent; anything else names key."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"bad {key}: expected a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _tolerance(value) -> float:
+    """A tolerance from a scenario file: a finite positive JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
@@ -57,13 +75,14 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("missing model.kind")
     kind = model["kind"]
 
-    time = obj.get("time", {})
+    time = _section(obj, "time")
     span = (_convert("time.start", float, time.get("start", 0.0)),
             _convert("time.end", float, time.get("end", 1.0)))
     steps = _convert("time.steps", int, time.get("steps", models.DEFAULT_STEPS))
     grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
     hbar = _convert("hbar", float, obj.get("hbar", 1.0))
-    tolerances = dict(obj.get("tolerances", {}))
+    tolerances = {key: _convert(f"tolerances.{key}", _tolerance, value)
+                  for key, value in _section(obj, "tolerances").items()}
     initial = obj.get("initial_state")
     initial_state = (None if initial is None
                      else _convert("initial_state", linalg.vector_from_pairs, initial))
@@ -90,12 +109,7 @@ def parse_scenario(text: str) -> Scenario:
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
 
-    try:
-        validate_scenario(s)
-    except ValidationError:
-        raise
-    except QuasihermError as e:
-        raise ValidationError(str(e)) from e
+    validate_scenario(s)
     return s
 
 

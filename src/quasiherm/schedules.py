@@ -165,7 +165,8 @@ class OperatorSchedule:
         sched._deriv = lambda t: _fd_derivative(sched, t, spacing, sched.span)
         return sched
 
-    def _check_span(self, ts):
+    def check_span(self, ts):
+        """Raise OutOfRange for the first time of the 1-D array ts outside the span."""
         lo, hi = self.span
         slack = _SPAN_SLACK * (hi - lo)
         bad = (ts < lo - slack) | (ts > hi + slack)
@@ -175,13 +176,13 @@ class OperatorSchedule:
 
     def __call__(self, t) -> np.ndarray:
         ts, single = _times(t)
-        self._check_span(ts)
+        self.check_span(ts)
         out = self._value(ts)
         return out[0] if single else out
 
     def derivative(self, t) -> np.ndarray:
         ts, single = _times(t)
-        self._check_span(ts)
+        self.check_span(ts)
         out = self._deriv(ts)
         return out[0] if single else out
 

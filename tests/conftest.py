@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,34 @@ def builtin_rows():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+def _pairs(m):
+    return [[[z.real, z.imag] for z in row] for row in m]
+
+
+@pytest.fixture(scope="session")
+def sampled_pair_text():
+    """A d=8 pair-mode scenario file: h(t) = h0 + t a and theta(t) = Om(t)† Om(t),
+    Om(t) = Om0 + t Om1, both sampled on 9 snapshots; 600 steps (three blocks)."""
+    gen = np.random.default_rng(7)
+    d = 8
+
+    def gaussian():
+        return gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+
+    h0, a = gaussian(), 0.1 * gaussian()
+    h0, a = h0 + h0.conj().T, a + a.conj().T
+    om0 = 3.0 * np.eye(d) + 0.2 * gaussian()
+    om1 = 0.2 * gaussian()
+    times = np.linspace(0.0, 1.0, 9)
+    oms = [om0 + t * om1 for t in times]
+    return json.dumps({
+        "dimension": d,
+        "time": {"start": 0.0, "end": 1.0, "steps": 600},
+        "model": {"kind": "pair",
+                  "h": {"times": times.tolist(),
+                        "snapshots": [_pairs(h0 + t * a) for t in times]},
+                  "theta": {"times": times.tolist(),
+                            "snapshots": [_pairs(om.conj().T @ om) for om in oms]}},
+    })

@@ -152,6 +152,15 @@ PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
     ("theta", {"dimension": 3, "model": PAIR_2D}),
     ("time", {"model": BUILTIN, "time": {"steps": 1}}),
     ("hbar", {"model": BUILTIN, "hbar": 0}),
+    ("time", {"model": BUILTIN, "time": 5}),
+    ("tolerances", {"model": BUILTIN, "tolerances": [1]}),
+    ("tolerances.norm_drift", {"model": BUILTIN, "tolerances": {"norm_drift": "x"}}),
+    ("tolerances.qh", {"model": BUILTIN, "tolerances": {"qh": -1e-8}}),
+    ("tolerances.eps_pos", {"model": BUILTIN, "tolerances": {"eps_pos": None}}),
+    ("initial_state", {"model": BUILTIN, "initial_state": [[0, 0], [0, 0]]}),
+    ("theta", {"dimension": 2, "time": {"end": 1.5},
+               "model": dict(PAIR_2D, theta={"times": [0, 1 / 3, 2 / 3, 1],
+                                             "snapshots": [PAIR_2D["theta"]] * 4})}),
 ])
 def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
     path = tmp_path / "scenario.json"

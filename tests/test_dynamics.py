@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiherm import dynamics, linalg, make_builtin
+from quasiherm import dynamics, linalg, make_builtin, scenario_io, verify
 from quasiherm.dynamics import (evolve, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
                                 ur_from_definition, ur_from_naive_generator,
@@ -144,11 +144,10 @@ def test_norm_conservation_growing(growing_result):
     assert np.max(np.abs(norms / norms[0] - 1.0)) <= 1e-8
 
 
-def test_zero_initial_state_zero_norms():
-    s = make_builtin("growing-metric-2d", steps=100,
-                     initial_state=np.zeros(2, dtype=complex))
-    res = evolve(s)
-    assert np.all(res.norms_phys == 0.0)
+def test_zero_initial_state_rejected():
+    # its physical norm would stay 0, and NORM_CONSERVED would pass vacuously
+    with pytest.raises(ValidationError, match="initial_state"):
+        make_builtin("growing-metric-2d", steps=100, initial_state=np.zeros(2, dtype=complex))
 
 
 def test_direct_mode_accepts_quasi_hermitian():
@@ -254,3 +253,82 @@ def test_unitarity_defect_stays_at_rounding_level(growing_result):
     # a step map folded into (I + D) would repeat its rounding every step: ~2e-13
     assert growing_result.grid.steps == 2000
     assert np.max(growing_result.unitarity_defect) <= 1e-14
+
+
+def _diag_stack(ts, a, b):
+    out = np.zeros((ts.size, 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
+
+
+BUMP = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _from(t0, m):
+    """Times -> stack of m at the times >= t0, zero before."""
+    return lambda ts: (ts >= t0 - 1e-12)[:, None, None] * m
+
+
+def _unadmitted(kind, theta=None, gen=None):
+    grid = TimeGrid(0.0, 1.0, 10)
+    eye = OperatorSchedule.constant_matrix(np.eye(2), (0, 1))
+    gen = gen or OperatorSchedule.constant_matrix(SIGMA_X, (0, 1))
+    return dynamics.Scenario(name=kind, dim=2, grid=grid, theta=theta or eye,
+                             initial_state=np.array([1.0, 0.0]), **{kind: gen})
+
+
+def _closed(fn):
+    return OperatorSchedule.closed_form(2, (0.0, 1.0), fn, fn)
+
+
+EVOLVE_GATES = {
+    # non-positive from the node t=0.4 on; the midpoint before it is still positive
+    "metric": (_unadmitted("h", theta=_closed(lambda ts: _diag_stack(ts, 1.0, 0.4 - ts))),
+               r"^metric rejected at t=0\.4: matrix is not positive definite at t=0\.4 "
+               r"\(lambda_min=-?[0-9.e-]+, lambda_max=1\)$"),
+    # non-Hermitian from the midpoint t=0.25 on, which admission at the nodes misses
+    "pair h": (_unadmitted("h", gen=_closed(lambda ts: SIGMA_X + _from(0.25, BUMP)(ts))),
+               r"^pair-mode generator not Hermitian at t=0\.25 \(defect 1\.414e\+00\)$"),
+    "direct H": (_unadmitted("h_big", gen=_closed(lambda ts: SIGMA_X + _from(0.5, BUMP)(ts))),
+                 r"^direct-mode generator violates quasi-Hermiticity at t=0\.5 "
+                 r"\(residual 0\.632456 > 1e-08\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(EVOLVE_GATES))
+def test_evolve_gates_a_scenario_never_admitted(monkeypatch, case):
+    s, message = EVOLVE_GATES[case]
+
+    def no_second_admission(_):
+        raise AssertionError("evolve must apply the gates in its own pass")
+
+    monkeypatch.setattr(dynamics, "validate_scenario", no_second_admission)
+    with pytest.raises(ValidationError, match=message):
+        evolve(s)
+
+
+def _count_matrices(monkeypatch, name):
+    """Count the matrices passed to np.linalg.<name> from now on."""
+    count = [0]
+    orig = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
+    eigh = _count_matrices(monkeypatch, "eigh")
+    s = scenario_io.parse_scenario(sampled_pair_text)
+    assert eigh[0] == 0   # admission gates the metric on eigenvalues alone
+    rows = verify.run_diagnostics(s)
+    verify.verdicts(rows, s)
+    blocks = dynamics.grid_blocks(s.grid, s.dim)
+    assert len(blocks) == 3
+    # 2N+1 points, each block's first point shared with the block before it,
+    # and a finite-difference halo of two points past either end of a block
+    bound = 2 * s.grid.steps + 1 + (len(blocks) - 1) + 4 * len(blocks)
+    assert 2 * s.grid.steps + 1 < eigh[0] <= bound

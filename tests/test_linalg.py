@@ -186,3 +186,24 @@ def test_gate_without_times_reports_no_time():
     with pytest.raises(IllConditioned) as exc:
         linalg.inverse(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
     assert exc.value.t is None
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "non-Hermitian"])
+def test_positive_definite_gate_agrees_with_principal_sqrt(rng, bad):
+    ts = np.linspace(0.0, 1.0, 6)
+    a = _spd_stack(rng, ts.size, 3)
+    for k in (2, 4):
+        if bad == "indefinite":
+            a[k] -= (np.linalg.eigvalsh(a[k])[0] + 0.1 * k) * np.eye(3)
+        else:
+            a[k, 0, 2] += 0.5
+    with pytest.raises((NotHermitian, NotPositiveDefinite)) as root:
+        linalg.principal_sqrt(a, t=ts)
+    with pytest.raises(type(root.value)) as gate:
+        linalg.check_positive_definite(a, t=ts)
+    assert gate.value.t == root.value.t == ts[2]
+    for field in ("defect", "lambda_min", "lambda_max"):
+        if hasattr(root.value, field):
+            assert getattr(gate.value, field) == pytest.approx(getattr(root.value, field),
+                                                               rel=1e-12)
+    linalg.check_positive_definite(a[:2], t=ts[:2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiherm import make_builtin, verify
+from quasiherm import make_builtin, scenario_io, verify
 from quasiherm.errors import NotMeasurable
 from quasiherm.models import SIGMA_X
 from quasiherm.verify import convergence_order, run_diagnostics, verdicts
@@ -112,3 +112,22 @@ def test_convergence_order_not_measurable_for_zero_generator():
         u_oracle=lambda elapsed, hbar: np.eye(2, dtype=complex))
     with pytest.raises(NotMeasurable):
         convergence_order(s, "u")
+
+
+def _node_grid_motion(s, fd_omega_dot):
+    """The maximum ||omega_dot|| over all nodes, from one node-grid evaluation."""
+    omega_dot = s.omega_schedule(fd_omega_dot).omega_dot(s.grid.times())
+    return float(np.linalg.norm(omega_dot, axis=(-2, -1)).max())
+
+
+@pytest.mark.parametrize("which, fd_omega_dot", [
+    ("growing-metric-2d", False), ("growing-metric-2d", True), ("sampled pair", False)])
+def test_max_omega_motion_read_off_the_rows(sampled_pair_text, which, fd_omega_dot):
+    if which == "sampled pair":
+        s = scenario_io.parse_scenario(sampled_pair_text)
+    else:
+        s = make_builtin(which, steps=300)
+    rows = run_diagnostics(s, fd_omega_dot)
+    motion = verify.max_omega_motion(rows)
+    assert motion == pytest.approx(_node_grid_motion(s, fd_omega_dot), rel=1e-12)
+    assert motion > 0.1
