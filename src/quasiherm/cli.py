@@ -7,12 +7,14 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage/IO error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
 from . import models, scenario_io, verify
 from .dynamics import Scenario
 from .errors import QuasihermError
+from .schedules import MAX_STEPS
 
 CSV_COLUMNS = ("t", "unitarity_defect", "norm_phys", "res_naive",
                "res_corrected", "res_metric", "res_qh")
@@ -35,7 +37,8 @@ def _checked(conv, ok, expected: str):
     return parse
 
 
-_STEPS_ARG = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_STEPS_ARG = _checked(int, lambda n: 2 <= n <= MAX_STEPS,
+                      f"an integer from 2 to {MAX_STEPS}")
 _HBAR_ARG = _checked(float, lambda x: math.isfinite(x) and x > 0, "a positive number")
 
 
@@ -63,12 +66,15 @@ def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None
     return s
 
 
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+
+
 def rows_to_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(
-            f"{getattr(r, c):.17g}" for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The CSV report: a header, then one line per row. The CSV columns are the
+    first fields of a DiagnosticsRow, in order; one format call writes all rows."""
+    width = len(CSV_COLUMNS)
+    cells = tuple(itertools.chain.from_iterable(r[:width] for r in rows))
+    return (",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(rows)) % cells
 
 
 def _print_verdicts(vs):

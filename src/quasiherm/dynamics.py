@@ -65,19 +65,26 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     B = I + dt/2 m2 A, C = I + dt m2 B: classical RK4 for a linear ODE.
     The update is not folded into (I + D) u, whose rounding would repeat
     identically at every step of a constant generator.
+
+    When every matrix of m is the same (a constant generator, as for the
+    builtins' sigma_x), all step maps are the same matrix: D is formed once,
+    from the same arithmetic as each per-step D, and serves every step.
     """
     dt = grid.spacing
     eye = np.eye(m.shape[-1])
-    m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
+    if (m[-1] == m[0]).all() and (m == m[0]).all():   # ends first: a varying m exits early
+        m1 = m2 = m4 = m[:1]
+    else:
+        m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
     m2a = m2 @ (eye + (0.5 * dt) * m1)
     m2b = m2 @ (eye + (0.5 * dt) * m2a)
     d = (dt / 6.0) * (m1 + 2.0 * m2a + 2.0 * m2b + m4 @ (eye + dt * m2b))
+    d = np.broadcast_to(d, (grid.steps,) + d.shape[1:])
     out = np.empty((grid.steps + 1,) + m.shape[1:], dtype=complex)
     out[0] = eye if u0 is None else u0
-    u = out[0]
-    for k in range(grid.steps):
-        u = u + d[k] @ u
-        out[k + 1] = u
+    for dk, u, nxt in zip(d, out, out[1:]):
+        np.matmul(dk, u, out=nxt)
+        np.add(u, nxt, out=nxt)
     return out
 
 
@@ -170,14 +177,12 @@ class Scenario:
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
-        if not self.hbar > 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar:g}")
-        v = np.asarray(self.initial_state, dtype=complex)
-        if v.shape != (self.dim,):
-            raise ValidationError(f"initial_state has shape {v.shape}, "
-                                  f"dimension is {self.dim}")
-        if not v.any():
-            raise ValidationError("initial_state is the zero vector")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ValidationError(f"hbar must be a finite positive number, got {self.hbar:g}")
+        for key in self.tolerances:
+            if key not in DEFAULT_TOLERANCES:
+                raise ValidationError(f"bad tolerances.{key}: not a known tolerance "
+                                      f"(known: {', '.join(DEFAULT_TOLERANCES)})")
         ends = np.array([self.grid.t_start, self.grid.t_end])
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
             if sched is None:
@@ -189,6 +194,12 @@ class Scenario:
                 sched.check_span(ends)
             except OutOfRange as e:
                 raise ValidationError(f"{what} does not cover the grid: {e}") from None
+        v = np.asarray(self.initial_state, dtype=complex)
+        if v.shape != (self.dim,):
+            raise ValidationError(f"initial_state has shape {v.shape}, "
+                                  f"dimension is {self.dim}")
+        if not v.any():
+            raise ValidationError("initial_state is the zero vector")
         self.initial_state = v
 
     @property
@@ -223,11 +234,9 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected{where}: {e}") from e
 
 
-def _check_quasi_hermitian(s: Scenario, h_big: np.ndarray, theta: np.ndarray,
-                           ts: np.ndarray) -> None:
-    """The direct-mode gate: the quasi-Hermiticity residual of H against
-    theta stays below eps_res at every time of ts."""
-    res = spaces.quasi_hermiticity_defect(h_big, theta)
+def _check_quasi_hermitian(s: Scenario, res: np.ndarray, ts: np.ndarray) -> None:
+    """The direct-mode gate: res, the quasi-Hermiticity residual of H against
+    theta at the times ts, stays below eps_res at every one of them."""
     bad = res > s.tol("eps_res")
     if bad.any():
         k = int(np.argmax(bad))
@@ -253,7 +262,8 @@ def validate_scenario(s: Scenario) -> None:
             with _gate("pair-mode generator"):
                 linalg.check_hermitian(s.h(ts), s.tol("eps_herm"), t=ts)
         else:
-            _check_quasi_hermitian(s, s.h_big(ts), theta, ts)
+            _check_quasi_hermitian(
+                s, spaces.quasi_hermiticity_defect(s.h_big(ts), theta), ts)
 
 
 @dataclass
@@ -273,6 +283,7 @@ class EvolutionResult:
     h_big_series: np.ndarray       # H at the nodes
     gen_series: np.ndarray         # G = H - i hbar omega^-1 omega_dot at the nodes
     omega_motion: np.ndarray       # ||omega_dot||_F at the nodes
+    qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta at the nodes
     fd_omega_dot: bool
 
 
@@ -281,7 +292,8 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
 
     The admission gates of validate_scenario run inside the pass: the metric
     through the root omega, the Hermiticity of h through integrate_u and, in
-    direct mode, quasi-Hermiticity at the nodes. A failure raises the same
+    direct mode, quasi-Hermiticity at the nodes (whose residual is kept in
+    both modes, for the diagnostics). A failure raises the same
     ValidationError as admission, naming the first failing t of its block.
     """
     os = s.omega_schedule(fd_omega_dot)
@@ -289,10 +301,11 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
     shape = (grid.steps + 1, s.dim, s.dim)
     u, ur, ur_naive, ur_corr, theta_recon, h_big, gen = (
         np.empty(shape, dtype=complex) for _ in range(7))
-    defect, omega_motion = np.empty(grid.steps + 1), np.empty(grid.steps + 1)
+    defect, omega_motion, qh = (np.empty(grid.steps + 1) for _ in range(3))
     eye = np.eye(s.dim)
     u[0] = ur_naive[0] = ur_corr[0] = eye
-    theta_series = s.theta(grid.times())
+    with _gate("metric"):
+        theta_series = linalg.as_matrices(s.theta(grid.times()), t=grid.times())
     h_gate = ("pair-mode generator" if s.kind == "pair"
               else "Hermitian equivalent of the direct-mode generator")
 
@@ -305,8 +318,9 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
         omega_motion[nodes] = linalg.fro_norms(ops.omega_dot[::2])
         # only these node values of omega and omega_dot are needed: free the stacks
         ops = ops._replace(omega=None, omega_dot=None)
+        qh[nodes] = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_series[nodes])
         if s.kind == "direct":
-            _check_quasi_hermitian(s, ops.h_big[::2], theta_series[nodes], blk.times())
+            _check_quasi_hermitian(s, qh[nodes], blk.times())
         with _gate(h_gate):
             u[nodes] = integrate_u(ops.h, blk, s.hbar, s.tol("eps_herm"),
                                    u0=u[blk.first])
@@ -326,4 +340,4 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
 
     return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr,
                            theta_series, theta_recon, states, norms, defect,
-                           h_big, gen, omega_motion, fd_omega_dot)
+                           h_big, gen, omega_motion, qh, fd_omega_dot)

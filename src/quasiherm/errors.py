@@ -33,6 +33,14 @@ class IllConditioned(QuasihermError):
         super().__init__(f"matrix is ill-conditioned{loc} (cond={cond:.3e})")
 
 
+class NotFinite(QuasihermError, ValueError):
+    """A matrix entry is inf or nan: given so, or overflowed in the arithmetic."""
+    def __init__(self, t: float | None = None):
+        self.t = t
+        loc = "" if t is None else f" at t={t:g}"
+        super().__init__(f"matrix entries must be finite{loc}")
+
+
 class SpaceMismatch(QuasihermError):
     """A vector carried the wrong space tag for the requested operation."""
 

@@ -14,20 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NotHermitian, NotPositiveDefinite
+from .errors import IllConditioned, NotFinite, NotHermitian, NotPositiveDefinite
 
 EPS_HERM = 1e-10
 EPS_POS = 1e-10
 COND_MAX = 1e8
 
 
-def as_matrices(a) -> np.ndarray:
-    """Coerce to a square complex ndarray or a stack of them, rejecting non-finite entries."""
+def as_matrices(a, t=None) -> np.ndarray:
+    """Coerce to a square complex ndarray or a stack of them; raise NotFinite,
+    naming its time t when given, for the first matrix with an inf or nan."""
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite(t=_at(t, _first_failure(~np.isfinite(m).all(axis=(-2, -1)))))
     return m
 
 
@@ -99,7 +100,7 @@ def eig_hermitian(a, eps_herm: float = EPS_HERM, t=None) -> HermitianEigen:
     The decomposition itself runs on hermitize(a) so that floating-point
     drift below the gate is harmless.
     """
-    m = as_matrices(a)
+    m = as_matrices(a, t)
     check_hermitian(m, eps_herm, t)
     w, v = np.linalg.eigh(hermitize(m))
     return HermitianEigen(w, v)
@@ -118,7 +119,7 @@ def check_positive_definite(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_
                             t=None) -> None:
     """The gate of principal_sqrt from eigenvalues alone: raise NotHermitian or
     NotPositiveDefinite for the first matrix that principal_sqrt would refuse."""
-    m = as_matrices(a)
+    m = as_matrices(a, t)
     check_hermitian(m, eps_herm, t)
     _check_spectrum(np.linalg.eigvalsh(hermitize(m)), eps_pos, t)
 
@@ -145,7 +146,7 @@ def cond_2norm(a):
 
 def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     """Matrix inverse, refused above a condition-number ceiling."""
-    m = as_matrices(a)
+    m = as_matrices(a, t)
     c = np.atleast_1d(cond_2norm(m))
     k = _first_failure(~(c <= cond_max))
     if k is not None:

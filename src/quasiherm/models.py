@@ -99,7 +99,7 @@ def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
                  initial_state=None, tolerances=None) -> Scenario:
     try:
         metric = BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: a name that is not even hashable
         raise ValidationError(
             f"unknown builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         ) from None

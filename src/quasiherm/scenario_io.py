@@ -46,6 +46,21 @@ def _section(obj: dict, key: str) -> dict:
     return value
 
 
+def _finite(value) -> float:
+    """A finite float; JSON turns a number too large for a double into inf."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return x
+
+
+def _integer(value) -> int:
+    """An integer, refusing the truncation int() would apply to 2.5 or True."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _tolerance(value) -> float:
     """A tolerance from a scenario file: a finite positive JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -76,9 +91,9 @@ def parse_scenario(text: str) -> Scenario:
     kind = model["kind"]
 
     time = _section(obj, "time")
-    span = (_convert("time.start", float, time.get("start", 0.0)),
-            _convert("time.end", float, time.get("end", 1.0)))
-    steps = _convert("time.steps", int, time.get("steps", models.DEFAULT_STEPS))
+    span = (_convert("time.start", _finite, time.get("start", 0.0)),
+            _convert("time.end", _finite, time.get("end", 1.0)))
+    steps = _convert("time.steps", _integer, time.get("steps", models.DEFAULT_STEPS))
     grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
     hbar = _convert("hbar", float, obj.get("hbar", 1.0))
     tolerances = {key: _convert(f"tolerances.{key}", _tolerance, value)
@@ -92,12 +107,12 @@ def parse_scenario(text: str) -> Scenario:
         s = models.make_builtin(name, steps=steps, span=span, hbar=hbar,
                                 initial_state=initial_state, tolerances=tolerances)
     elif kind in ("pair", "direct"):
-        dim = _convert("dimension", int, obj.get("dimension", 0))
+        dim = _convert("dimension", _integer, obj.get("dimension", 0))
         if dim < 1:
             raise ValidationError("missing or invalid dimension")
         theta = _parse_schedule(model.get("theta"), span, "theta")
-        if initial_state is None:
-            initial_state = np.zeros(dim, dtype=complex)
+        if initial_state is None:   # the first basis vector; Scenario checks dim
+            initial_state = np.zeros(theta.dim, dtype=complex)
             initial_state[0] = 1.0
         common = dict(name=obj.get("name", "custom"), dim=dim, grid=grid,
                       theta=theta, initial_state=initial_state, hbar=hbar,

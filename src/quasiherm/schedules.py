@@ -29,6 +29,7 @@ from .errors import OutOfRange
 
 _SPAN_SLACK = 1e-9
 _LATTICE_RTOL = 1e-6
+MAX_STEPS = 10**7   # a d=2 run keeps about 1 kB per step: some 10 GB at this size
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.steps < 2:
-            raise ValueError("need at least 2 steps")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"need from 2 to {MAX_STEPS} steps, got {self.steps}")
 
     @property
     def spacing(self) -> float:

@@ -20,7 +20,6 @@ from .dynamics import (EvolutionResult, Scenario, evolve, grid_blocks,
                        half_grid_operators, integrate_u,
                        ur_from_corrected_generator)
 from .errors import NotMeasurable
-from .spaces import quasi_hermiticity_defect
 
 REFERENCE_REFINEMENT = 8  # resolution multiplier for oracle-free convergence runs
 
@@ -65,7 +64,7 @@ def diagnostics_from_result(res: EvolutionResult) -> list[DiagnosticsRow]:
             linalg.fro_norms(lhs - h_big @ ur),
             linalg.fro_norms(lhs - res.gen_series[k] @ ur),
             linalg.fro_norms(res.theta_recon[k] - theta) / linalg.fro_norms(theta),
-            quasi_hermiticity_defect(h_big, theta),
+            res.qh_residual[k],
             np.maximum(np.maximum(motion[k.start - 1:k.stop - 1], motion[k]),
                        motion[k.start + 1:k.stop + 1]),
         )

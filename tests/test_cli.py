@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ def test_serialize_roundtrip_bit_identical_diagnostics():
     s1 = cli.load_scenario("growing-metric-2d", steps=300)
     s2 = scenario_io.parse_scenario(scenario_io.serialize_scenario(s1))
     assert verify.run_diagnostics(s1) == verify.run_diagnostics(s2)
+
+
+@pytest.mark.parametrize("kind", ["pair", "direct"])
+def test_serialize_roundtrip_of_a_file(kind, sampled_pair_text):
+    text = sampled_pair_text if kind == "pair" else json.dumps({
+        "dimension": 2, "time": {"start": 0.0, "end": 1.0, "steps": 300},
+        "model": {"kind": "direct",
+                  "H": [[[0, 0], [2 ** 0.5, 0]], [[2 ** -0.5, 0], [0, 0]]],
+                  "theta": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+        "tolerances": {"qh": 1e-9}})
+    s1 = scenario_io.parse_scenario(text)
+    s2 = scenario_io.parse_scenario(scenario_io.serialize_scenario(s1))
+    assert s2.kind == kind
+    assert verify.run_diagnostics(s1) == verify.run_diagnostics(s2)
+
+
+def _csv_per_cell(rows):
+    """The CSV report formatted one f-string per cell: the reference for rows_to_csv."""
+    lines = [",".join(cli.CSV_COLUMNS)]
+    for r in rows:
+        lines.append(",".join(f"{getattr(r, c):.17g}" for c in cli.CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def test_rows_to_csv_matches_per_cell_formatting(growing_rows):
+    assert verify.DiagnosticsRow._fields[:len(cli.CSV_COLUMNS)] == cli.CSV_COLUMNS
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+    shifted = [verify.DiagnosticsRow(*(odd[(i + j) % 7] for j in range(7)), omega_motion=0.0)
+               for i in range(7)]
+    for rows in (growing_rows, shifted, []):
+        assert cli.rows_to_csv(rows) == _csv_per_cell(rows)
 
 
 def test_run_writes_csv_and_exits_zero(tmp_path, capsys):
@@ -132,7 +164,8 @@ def test_list_sorted(capsys):
     assert len(names) == 4
 
 
-@pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--hbar", "-1")])
+@pytest.mark.parametrize("flag, value", [("--steps", "1"), ("--hbar", "-1"),
+                                         ("--steps", "100000000")])
 def test_run_rejects_bad_flag_with_usage_exit(tmp_path, capsys, flag, value):
     code = cli.main(["run", "--scenario", "growing-metric-2d", flag, value,
                      "--out", str(tmp_path / "x.csv")])
@@ -161,10 +194,32 @@ PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
     ("theta", {"dimension": 2, "time": {"end": 1.5},
                "model": dict(PAIR_2D, theta={"times": [0, 1 / 3, 2 / 3, 1],
                                              "snapshots": [PAIR_2D["theta"]] * 4})}),
+    ("tolerances.norm_drfit", {"model": BUILTIN, "tolerances": {"norm_drfit": 1e-30}}),
+    # JSON numbers too large for a double parse as inf
+    pytest.param("time.end", '{"model": {"kind": "builtin", "name": "growing-metric-2d"}, '
+                 '"time": {"end": 1e309}}', id="time.end-overflow"),
+    pytest.param("time.start", '{"model": {"kind": "builtin", "name": "growing-metric-2d"}, '
+                 '"time": {"start": -1e309}}', id="time.start-overflow"),
+    ("dimension", {"dimension": 2.5, "model": PAIR_2D}),
+    ("time.steps", {"model": BUILTIN, "time": {"steps": 2.5}}),
+    ("time", {"model": BUILTIN, "time": {"steps": 1e300}}),
+    ("dimension", {"dimension": 1e300, "model": PAIR_2D}),
 ])
 def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": BUILTIN, "time": {"end": 1e300, "steps": 20}},          # theta overflows
+    {"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-300},       # u overflows
+])
+def test_run_overflowing_scenario_names_t_exit_3(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    assert field in capsys.readouterr().err
+    assert "matrix entries must be finite at t=" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiherm import dynamics, linalg, make_builtin, scenario_io, verify
+from quasiherm import dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.dynamics import (evolve, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
                                 ur_from_definition, ur_from_naive_generator,
@@ -216,6 +216,18 @@ def test_blocks_continue_the_whole_grid_run():
         end = part[-1]
 
 
+def test_constant_generator_steps_like_a_varying_one():
+    # a constant stack takes one shared step map; changing its last matrix
+    # forces a map per step, and only the last step may come out different
+    grid = TimeGrid(0.0, 1.0, 200)
+    const = on_half_grid(lambda t: SIGMA_X, grid)
+    varied = const.copy()
+    varied[-1] = 2.0 * SIGMA_X
+    a, b = integrate_u(const, grid), integrate_u(varied, grid)
+    assert np.array_equal(a[:-1], b[:-1])
+    assert not np.array_equal(a[-1], b[-1])
+
+
 def test_integrate_u_gates_midpoint_stages():
     bump = np.array([[0.0, 1.0], [0.0, 0.0]])
     # non-Hermitian only at t = 0.25, the midpoint of the third step
@@ -332,3 +344,27 @@ def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
     # and a finite-difference halo of two points past either end of a block
     bound = 2 * s.grid.steps + 1 + (len(blocks) - 1) + 4 * len(blocks)
     assert 2 * s.grid.steps + 1 < eigh[0] <= bound
+
+
+def test_direct_mode_takes_one_residual_per_node(monkeypatch):
+    count = [0]
+    orig = spaces.quasi_hermiticity_defect
+
+    def counted(h_mat, theta):
+        count[0] += int(np.prod(np.shape(h_mat)[:-2], dtype=int))
+        return orig(h_mat, theta)
+
+    for mod in (spaces, dynamics, verify):   # every module that binds it by name
+        if getattr(mod, "quasi_hermiticity_defect", None) is orig:
+            monkeypatch.setattr(mod, "quasi_hermiticity_defect", counted)
+    s = dynamics.Scenario(
+        name="direct", dim=2, grid=TimeGrid(0.0, 1.0, 100),
+        theta=OperatorSchedule.constant_matrix(np.diag([1.0, 2.0]), (0, 1)),
+        h_big=OperatorSchedule.constant_matrix(
+            np.array([[0.0, np.sqrt(2)], [1.0 / np.sqrt(2), 0.0]]), (0, 1)),
+        initial_state=np.array([1.0, 0.0]))
+    res = evolve(s)
+    rows = verify.diagnostics_from_result(res)
+    assert count[0] == s.grid.steps + 1
+    expect = orig(res.h_big_series[1:-1], res.theta_series[1:-1])
+    assert [r.res_qh for r in rows] == expect.tolist()
