@@ -218,7 +218,11 @@ class Scenario:
             cond_max=self.tol("cond_max"))
 
     def with_steps(self, steps: int) -> "Scenario":
-        return replace(self, grid=TimeGrid(self.grid.t_start, self.grid.t_end, steps))
+        try:
+            grid = TimeGrid(self.grid.t_start, self.grid.t_end, steps)
+        except ValueError as e:
+            raise ValidationError(f"bad time: {e}") from e
+        return replace(self, grid=grid)
 
 
 @contextmanager

@@ -6,6 +6,34 @@ The decompositions and gates take one d x d matrix or a stack of them,
 shape (n, d, d); a gate on a stack checks every matrix and raises for the
 first one that fails, naming its time when the caller passes the stack's
 times as ``t``.
+
+The two admission gates first try a cheap certificate that the gate
+passes, and fall back to the exact spectral test only where it fails:
+
+* ``inverse``: with X = inv(A) as computed and r = ||AX - I||_F <= 1/2,
+  cond_2(A) <= ||A||_2 ||X||_2 / (1 - ||I - AX||_2) <= 2 ||A||_F ||X||_F,
+  however inaccurate X is. The r that counts is the computed one plus its
+  rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F. A matrix with
+  2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the others (and
+  every stack on which inv fails) go to ``cond_2norm``. The SVD's own cond
+  is uncertain by about d eps cond relative, so the certificate admits no
+  matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
+  cond_max is: near 1/eps the SVD alone decides.
+* ``check_positive_definite``: if the Cholesky factorization of
+  hermitize(A) - tau I with tau = (eps_pos + (d+1)^2 eps) ||A||_F runs to
+  the end, lambda_min > eps_pos lambda_max; the (d+1)^2 eps term covers the
+  backward error of the factorization (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., Thm 10.3). A shift that is not finite, or
+  a factorization that fails, falls back to ``eigvalsh``.
+
+The norms come from plain sums of squares. Where they overflow, neither
+certificate holds. Where squares underflow, a norm can come out too small:
+the Cholesky certificate then needs ||A||_F >= 1e-140. The inverse
+certificate needs no such floor: ||A||_F ||X||_F >= ||AX||_F >= 1/2, so a
+norm small enough to lose precision makes the other one overflow.
+
+Either way a gate admits the same matrices, and a refusal raises the same
+exception, with the same values and time, as the exact test alone.
 """
 
 from __future__ import annotations
@@ -19,6 +47,11 @@ from .errors import IllConditioned, NotFinite, NotHermitian, NotPositiveDefinite
 EPS_HERM = 1e-10
 EPS_POS = 1e-10
 COND_MAX = 1e8
+_EPS = np.finfo(float).eps
+# A Frobenius norm from a plain sum of squares is exact to rounding at or
+# above this floor: the entries whose squares underflow (below about 1e-154)
+# change it by far less than eps.
+_NORM_FLOOR = 1e-140
 
 
 def as_matrices(a, t=None) -> np.ndarray:
@@ -45,8 +78,31 @@ def fro_norm(a) -> float:
 
 
 def fro_norms(a) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm of each matrix of a stack.
+
+    A matrix with finite entries whose sum of squares overflows has its norm
+    taken again scaled by its largest |entry|; every other norm is the plain one.
+    """
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(a, axis=(-2, -1))
+        over = np.isinf(n)
+        if not over.any():
+            return n
+        a = np.asarray(a)
+        top = np.abs(a).max(axis=(-2, -1))
+        rescale = over & np.isfinite(top)
+        top = np.where(rescale, top, 1.0)
+        scaled = top * np.linalg.norm(a / top[..., None, None], axis=(-2, -1))
+    return np.where(rescale, scaled, n)[()]
+
+
+def _plain_norms(m) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack from a plain sum of squares, with
+    no temporary the size of m: inf where the sum overflows, and possibly too
+    small below _NORM_FLOOR, where squares underflow."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.einsum("...ij,...ij->...", m.real, m.real)
+                       + np.einsum("...ij,...ij->...", m.imag, m.imag))
 
 
 def dagger(a) -> np.ndarray:
@@ -118,9 +174,30 @@ def _check_spectrum(w, eps_pos: float, t) -> None:
 def check_positive_definite(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
                             t=None) -> None:
     """The gate of principal_sqrt from eigenvalues alone: raise NotHermitian or
-    NotPositiveDefinite for the first matrix that principal_sqrt would refuse."""
+    NotPositiveDefinite for the first matrix that principal_sqrt would refuse.
+
+    Certificate first: if hermitize(a) - tau I, tau = (eps_pos + (d+1)^2 eps)
+    ||a||_F, has a Cholesky factor for every matrix, then lambda_min >
+    eps_pos ||a||_F >= eps_pos lambda_max (Higham, Thm 10.3, bounds the
+    factorization's backward error by the (d+1)^2 eps term) and the gate
+    passes. A norm below _NORM_FLOOR, a shift that is not finite, or a
+    factorization that fails falls back to the eigenvalues, which decide and
+    name the failure.
+    """
     m = as_matrices(a, t)
     check_hermitian(m, eps_herm, t)
+    d = m.shape[-1]
+    norm = _plain_norms(m)
+    tau = (eps_pos + (d + 1) ** 2 * _EPS) * norm
+    if ((norm >= _NORM_FLOOR) & np.isfinite(tau)).all():
+        shifted = hermitize(m)
+        diagonal = np.arange(d)
+        shifted[..., diagonal, diagonal] -= tau[..., None]
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
     _check_spectrum(np.linalg.eigvalsh(hermitize(m)), eps_pos, t)
 
 
@@ -145,13 +222,44 @@ def cond_2norm(a):
 
 
 def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
-    """Matrix inverse, refused above a condition-number ceiling."""
+    """Matrix inverse, refused above a condition-number ceiling.
+
+    Certificate first: X = inv(a) is computed, and a matrix with
+    r = ||aX - I||_F <= 1/2 and 2 ||a||_F ||X||_F <= cond_max is admitted,
+    since then cond_2(a) <= ||a||_2 ||X||_2 / (1 - r) <= 2 ||a||_F ||X||_F.
+    r is the computed residual plus (d + 2)^2 eps ||a||_F ||X||_F, which
+    bounds the rounding of the product aX (|fl(aX) - aX| <= gamma_(d+2)
+    |a||X| entrywise, and || |a||X| ||_F <= ||a||_F ||X||_F) and of the sum
+    of its d^2 squares (||aX||_F >= 1/2 when r <= 1/2). Above
+    2 ||a||_F ||X||_F = 1/(16 (d + 2)^2 eps) nothing is certified, because
+    there the SVD's cond, which the gate must reproduce, is itself only
+    known to about d eps cond relative. The others, and the whole stack
+    when inv fails on it, have their condition number taken by cond_2norm,
+    which decides and names the first refusal. The result is inv(a) as
+    computed.
+    """
     m = as_matrices(a, t)
-    c = np.atleast_1d(cond_2norm(m))
+    stack = m.reshape((-1,) + m.shape[-2:])
+    try:
+        x = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        x = None
+        undecided = np.ones(len(stack), dtype=bool)
+    else:
+        d = m.shape[-1]
+        xs = x.reshape(stack.shape)
+        residual = stack @ xs
+        residual -= np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):   # inf * 0: not certified
+            norms = _plain_norms(stack) * _plain_norms(xs)
+            r = _plain_norms(residual) + (d + 2) ** 2 * _EPS * norms
+            ceiling = min(cond_max, 1.0 / (16 * (d + 2) ** 2 * _EPS))
+            undecided = ~((r <= 0.5) & (2.0 * norms <= ceiling))
+    c = np.atleast_1d(cond_2norm(stack[undecided]))   # an empty stack when all are certified
     k = _first_failure(~(c <= cond_max))
     if k is not None:
-        raise IllConditioned(float(c[k]), t=_at(t, k))
-    return np.linalg.inv(m)
+        raise IllConditioned(float(c[k]), t=_at(t, np.flatnonzero(undecided)[k]))
+    return np.linalg.inv(m) if x is None else x
 
 
 # --- [re, im] pair encoding used by scenario files and fixtures ---

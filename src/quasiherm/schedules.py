@@ -29,6 +29,8 @@ from .errors import OutOfRange
 
 _SPAN_SLACK = 1e-9
 _LATTICE_RTOL = 1e-6
+_TINY = np.finfo(float).tiny   # the smallest normal double
+_EPS = np.finfo(float).eps
 MAX_STEPS = 10**7   # a d=2 run keeps about 1 kB per step: some 10 GB at this size
 
 
@@ -43,6 +45,19 @@ class TimeGrid:
             raise ValueError("t_end must exceed t_start")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"need from 2 to {MAX_STEPS} steps, got {self.steps}")
+        if not np.isfinite(self.t_end - self.t_start):
+            raise ValueError(f"the span [{self.t_start:.15g}, {self.t_end:.15g}] is too long: "
+                             "its length overflows")
+        if not self.spacing >= _TINY:
+            raise ValueError(f"the spacing {self.spacing:g} of {self.steps} steps over "
+                             f"[{self.t_start:.15g}, {self.t_end:.15g}] is zero or subnormal")
+        # Each half-grid time is off by at most a few eps * max|t|, so a half
+        # step above 8 eps * max|t| keeps them strictly increasing; below
+        # that, the times themselves are compared.
+        top = max(abs(self.t_start), abs(self.t_end))
+        if not (0.5 * self.spacing > 8 * _EPS * top or np.all(np.diff(self.half_times()) > 0)):
+            raise ValueError(f"{self.steps} steps over [{self.t_start:.15g}, {self.t_end:.15g}] "
+                             "give times that do not strictly increase")
 
     @property
     def spacing(self) -> float:

@@ -19,7 +19,7 @@ from . import linalg
 from .dynamics import (EvolutionResult, Scenario, evolve, grid_blocks,
                        half_grid_operators, integrate_u,
                        ur_from_corrected_generator)
-from .errors import NotMeasurable
+from .errors import NotMeasurable, ValidationError
 
 REFERENCE_REFINEMENT = 8  # resolution multiplier for oracle-free convergence runs
 
@@ -91,6 +91,9 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
     phi0 = s.initial_state
     theta0 = np.asarray(s.theta(s.grid.t_start), dtype=complex)
     norm0 = float((phi0.conj() @ theta0 @ phi0).real)
+    if not norm0 > 0.0:   # <phi0|theta|phi0> underflows: no drift can be measured
+        raise ValidationError(f"initial_state has physical norm {norm0:g}, "
+                              "too small to measure a drift against")
     drift = max(abs(r.norm_phys / norm0 - 1.0) for r in rows)
 
     max_metric = max(r.res_metric for r in rows)

@@ -204,6 +204,12 @@ PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
     ("time.steps", {"model": BUILTIN, "time": {"steps": 2.5}}),
     ("time", {"model": BUILTIN, "time": {"steps": 1e300}}),
     ("dimension", {"dimension": 1e300, "model": PAIR_2D}),
+    pytest.param("time", {"model": BUILTIN, "time": {"end": 5e-324, "steps": 20}},
+                 id="time-zero-spacing"),
+    pytest.param("time", {"model": BUILTIN, "time": {"start": -1.7e308, "end": 1.7e308}},
+                 id="time-span-overflows"),
+    pytest.param("initial_state", {"model": BUILTIN, "initial_state": [[1e-177, 0], [0, 0]]},
+                 id="initial-state-norm-underflows"),
 ])
 def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
     path = tmp_path / "scenario.json"
@@ -223,3 +229,54 @@ def test_run_overflowing_scenario_names_t_exit_3(tmp_path, capsys, doc):
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "matrix entries must be finite at t=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span, steps", [((1e6, 1e6 + 1e-6), "10000"),   # repeated times
+                                         ((0.0, 1e-302), "1000000")])     # subnormal spacing
+def test_run_steps_flag_giving_a_degenerate_grid_names_time_exit_3(tmp_path, capsys,
+                                                                   span, steps):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": BUILTIN,
+                                "time": {"start": span[0], "end": span[1], "steps": 2}}))
+    code = cli.main(["run", "--scenario", str(path), "--steps", steps,
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: bad time: ")
+
+
+def _csv_values(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _observed(stdout):
+    return {line.split()[1]: float(line.split("observed=")[1].split()[0])
+            for line in stdout.splitlines() if line.startswith(("PASS", "FAIL"))}
+
+
+def test_run_on_a_tiny_span_judges_finite_residuals(tmp_path, capsys):
+    """On [0, 1.2e-300] every rate is of order 1e300, so the residual norms
+    square entries that overflow; fro_norms keeps them finite, and no verdict
+    is judged on inf. The spacing 6e-302 is normal, so the grid stands."""
+    end = 1.2e-300
+    times = list(np.linspace(0.0, end, 5))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "time": {"start": 0.0, "end": end, "steps": 20},
+        "model": dict(PAIR_2D, theta={"times": times, "snapshots": [
+            [[[1, 0], [0, 0]], [[0, 0], [1 + k, 0]]] for k in range(5)]})}))
+    cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    observed = _observed(capsys.readouterr().out)
+    assert np.isfinite(_csv_values(tmp_path / "x.csv")).all()
+    assert all(np.isfinite(v) for v in observed.values())
+    assert observed["NAIVE_FAILS_IFF_METRIC_MOVES"] > 1e299
+
+
+def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    big = [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]
+    path.write_text(json.dumps({"dimension": 2, "time": {"steps": 200},
+                                "model": dict(PAIR_2D, theta=big)}))
+    cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    res_metric = _csv_values(tmp_path / "x.csv")[:, cli.CSV_COLUMNS.index("res_metric")]
+    assert np.isfinite(res_metric).all() and res_metric.max() < 1e-12
+    assert "PASS  METRIC_RECONSTRUCTED" in capsys.readouterr().out

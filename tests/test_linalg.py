@@ -81,6 +81,21 @@ def test_fro_norm_cases():
     assert linalg.fro_norm([[0, 1], [-1, 0]]) == pytest.approx(np.sqrt(2))
 
 
+def test_fro_norms_survive_entries_whose_squares_overflow(rng):
+    for d in (1, 2, 5):
+        assert linalg.fro_norms(1e300 * np.eye(d)[None])[0] == 1e300 * np.sqrt(d)
+        assert linalg.fro_norms(1e300 * np.eye(d)) == 1e300 * np.sqrt(d)
+    plain = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    mixed = plain.copy()
+    mixed[1] *= 1e300
+    mixed[2, 0, 0] = np.inf
+    got = linalg.fro_norms(mixed)
+    assert np.array_equal(got[[0, 3]], np.linalg.norm(plain[[0, 3]], axis=(-2, -1)))
+    assert got[1] == pytest.approx(1e300 * np.linalg.norm(plain[1]), rel=1e-15)
+    assert got[2] == np.inf
+    assert np.array_equal(linalg.fro_norms(plain), np.linalg.norm(plain, axis=(-2, -1)))
+
+
 def test_sqrt_random_roundtrip(rng):
     for _ in range(50):
         d = int(rng.integers(1, 9))

@@ -29,6 +29,23 @@ def test_grid_basics():
         TimeGrid(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("start, end, steps, why", [
+    (0.0, 5e-324, 20, "zero or subnormal"),          # spacing 0
+    (0.0, 1e-302, 10**6, "zero or subnormal"),       # spacing 1e-308
+    (-1.7e308, 1.7e308, 20, "overflows"),            # span length inf
+    (1e6, 1e6 + 1e-6, 10**4, "do not strictly increase"),
+])
+def test_grid_refuses_degenerate_spacing(start, end, steps, why):
+    with pytest.raises(ValueError, match=why):
+        TimeGrid(start, end, steps)
+
+
+def test_grid_accepts_tiny_but_normal_spacing():
+    g = TimeGrid(0.0, 1.2e-300, 20)
+    assert (np.diff(g.half_times()) > 0).all()
+    assert (np.diff(TimeGrid(1e6, 1e6 + 1e-6, 100).half_times()) > 0).all()
+
+
 def test_closed_form_eval_and_derivative():
     s = growing_theta()
     assert np.allclose(s(1.0), np.diag([1.0, 2.0]))
