@@ -7,11 +7,9 @@ from .linalg import (HermitianEigen, eig_hermitian, fro_norm, hermitize,
                      inverse, principal_sqrt)
 from .models import BUILTINS, builtin_names, make_builtin
 from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid
-from .spaces import (DysonMap, Metric, PhysicalFunctional, Space,
-                     SpaceTaggedVector, SpectralData, doubled_bra,
-                     hermitian_equivalent, inner_physical, inner_reference,
-                     inner_standard, map_to_reference, metric_from_dyson,
-                     metric_from_theta, reference_ket,
+from .spaces import (DysonMap, Metric, Space, SpaceTaggedVector, SpectralData,
+                     inner_physical, inner_standard, map_to_reference,
+                     metric_from_dyson, metric_from_theta, reference_ket,
                      spectral_hamiltonian, standard_ket)
 from .verify import (DiagnosticsRow, Verdict, convergence_order,
                      run_diagnostics, verdicts)

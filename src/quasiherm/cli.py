@@ -7,6 +7,7 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage/IO error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -43,26 +44,22 @@ _HBAR_ARG = _checked(float, lambda x: math.isfinite(x) and x > 0, "a positive nu
 
 
 def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None) -> Scenario:
-    """Resolve a builtin name or a scenario file path."""
-    overrides = {}
-    if steps is not None:
-        overrides["steps"] = steps
-    if hbar is not None:
-        overrides["hbar"] = hbar
+    """Resolve a builtin name or a scenario file path, then apply the overrides."""
     if spec in models.BUILTINS:
-        return models.make_builtin(spec, **overrides)
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FileNotFoundError(
-            f"cannot read scenario {spec!r}: {e} "
-            f"(builtins: {', '.join(models.builtin_names())})") from e
-    s = scenario_io.parse_scenario(text)
+        s = models.make_builtin(spec)
+    else:
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise FileNotFoundError(
+                f"cannot read scenario {spec!r}: {e} "
+                f"(builtins: {', '.join(models.builtin_names())})") from e
+        s = scenario_io.parse_scenario(text)
     if steps is not None:
         s = s.with_steps(steps)
     if hbar is not None:
-        s.hbar = hbar
+        s = dataclasses.replace(s, hbar=hbar)
     return s
 
 

@@ -35,9 +35,9 @@ from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
 from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid
 
 DEFAULT_TOLERANCES = {
-    "eps_herm": 1e-10,
-    "eps_pos": 1e-10,
-    "cond_max": 1e8,
+    "eps_herm": linalg.EPS_HERM,
+    "eps_pos": linalg.EPS_POS,
+    "cond_max": linalg.COND_MAX,
     "eps_res": 1e-8,          # quasi-Hermiticity gate for direct-mode scenarios
     "norm_drift": 1e-8,
     "metric_recon": 1e-6,
@@ -46,7 +46,7 @@ DEFAULT_TOLERANCES = {
     "corrected_fd": 1e-4,
     "naive_floor": 1e-2,      # minimum naive residual when the metric moves
     "naive_quiet": 1e-6,      # maximum naive residual when it does not
-    "omega_motion": 1e-2,     # |omega_dot| above which the metric counts as moving
+    "omega_motion": 1e-2,     # |omega^-1 omega_dot| above which the metric counts as moving
 }
 
 BLOCK_ENTRIES = 1 << 15  # matrix entries of one operator stack over one block of steps
@@ -171,7 +171,7 @@ class Scenario:
     h_big: OperatorSchedule | None = None    # direct mode
     hbar: float = 1.0
     tolerances: dict = field(default_factory=dict)
-    omega_analytic: tuple | None = None      # (omega, omega_dot, [omega_inv]): times -> stack
+    omega_analytic: tuple | None = None      # (omega, omega_dot, omega_inv): times -> stack
     u_oracle: Callable | None = None         # u_oracle(elapsed, hbar) -> matrix
 
     def __post_init__(self):
@@ -210,10 +210,11 @@ class Scenario:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
     def omega_schedule(self, fd_omega_dot: bool = False) -> OmegaSchedule:
+        analytic = self.omega_analytic
+        if analytic is not None and fd_omega_dot:   # a finite difference for omega_dot
+            analytic = (analytic[0], None, analytic[2])
         return OmegaSchedule(
-            self.theta, fd_step=self.grid.spacing,
-            analytic=self.omega_analytic,
-            use_analytic_derivative=not fd_omega_dot,
+            self.theta, fd_step=self.grid.spacing, analytic=analytic,
             eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
             cond_max=self.tol("cond_max"))
 
@@ -286,7 +287,7 @@ class EvolutionResult:
     unitarity_defect: np.ndarray
     h_big_series: np.ndarray       # H at the nodes
     gen_series: np.ndarray         # G = H - i hbar omega^-1 omega_dot at the nodes
-    omega_motion: np.ndarray       # ||omega_dot||_F at the nodes
+    omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F at the nodes
     qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta at the nodes
     fd_omega_dot: bool
 
@@ -319,7 +320,8 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
         nodes = slice(blk.first, blk.last + 1)
         if blk.first == 0:
             omega0 = ops.omega[0].copy()
-        omega_motion[nodes] = linalg.fro_norms(ops.omega_dot[::2])
+        # the correction term over hbar, formed at the nodes only
+        omega_motion[nodes] = linalg.fro_norms(ops.omega_inv[::2] @ ops.omega_dot[::2])
         # only these node values of omega and omega_dot are needed: free the stacks
         ops = ops._replace(omega=None, omega_dot=None)
         qh[nodes] = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_series[nodes])

@@ -55,11 +55,7 @@ class OutOfRange(QuasihermError):
     """Schedule evaluated outside its time span."""
 
 
-class OracleUnavailable(QuasihermError):
-    """No reference solution is available for the requested check."""
-
-
-class NotMeasurable(OracleUnavailable):
+class NotMeasurable(QuasihermError):
     """Errors vanish to rounding level; a convergence order cannot be measured."""
 
 

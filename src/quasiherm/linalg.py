@@ -80,20 +80,28 @@ def fro_norm(a) -> float:
 def fro_norms(a) -> np.ndarray:
     """Frobenius norm of each matrix of a stack.
 
-    A matrix with finite entries whose sum of squares overflows has its norm
-    taken again scaled by its largest |entry|; every other norm is the plain one.
+    A matrix with finite entries, not all zero, whose plain norm overflows or
+    falls below _NORM_FLOOR (where squares underflow) has its norm taken again
+    with its entries scaled by 2^-e, 2^e the power of two just above its
+    largest |entry|: that scaling cannot overflow, and it rounds no entry
+    that stays normal. Every other norm is the plain one.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         n = np.linalg.norm(a, axis=(-2, -1))
-        over = np.isinf(n)
-        if not over.any():
+        redo = ~((n >= _NORM_FLOOR) & (n < np.inf))
+        if not redo.any() or not np.any(a):   # a zero stack: its plain norms are exact
             return n
-        a = np.asarray(a)
-        top = np.abs(a).max(axis=(-2, -1))
-        rescale = over & np.isfinite(top)
-        top = np.where(rescale, top, 1.0)
-        scaled = top * np.linalg.norm(a / top[..., None, None], axis=(-2, -1))
-    return np.where(rescale, scaled, n)[()]
+        m = np.asarray(a)[redo]
+        top = np.abs(m).max(axis=(-2, -1))
+        ok = (top > 0.0) & (top < np.inf)
+        if not ok.any():
+            return n
+        e = np.frexp(np.where(ok, top, 1.0))[1]
+        scaled = np.hypot(*(np.linalg.norm(np.ldexp(part, -e[:, None, None]), axis=(-2, -1))
+                            for part in (m.real, m.imag)))
+        out = np.array(n)
+        out[redo] = np.where(ok, np.ldexp(scaled, e), out[redo])
+    return out[()]
 
 
 def _plain_norms(m) -> np.ndarray:
@@ -139,7 +147,7 @@ def check_hermitian(a, eps_herm: float = EPS_HERM, t=None) -> None:
     """Raise NotHermitian for the first matrix with ||A - A†|| > eps_herm ||A||."""
     m = np.asarray(a, dtype=complex)
     defect = np.atleast_1d(herm_defect(m))
-    k = _first_failure(defect > eps_herm * fro_norms(m))
+    k = _first_failure(defect > eps_herm * fro_norms(m)) if defect.any() else None
     if k is not None:
         raise NotHermitian(float(defect[k]), t=_at(t, k))
 
@@ -216,7 +224,7 @@ def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
 def cond_2norm(a):
     """2-norm condition number: a float for one matrix, an array for a stack."""
     s = np.linalg.svd(as_matrices(a), compute_uv=False)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 for a zero matrix
         c = np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
     return float(c) if c.ndim == 0 else c
 

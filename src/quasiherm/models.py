@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .dynamics import Scenario
 from .errors import ValidationError
 from .schedules import OperatorSchedule, TimeGrid
+from .spaces import metric_from_theta
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -73,10 +73,9 @@ def _scalar_exponential(span):
 def _static_metric(theta_mat: np.ndarray, label: str):
     """A metric that does not move: omega is its principal root, omega_dot zero."""
     def metric(span):
-        w = linalg.principal_sqrt(theta_mat)
-        theta = OperatorSchedule.constant_matrix(theta_mat, span, label=label)
-        return theta, (_constant(w), _constant(np.zeros((2, 2), dtype=complex)),
-                       _constant(linalg.inverse(w)))
+        m = metric_from_theta(theta_mat)
+        return (OperatorSchedule.constant_matrix(theta_mat, span, label=label),
+                (_constant(m.omega), _constant(np.zeros_like(m.omega)), _constant(m.omega_inv)))
     return metric
 
 

@@ -21,6 +21,7 @@ so each metric root is computed once per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,12 +64,18 @@ class TimeGrid:
     def spacing(self) -> float:
         return (self.t_end - self.t_start) / self.steps
 
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+    @cached_property
+    def _half_times(self) -> np.ndarray:
+        ts = np.linspace(self.t_start, self.t_end, 2 * self.steps + 1)
+        ts.flags.writeable = False
+        return ts
+
+    def times(self) -> np.ndarray:   # the nodes: every other half-grid time
+        return self._half_times[::2]
 
     def half_times(self) -> np.ndarray:
-        """Nodes and step midpoints; the nodes are times() bit for bit."""
-        return np.linspace(self.t_start, self.t_end, 2 * self.steps + 1)
+        """Nodes and step midpoints, computed once per grid (read-only)."""
+        return self._half_times
 
     def blocks(self, max_steps: int) -> list["GridBlock"]:
         """Consecutive blocks of at most max_steps steps covering the grid."""
@@ -93,7 +100,7 @@ class GridBlock:
         return self.grid.spacing
 
     def times(self) -> np.ndarray:
-        return self.grid.times()[self.first:self.last + 1]
+        return self.grid.half_times()[2 * self.first:2 * self.last + 1:2]
 
     def half_times(self) -> np.ndarray:
         return self.grid.half_times()[2 * self.first:2 * self.last + 1]
@@ -252,24 +259,20 @@ class OmegaSchedule:
     """omega(t), omega(t)^-1 and d/dt omega(t) derived from a metric schedule.
 
     omega is the principal square root of theta(t) unless analytic forms
-    are supplied: analytic = (omega, omega_dot[, omega_inv]), each a function
-    of a 1-D array of times that returns a stack. The derivative is analytic
-    when available (and not suppressed), otherwise a central difference of
-    omega with step fd_step. Each method takes a time or a 1-D array of
-    times, like the schedules.
+    are supplied: analytic = (omega, omega_dot, omega_inv), each a function
+    of a 1-D array of times that returns a stack. omega_dot or omega_inv may
+    be None: the derivative is then a central difference of omega with step
+    fd_step, and the inverse the gated inverse of omega. Each method takes a
+    time or a 1-D array of times, like the schedules.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, fd_step: float,
-                 analytic=None, use_analytic_derivative=True,
-                 eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS,
+                 analytic=None, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS,
                  cond_max=linalg.COND_MAX):
         self.theta = theta_schedule
         self.span = theta_schedule.span
         self.fd_step = float(fd_step)
-        self._omega_fn = analytic[0] if analytic else None
-        self._omega_dot_fn = analytic[1] if (analytic and use_analytic_derivative) else None
-        self._omega_inv_fn = analytic[2] if (analytic and len(analytic) > 2) else None
-        self.has_analytic_derivative = self._omega_dot_fn is not None
+        self._omega_fn, self._omega_dot_fn, self._omega_inv_fn = analytic or (None,) * 3
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
         self._cond_max = cond_max

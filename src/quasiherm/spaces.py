@@ -1,9 +1,8 @@
 """Metrics, Dyson maps and the three-Hilbert-space bookkeeping.
 
-Vectors carry an explicit space tag (standard vs reference) and the
-physical functionals (doubled bras) can only be built through
-`doubled_bra`, so the bra/functional distinction is enforced by the API
-rather than by convention.
+Vectors carry an explicit space tag (standard vs reference). The reference
+space offers only the physical product <phi| theta |psi> (`inner_physical`),
+so the plain product there cannot be picked by mistake.
 """
 
 from __future__ import annotations
@@ -88,21 +87,12 @@ def metric_from_dyson(omega_g) -> tuple[DysonMap, Metric]:
     return DysonMap(og, og_inv), metric_from_theta(theta)
 
 
-def _inner(space: Space, phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
-    _require(space, phi, psi)
+def inner_standard(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
+    """Plain sesquilinear product on the standard physical space."""
+    _require(Space.STANDARD, phi, psi)
     if phi.dim != psi.dim:
         raise ValueError("dimension mismatch")
     return complex(np.vdot(phi.components, psi.components))
-
-
-def inner_reference(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
-    """Plain sesquilinear product on the reference space, antilinear in phi."""
-    return _inner(Space.REFERENCE, phi, psi)
-
-
-def inner_standard(phi: SpaceTaggedVector, psi: SpaceTaggedVector) -> complex:
-    """Plain sesquilinear product on the standard physical space."""
-    return _inner(Space.STANDARD, phi, psi)
 
 
 def inner_physical(phi: SpaceTaggedVector, psi: SpaceTaggedVector, m: Metric) -> complex:
@@ -118,33 +108,6 @@ def map_to_reference(phi: SpaceTaggedVector, d: DysonMap) -> SpaceTaggedVector:
     """Pull a standard-space ket back to the reference space via the inverse map."""
     _require(Space.STANDARD, phi)
     return reference_ket(d.omega_g_inv @ phi.components)
-
-
-_BRA_KEY = object()
-
-
-class PhysicalFunctional:
-    """Doubled bra <phi| theta; constructible only through doubled_bra()."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray, *, _key=None):
-        if _key is not _BRA_KEY:
-            raise TypeError("PhysicalFunctional must be built via doubled_bra()")
-        self.row = row
-
-    def __call__(self, psi: SpaceTaggedVector) -> complex:
-        _require(Space.REFERENCE, psi)
-        if psi.dim != self.row.size:
-            raise ValueError("dimension mismatch")
-        return complex(self.row @ psi.components)
-
-
-def doubled_bra(phi: SpaceTaggedVector, m: Metric) -> PhysicalFunctional:
-    _require(Space.REFERENCE, phi)
-    if phi.dim != m.dim:
-        raise ValueError("dimension mismatch")
-    return PhysicalFunctional(phi.components.conj() @ m.theta, _key=_BRA_KEY)
 
 
 @dataclass(frozen=True)
@@ -181,13 +144,3 @@ def quasi_hermiticity_defect(h_mat, theta):
     th_hm = th @ hm
     num = th_hm - linalg.dagger(hm) @ th
     return linalg.fro_norms(num) / np.maximum(linalg.fro_norms(th_hm), _TINY)
-
-
-def hermitian_equivalent(h_mat, m: Metric) -> tuple[np.ndarray, float]:
-    """omega H omega^-1 together with its relative Hermiticity defect.
-
-    The defect is reported, never raised: callers decide what is acceptable.
-    """
-    h = m.omega @ linalg.as_matrix(h_mat) @ m.omega_inv
-    defect = linalg.herm_defect(h) / max(linalg.fro_norm(h), _TINY)
-    return h, defect

@@ -34,7 +34,7 @@ class DiagnosticsRow(NamedTuple):
     res_corrected: float
     res_metric: float
     res_qh: float
-    omega_motion: float    # not a CSV column: max ||omega_dot|| over t_{k-1}, t_k, t_{k+1}
+    omega_motion: float    # not a CSV column: max ||omega^-1 omega_dot|| over t_{k-1..k+1}
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def run_diagnostics(s: Scenario, fd_omega_dot: bool = False) -> list[Diagnostics
 
 
 def max_omega_motion(rows: list[DiagnosticsRow]) -> float:
-    """Largest ||omega_dot|| over all grid nodes: the rows' central differences
-    reach from the first node to the last."""
+    """Largest ||omega^-1 omega_dot|| over all grid nodes: the rows' central
+    differences reach from the first node to the last."""
     return max(r.omega_motion for r in rows)
 
 
@@ -87,7 +87,6 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
     if not rows:
         raise ValueError("empty diagnostics")
 
-    os = s.omega_schedule(fd_omega_dot)
     phi0 = s.initial_state
     theta0 = np.asarray(s.theta(s.grid.t_start), dtype=complex)
     norm0 = float((phi0.conj() @ theta0 @ phi0).real)
@@ -101,8 +100,7 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
     max_corr = max(r.res_corrected for r in rows)
     max_naive = max(r.res_naive for r in rows)
 
-    corr_key = "corrected_fd" if (fd_omega_dot or not os.has_analytic_derivative) \
-        else "corrected_analytic"
+    corr_key = "corrected_fd" if fd_omega_dot or s.omega_analytic is None else "corrected_analytic"
 
     out = [
         Verdict("NORM_CONSERVED", drift <= s.tol("norm_drift"), drift, s.tol("norm_drift")),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,25 @@ def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):
     res_metric = _csv_values(tmp_path / "x.csv")[:, cli.CSV_COLUMNS.index("res_metric")]
     assert np.isfinite(res_metric).all() and res_metric.max() < 1e-12
     assert "PASS  METRIC_RECONSTRUCTED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", [1e-300, 1.0, 1e300, *sorted(cli.models.BUILTINS)])
+def test_run_passes_every_verdict_without_runtime_warnings(tmp_path, capsys, scenario):
+    """theta = c I is static at every scale c: motion is judged by
+    ||omega^-1 omega_dot||, and ||theta|| neither underflows nor overflows in
+    res_metric. The builtins pass under the same filter."""
+    if isinstance(scenario, float):
+        path = tmp_path / "scenario.json"
+        theta = [[[scenario, 0], [0, 0]], [[0, 0], [scenario, 0]]]
+        path.write_text(json.dumps({"dimension": 2, "time": {"steps": 2000},
+                                    "model": dict(PAIR_2D, theta=theta)}))
+        scenario = str(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "x.csv")])
+    lines = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS", "FAIL"))]
+    assert lines == [["PASS", name] for name in ("NORM_CONSERVED", "METRIC_RECONSTRUCTED",
+                                                 "QH_HOLDS", "CORRECTED_GENERATOR_OK",
+                                                 "NAIVE_FAILS_IFF_METRIC_MOVES")]
+    assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,22 @@ def test_fro_norms_survive_entries_whose_squares_overflow(rng):
     assert got[1] == pytest.approx(1e300 * np.linalg.norm(plain[1]), rel=1e-15)
     assert got[2] == np.inf
     assert np.array_equal(linalg.fro_norms(plain), np.linalg.norm(plain, axis=(-2, -1)))
+
+
+def test_fro_norms_survive_entries_whose_squares_underflow(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d in (1, 2, 5):
+            assert linalg.fro_norms(1e-300 * np.eye(d)) == pytest.approx(
+                1e-300 * np.sqrt(d), rel=1e-15, abs=0.0)
+        plain = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        mixed = plain.copy()
+        mixed[1] *= 1e-300
+        mixed[2] = 0.0
+        got = linalg.fro_norms(mixed)
+    assert np.array_equal(got[[0, 3]], np.linalg.norm(plain[[0, 3]], axis=(-2, -1)))
+    assert got[1] == pytest.approx(1e-300 * np.linalg.norm(plain[1]), rel=1e-15, abs=0.0)
+    assert got[2] == 0.0
 
 
 def test_sqrt_random_roundtrip(rng):
@@ -195,6 +213,13 @@ def test_stacked_inverse_gate_names_first_bad_time():
     assert exc.value.t == 1.0
     assert exc.value.cond == np.inf
     assert linalg.cond_2norm(a)[2] == np.inf
+
+
+def test_cond_2norm_of_a_zero_matrix_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert linalg.cond_2norm(np.zeros((3, 3))) == np.inf
+        assert linalg.cond_2norm(np.stack([np.zeros((2, 2)), np.eye(2)])).tolist() == [np.inf, 1.0]
 
 
 def test_gate_without_times_reports_no_time():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quasiherm.dynamics import grid_blocks
 from quasiherm.errors import NotPositiveDefinite, OutOfRange
 from quasiherm.schedules import OmegaSchedule, OperatorSchedule, TimeGrid
 
@@ -113,15 +114,17 @@ def test_omega_schedule_hand_values():
 
 
 def test_omega_schedule_analytic_derivative():
-    analytic = (
-        lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts)),
-        lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts)),
-    )
-    os = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=analytic)
-    assert np.allclose(os.omega_dot(1.0), np.diag([0.0, 1.0 / np.sqrt(2.0)]), atol=1e-15)
-    forced = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=analytic,
-                           use_analytic_derivative=False)
-    assert not forced.has_analytic_derivative
+    omega = lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts))  # noqa: E731
+    omega_dot = lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts))  # noqa: E731
+    exact = np.diag([0.0, 1.0 / np.sqrt(2.0)])
+    os = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, omega_dot, None))
+    assert np.allclose(os.omega_dot(1.0), exact, atol=1e-15)
+    # no analytic inverse: the gated inverse of the analytic omega
+    assert np.allclose(os.omega_inv(1.0), np.diag([1.0, 1.0 / np.sqrt(2.0)]), atol=1e-15)
+    # no analytic derivative: the finite difference of the analytic omega
+    fd = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, None, None))
+    assert not np.array_equal(fd.omega_dot(1.0), os.omega_dot(1.0))
+    assert np.allclose(fd.omega_dot(1.0), exact, atol=1e-6)
 
 
 def test_omega_constant_metric_zero_derivative():
@@ -276,3 +279,18 @@ def test_grid_blocks_cover_grid():
                                          + [g.half_times()[-1:]]), g.half_times())
     assert np.array_equal(g.half_times()[::2], g.times())
     assert [(b.first, b.last) for b in g.blocks(100)] == [(0, 10)]
+
+
+def test_grid_times_are_built_once(monkeypatch):
+    """One linspace per grid, however many blocks read its times."""
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(1) or linspace(*a, **k))
+    g = TimeGrid(0.0, 1.0, 40_000)
+    blocks = grid_blocks(g, 32)
+    assert len(blocks) == 2500
+    for b in blocks:
+        b.times()
+        b.half_times()
+    assert len(calls) == 1
+    assert not g.half_times().flags.writeable and not g.times().flags.writeable
