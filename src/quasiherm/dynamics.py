@@ -76,15 +76,16 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
         m1 = m2 = m4 = m[:1]
     else:
         m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
-    m2a = m2 @ (eye + (0.5 * dt) * m1)
-    m2b = m2 @ (eye + (0.5 * dt) * m2a)
-    d = (dt / 6.0) * (m1 + 2.0 * m2a + 2.0 * m2b + m4 @ (eye + dt * m2b))
-    d = np.broadcast_to(d, (grid.steps,) + d.shape[1:])
-    out = np.empty((grid.steps + 1,) + m.shape[1:], dtype=complex)
-    out[0] = eye if u0 is None else u0
-    for dk, u, nxt in zip(d, out, out[1:]):
-        np.matmul(dk, u, out=nxt)
-        np.add(u, nxt, out=nxt)
+    with np.errstate(over="ignore", invalid="ignore"):   # metric_from_ur refuses inf and nan
+        m2a = m2 @ (eye + (0.5 * dt) * m1)
+        m2b = m2 @ (eye + (0.5 * dt) * m2a)
+        d = (dt / 6.0) * (m1 + 2.0 * m2a + 2.0 * m2b + m4 @ (eye + dt * m2b))
+        d = np.broadcast_to(d, (grid.steps,) + d.shape[1:])
+        out = np.empty((grid.steps + 1,) + m.shape[1:], dtype=complex)
+        out[0] = eye if u0 is None else u0
+        for dk, u, nxt in zip(d, out, out[1:]):
+            np.matmul(dk, u, out=nxt)
+            np.add(u, nxt, out=nxt)
     return out
 
 
@@ -102,7 +103,8 @@ def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
 def ur_from_definition(u_series: np.ndarray, omega_inv: np.ndarray,
                        omega0: np.ndarray) -> np.ndarray:
     """omega(t)^-1 u(t) omega(0), node by node, from the stack of omega^-1."""
-    return omega_inv @ u_series @ omega0
+    with np.errstate(over="ignore", invalid="ignore"):   # as in _rk4_series
+        return omega_inv @ u_series @ omega0
 
 
 def ur_from_naive_generator(h_big: np.ndarray, grid, hbar: float = 1.0,
@@ -209,12 +211,9 @@ class Scenario:
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
-    def omega_schedule(self, fd_omega_dot: bool = False) -> OmegaSchedule:
-        analytic = self.omega_analytic
-        if analytic is not None and fd_omega_dot:   # a finite difference for omega_dot
-            analytic = (analytic[0], None, analytic[2])
+    def omega_schedule(self) -> OmegaSchedule:
         return OmegaSchedule(
-            self.theta, fd_step=self.grid.spacing, analytic=analytic,
+            self.theta, fd_step=self.grid.spacing, analytic=self.omega_analytic,
             eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
             cond_max=self.tol("cond_max"))
 
@@ -224,6 +223,11 @@ class Scenario:
         except ValueError as e:
             raise ValidationError(f"bad time: {e}") from e
         return replace(self, grid=grid)
+
+    def with_fd_omega_dot(self) -> "Scenario":
+        """This scenario with omega_dot taken by central differences of omega."""
+        w = self.omega_analytic
+        return self if w is None else replace(self, omega_analytic=(w[0], None, w[2]))
 
 
 @contextmanager
@@ -289,10 +293,9 @@ class EvolutionResult:
     gen_series: np.ndarray         # G = H - i hbar omega^-1 omega_dot at the nodes
     omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F at the nodes
     qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta at the nodes
-    fd_omega_dot: bool
 
 
-def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
+def evolve(s: Scenario) -> EvolutionResult:
     """Integrate s over its grid in one half-grid pass.
 
     The admission gates of validate_scenario run inside the pass: the metric
@@ -301,7 +304,7 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
     both modes, for the diagnostics). A failure raises the same
     ValidationError as admission, naming the first failing t of its block.
     """
-    os = s.omega_schedule(fd_omega_dot)
+    os = s.omega_schedule()
     grid = s.grid
     shape = (grid.steps + 1, s.dim, s.dim)
     u, ur, ur_naive, ur_corr, theta_recon, h_big, gen = (
@@ -346,4 +349,4 @@ def evolve(s: Scenario, fd_omega_dot: bool = False) -> EvolutionResult:
 
     return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr,
                            theta_series, theta_recon, states, norms, defect,
-                           h_big, gen, omega_motion, qh, fd_omega_dot)
+                           h_big, gen, omega_motion, qh)

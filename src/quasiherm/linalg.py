@@ -74,7 +74,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+    return float(fro_norms(np.asarray(a, dtype=complex)))
 
 
 def fro_norms(a) -> np.ndarray:
@@ -276,6 +276,8 @@ def matrix_from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError(f"expected an n x n x 2 nest of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():   # before 1j * inf, which warns
+        raise NotFinite()
     return as_matrix(arr[..., 0] + 1j * arr[..., 1])
 
 
@@ -288,10 +290,9 @@ def vector_from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an n x 2 list of [re, im] pairs, got shape {arr.shape}")
-    v = arr[:, 0] + 1j * arr[:, 1]
-    if not np.isfinite(v).all():
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
-    return v
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def vector_to_pairs(v) -> list:

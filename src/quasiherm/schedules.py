@@ -200,7 +200,8 @@ class OperatorSchedule:
     def __call__(self, t) -> np.ndarray:
         ts, single = _times(t)
         self.check_span(ts)
-        out = self._value(ts)
+        with np.errstate(over="ignore", invalid="ignore"):   # the finiteness gates refuse inf
+            out = self._value(ts)
         return out[0] if single else out
 
     def derivative(self, t) -> np.ndarray:

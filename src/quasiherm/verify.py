@@ -72,8 +72,8 @@ def diagnostics_from_result(res: EvolutionResult) -> list[DiagnosticsRow]:
     return rows
 
 
-def run_diagnostics(s: Scenario, fd_omega_dot: bool = False) -> list[DiagnosticsRow]:
-    return diagnostics_from_result(evolve(s, fd_omega_dot))
+def run_diagnostics(s: Scenario) -> list[DiagnosticsRow]:
+    return diagnostics_from_result(evolve(s))
 
 
 def max_omega_motion(rows: list[DiagnosticsRow]) -> float:
@@ -82,8 +82,7 @@ def max_omega_motion(rows: list[DiagnosticsRow]) -> float:
     return max(r.omega_motion for r in rows)
 
 
-def verdicts(rows: list[DiagnosticsRow], s: Scenario,
-             fd_omega_dot: bool = False) -> list[Verdict]:
+def verdicts(rows: list[DiagnosticsRow], s: Scenario) -> list[Verdict]:
     if not rows:
         raise ValueError("empty diagnostics")
 
@@ -100,7 +99,8 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
     max_corr = max(r.res_corrected for r in rows)
     max_naive = max(r.res_naive for r in rows)
 
-    corr_key = "corrected_fd" if fd_omega_dot or s.omega_analytic is None else "corrected_analytic"
+    analytic = s.omega_analytic is not None and s.omega_analytic[1] is not None
+    corr_key = "corrected_analytic" if analytic else "corrected_fd"   # how omega_dot is taken
 
     out = [
         Verdict("NORM_CONSERVED", drift <= s.tol("norm_drift"), drift, s.tol("norm_drift")),
@@ -122,11 +122,11 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario,
     return out
 
 
-def _end_state(s: Scenario, steps: int, probe: str, fd_omega_dot: bool) -> np.ndarray:
+def _end_state(s: Scenario, steps: int, probe: str) -> np.ndarray:
     if probe not in ("u", "ur_corr"):
         raise ValueError(f"unknown probe {probe!r}")
     s2 = s.with_steps(steps)
-    os = s2.omega_schedule(fd_omega_dot)
+    os = s2.omega_schedule()
     end = None
     for blk in grid_blocks(s2.grid, s2.dim):
         ts = blk.half_times()
@@ -149,23 +149,21 @@ def _oracle_end(s: Scenario, probe: str) -> np.ndarray:
     return os.omega_inv(s.grid.t_end) @ u_end @ os.omega(s.grid.t_start)
 
 
-def convergence_order(s: Scenario, probe: str = "u",
-                      fd_omega_dot: bool | None = None) -> float:
+def convergence_order(s: Scenario, probe: str = "u") -> float:
     """log2 error ratio between runs at N and 2N steps.
 
-    Expected ~4 for the RK4-integrated u; ~2 for the corrected auxiliary
-    propagator when omega_dot comes from central differences (their step
-    shrinks with the grid and dominates the error).
+    Expected ~4 for the RK4-integrated u. The ur_corr probe always takes
+    omega_dot from central differences (s.with_fd_omega_dot()), whose step
+    shrinks with the grid and dominates the error: expected ~2.
     """
-    if fd_omega_dot is None:
-        fd_omega_dot = probe == "ur_corr"
+    s = s.with_fd_omega_dot() if probe == "ur_corr" else s
     n = s.grid.steps
     if s.u_oracle is not None:
         ref = _oracle_end(s, probe)
     else:
-        ref = _end_state(s, REFERENCE_REFINEMENT * 2 * n, probe, fd_omega_dot)
-    err_n = linalg.fro_norm(_end_state(s, n, probe, fd_omega_dot) - ref)
-    err_2n = linalg.fro_norm(_end_state(s, 2 * n, probe, fd_omega_dot) - ref)
+        ref = _end_state(s, REFERENCE_REFINEMENT * 2 * n, probe)
+    err_n = linalg.fro_norm(_end_state(s, n, probe) - ref)
+    err_2n = linalg.fro_norm(_end_state(s, 2 * n, probe) - ref)
     floor = 1e-13 * max(1.0, linalg.fro_norm(ref))
     if err_n < floor or err_2n < floor:
         raise NotMeasurable(

@@ -31,8 +31,7 @@ def test_02_naive_generator_refuted(growing_rows, growing_rows_4000):
     closed_form = 0.5 / np.sqrt(2.0)
     at_end = growing_rows[-1].res_naive
     stable = abs(at_end - growing_rows_4000[-1].res_naive)
-    rows_fd = verify.run_diagnostics(make_builtin("growing-metric-2d"),
-                                     fd_omega_dot=True)
+    rows_fd = verify.run_diagnostics(make_builtin("growing-metric-2d").with_fd_omega_dot())
     corr = max(r.res_corrected for r in rows_fd)
     ok = (abs(at_end - closed_form) <= 0.02 * closed_form
           and stable <= 1e-3 and corr <= 1e-4)

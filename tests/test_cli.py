@@ -211,7 +211,13 @@ PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
                  id="time-span-overflows"),
     pytest.param("initial_state", {"model": BUILTIN, "initial_state": [[1e-177, 0], [0, 0]]},
                  id="initial-state-norm-underflows"),
+    pytest.param("h", '{"dimension": 2, "model": {"kind": "pair", '
+                 '"h": [[[0, 0], [1, 0]], [[1, 0], [0, 1e309]]], '
+                 '"theta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}', id="h-entry-overflow"),
+    pytest.param("initial_state", '{"model": {"kind": "builtin", "name": "growing-metric-2d"}, '
+                 '"initial_state": [[1, 0], [0, 1e309]]}', id="initial-state-entry-overflow"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
     path = tmp_path / "scenario.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -220,16 +226,21 @@ def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    {"model": BUILTIN, "time": {"end": 1e300, "steps": 20}},          # theta overflows
-    {"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-300},       # u overflows
-])
-def test_run_overflowing_scenario_names_t_exit_3(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc, err", [
+    ({"model": BUILTIN, "time": {"end": 1e300, "steps": 20}},         # theta overflows
+     "metric rejected at t=5e+298: matrix entries must be finite at t=5e+298"),
+    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-300},      # u overflows
+     "matrix entries must be finite at t=0.05"),
+    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-10},       # u overflows later
+     "matrix entries must be finite at t=0.5"),
+], ids=["doc0", "doc1", "doc2"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_overflowing_scenario_names_t_exit_3(tmp_path, capsys, doc, err):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    assert "matrix entries must be finite at t=" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("span, steps", [((1e6, 1e6 + 1e-6), "10000"),   # repeated times

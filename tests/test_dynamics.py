@@ -105,7 +105,7 @@ def test_corrected_reduces_to_naive_for_constant_metric():
 
 
 def test_corrected_matches_definition():
-    res = evolve(make_builtin("growing-metric-2d"), fd_omega_dot=True)
+    res = evolve(make_builtin("growing-metric-2d").with_fd_omega_dot())
     gap = max(linalg.fro_norm(a - b)
               for a, b in zip(res.ur_corr_series, res.ur_series))
     assert gap <= 1e-6

@@ -81,6 +81,11 @@ def test_fro_norm_cases():
     assert linalg.fro_norm(np.zeros((3, 3))) == 0.0
     assert linalg.fro_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
     assert linalg.fro_norm([[0, 1], [-1, 0]]) == pytest.approx(np.sqrt(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squares that overflow, and squares that underflow
+        assert linalg.fro_norm(np.full((2, 2), 1e200)) == 2e200
+        assert linalg.fro_norm(np.full((2, 2), 1e-170)) == 2e-170
 
 
 def test_fro_norms_survive_entries_whose_squares_overflow(rng):

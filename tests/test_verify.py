@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasiherm import make_builtin, scenario_io, verify
+from quasiherm.dynamics import DEFAULT_TOLERANCES
 from quasiherm.errors import NotMeasurable
 from quasiherm.models import SIGMA_X
 from quasiherm.verify import convergence_order, run_diagnostics, verdicts
@@ -114,9 +115,28 @@ def test_convergence_order_not_measurable_for_zero_generator():
         convergence_order(s, "u")
 
 
-def _node_grid_motion(s, fd_omega_dot):
+def _scenario(sampled_pair_text, which, fd_omega_dot):
+    s = (scenario_io.parse_scenario(sampled_pair_text) if which == "sampled pair"
+         else make_builtin(which, steps=300))
+    return s.with_fd_omega_dot() if fd_omega_dot else s
+
+
+@pytest.mark.parametrize("which, fd_omega_dot, key", [
+    ("growing-metric-2d", False, "corrected_analytic"),
+    ("growing-metric-2d", True, "corrected_fd"),
+    ("sampled pair", False, "corrected_fd")])
+def test_corrected_tolerance_follows_how_omega_dot_is_taken(sampled_pair_text, which,
+                                                            fd_omega_dot, key):
+    s = _scenario(sampled_pair_text, which, fd_omega_dot)
+    if which == "sampled pair":   # omega is not analytic: omega_dot is a central difference
+        assert s.with_fd_omega_dot() is s
+    v = {v.name: v for v in verdicts(run_diagnostics(s), s)}["CORRECTED_GENERATOR_OK"]
+    assert v.threshold == DEFAULT_TOLERANCES[key]
+
+
+def _node_grid_motion(s):
     """The maximum ||omega^-1 omega_dot|| over all nodes, from one node-grid evaluation."""
-    os, ts = s.omega_schedule(fd_omega_dot), s.grid.times()
+    os, ts = s.omega_schedule(), s.grid.times()
     rate = os.omega_inv(ts) @ os.omega_dot(ts)
     return float(np.linalg.norm(rate, axis=(-2, -1)).max())
 
@@ -124,11 +144,8 @@ def _node_grid_motion(s, fd_omega_dot):
 @pytest.mark.parametrize("which, fd_omega_dot", [
     ("growing-metric-2d", False), ("growing-metric-2d", True), ("sampled pair", False)])
 def test_max_omega_motion_read_off_the_rows(sampled_pair_text, which, fd_omega_dot):
-    if which == "sampled pair":
-        s = scenario_io.parse_scenario(sampled_pair_text)
-    else:
-        s = make_builtin(which, steps=300)
-    rows = run_diagnostics(s, fd_omega_dot)
+    s = _scenario(sampled_pair_text, which, fd_omega_dot)
+    rows = run_diagnostics(s)
     motion = verify.max_omega_motion(rows)
-    assert motion == pytest.approx(_node_grid_motion(s, fd_omega_dot), rel=1e-12)
+    assert motion == pytest.approx(_node_grid_motion(s), rel=1e-12)
     assert motion > 0.1
