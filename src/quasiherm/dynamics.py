@@ -8,13 +8,17 @@ deliberately, so its failure for moving metrics can be exhibited), and
 from the corrected generator G = H - i hbar omega^-1 omega_dot.
 
 Every operator is evaluated once per point of the half-step grid, as a
-stack: theta, omega, omega^-1, omega_dot, h, H and G. The integrators take
+stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. The integrators take
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
 once and only the update is a Python loop. The grid is walked in blocks
 of steps, so the working set is a block of stacks plus the node series
 of the result.
+
+The same pass forms every per-node column of the report, among them the
+residuals of the central difference of U_R against H (positive as dt -> 0
+whenever the metric moves) and against G (shrinking like dt^2).
 
 Admission has two entry points. validate_scenario gates every node without
 taking a metric root (positivity from eigenvalues alone); evolve applies the
@@ -138,11 +142,11 @@ class Operators(NamedTuple):
     gen: np.ndarray        # corrected generator G = H - i hbar omega^-1 omega_dot
     omega: np.ndarray
     omega_inv: np.ndarray
-    omega_dot: np.ndarray
+    rate: np.ndarray       # omega^-1 omega_dot, the correction term of G over -i hbar
 
 
 def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Operators:
-    """h, H, G and omega^-1 at the times ts, each operator evaluated once per time."""
+    """The operator stacks at the times ts, each operator evaluated once per time."""
     w = os.omega(ts)
     wi = os.omega_inv(ts, omega=w)
     if s.h is not None:
@@ -151,9 +155,9 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Ope
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    wd = os.omega_dot(ts, omega=w)
-    gen = h_big - 1j * s.hbar * (wi @ wd)
-    return Operators(h, h_big, gen, w, wi, wd)
+    rate = wi @ os.omega_dot(ts, omega=w)
+    gen = h_big - 1j * s.hbar * rate
+    return Operators(h, h_big, gen, w, wi, rate)
 
 
 @dataclass
@@ -277,7 +281,7 @@ def validate_scenario(s: Scenario) -> None:
 
 @dataclass
 class EvolutionResult:
-    """Per-node series for one integrated scenario."""
+    """Per-node series for one integrated scenario; res_* are nan at both end nodes."""
     scenario: Scenario
     grid: TimeGrid
     u_series: np.ndarray
@@ -286,17 +290,17 @@ class EvolutionResult:
     ur_corr_series: np.ndarray
     theta_series: np.ndarray
     theta_recon: np.ndarray
-    states: np.ndarray             # reference-space kets U_R(t) phi0
     norms_phys: np.ndarray
     unitarity_defect: np.ndarray
-    h_big_series: np.ndarray       # H at the nodes
-    gen_series: np.ndarray         # G = H - i hbar omega^-1 omega_dot at the nodes
+    res_naive: np.ndarray          # ||i hbar U_R' - H U_R||_F, U_R' a central difference
+    res_corrected: np.ndarray      # ||i hbar U_R' - G U_R||_F
+    res_metric: np.ndarray         # ||theta_recon - theta||_F / ||theta||_F
     omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F at the nodes
     qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta at the nodes
 
 
 def evolve(s: Scenario) -> EvolutionResult:
-    """Integrate s over its grid in one half-grid pass.
+    """Integrate s over its grid and form every per-node column in one half-grid pass.
 
     The admission gates of validate_scenario run inside the pass: the metric
     through the root omega, the Hermiticity of h through integrate_u and, in
@@ -307,9 +311,9 @@ def evolve(s: Scenario) -> EvolutionResult:
     os = s.omega_schedule()
     grid = s.grid
     shape = (grid.steps + 1, s.dim, s.dim)
-    u, ur, ur_naive, ur_corr, theta_recon, h_big, gen = (
-        np.empty(shape, dtype=complex) for _ in range(7))
-    defect, omega_motion, qh = (np.empty(grid.steps + 1) for _ in range(3))
+    u, ur, ur_naive, ur_corr, theta_recon = (np.empty(shape, dtype=complex) for _ in range(5))
+    defect, omega_motion, qh, res_naive, res_corrected, res_metric = (
+        np.full(grid.steps + 1, np.nan) for _ in range(6))
     eye = np.eye(s.dim)
     u[0] = ur_naive[0] = ur_corr[0] = eye
     with _gate("metric"):
@@ -323,10 +327,9 @@ def evolve(s: Scenario) -> EvolutionResult:
         nodes = slice(blk.first, blk.last + 1)
         if blk.first == 0:
             omega0 = ops.omega[0].copy()
-        # the correction term over hbar, formed at the nodes only
-        omega_motion[nodes] = linalg.fro_norms(ops.omega_inv[::2] @ ops.omega_dot[::2])
-        # only these node values of omega and omega_dot are needed: free the stacks
-        ops = ops._replace(omega=None, omega_dot=None)
+        omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
+        # only the node values of omega were needed: free the stacks
+        ops = ops._replace(omega=None, rate=None)
         qh[nodes] = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_series[nodes])
         if s.kind == "direct":
             _check_quasi_hermitian(s, qh[nodes], blk.times())
@@ -340,13 +343,21 @@ def evolve(s: Scenario) -> EvolutionResult:
                                                      u0=ur_corr[blk.first])
         theta_recon[nodes] = metric_from_ur(ur[nodes], theta_series[0], blk,
                                             s.tol("cond_max"))
-        h_big[nodes] = ops.h_big[::2]
-        gen[nodes] = ops.gen[::2]
-        defect[nodes] = linalg.fro_norms(linalg.dagger(u[nodes]) @ u[nodes] - eye)
+        with np.errstate(over="ignore", invalid="ignore"):   # an RK4-unstable grid
+            defect[nodes] = linalg.fro_norms(linalg.dagger(u[nodes]) @ u[nodes] - eye)
+        # interior nodes k, whose central difference reaches blk.last, written above
+        k = slice(max(blk.first, 1), blk.last)
+        at_k = slice(2 * (k.start - blk.first), 2 * (k.stop - blk.first), 2)   # on the half grid
+        lhs = (1j * s.hbar * (ur[k.start + 1:k.stop + 1] - ur[k.start - 1:k.stop - 1])
+               / (2.0 * grid.spacing))
+        res_naive[k] = linalg.fro_norms(lhs - ops.h_big[at_k] @ ur[k])
+        res_corrected[k] = linalg.fro_norms(lhs - ops.gen[at_k] @ ur[k])
+        theta = theta_series[k]
+        res_metric[k] = linalg.fro_norms(theta_recon[k] - theta) / linalg.fro_norms(theta)
 
-    states = np.einsum("kij,j->ki", ur, s.initial_state)
+    states = np.einsum("kij,j->ki", ur, s.initial_state)   # reference-space kets U_R(t) phi0
     norms = np.einsum("ki,kij,kj->k", states.conj(), theta_series, states).real
 
-    return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr,
-                           theta_series, theta_recon, states, norms, defect,
-                           h_big, gen, omega_motion, qh)
+    return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr, theta_series, theta_recon,
+                           norms, defect, res_naive, res_corrected, res_metric,
+                           omega_motion, qh)

@@ -34,7 +34,7 @@ def _convert(what: str, conv, value):
     """conv(value); a malformed value is a ValidationError that names what."""
     try:
         return conv(value)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:   # Overflow: a huge JSON int
         raise ValidationError(f"bad {what}: {e}") from e
 
 
@@ -46,26 +46,31 @@ def _section(obj: dict, key: str) -> dict:
     return value
 
 
+def _number(value) -> int | float:
+    """A JSON number, refusing the bools and strings float() and int() would take."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return value
+
+
 def _finite(value) -> float:
     """A finite float; JSON turns a number too large for a double into inf."""
-    x = float(value)
+    x = float(_number(value))
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {x!r}")
     return x
 
 
 def _integer(value) -> int:
-    """An integer, refusing the truncation int() would apply to 2.5 or True."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer, refusing the truncation int() would apply to 2.5."""
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
     return int(value)
 
 
 def _tolerance(value) -> float:
     """A tolerance from a scenario file: a finite positive JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(_number(value)) and value > 0):
         raise ValueError(f"expected a finite positive number, got {value!r}")
     return float(value)
 
@@ -95,7 +100,7 @@ def parse_scenario(text: str) -> Scenario:
             _convert("time.end", _finite, time.get("end", 1.0)))
     steps = _convert("time.steps", _integer, time.get("steps", models.DEFAULT_STEPS))
     grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
-    hbar = _convert("hbar", float, obj.get("hbar", 1.0))
+    hbar = _convert("hbar", lambda v: float(_number(v)), obj.get("hbar", 1.0))
     tolerances = {key: _convert(f"tolerances.{key}", _tolerance, value)
                   for key, value in _section(obj, "tolerances").items()}
     initial = obj.get("initial_state")

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quasiherm import make_builtin, scenario_io, verify
+from quasiherm import dynamics, linalg, make_builtin, scenario_io, verify
 from quasiherm.dynamics import DEFAULT_TOLERANCES
 from quasiherm.errors import NotMeasurable
 from quasiherm.models import SIGMA_X
+from quasiherm.schedules import OperatorSchedule
 from quasiherm.verify import convergence_order, run_diagnostics, verdicts
 
 
@@ -149,3 +152,71 @@ def test_max_omega_motion_read_off_the_rows(sampled_pair_text, which, fd_omega_d
     motion = verify.max_omega_motion(rows)
     assert motion == pytest.approx(_node_grid_motion(s), rel=1e-12)
     assert motion > 0.1
+
+
+def _two_pass_rows(res):
+    """The rows formed in two walks: the first stores H and G at every node,
+    block by block, and the second takes the residuals from the stored series."""
+    s, grid = res.scenario, res.grid
+    os = s.omega_schedule()
+    h_big_series = np.empty_like(res.ur_series)
+    gen_series = np.empty_like(res.ur_series)
+    for blk in dynamics.grid_blocks(grid, s.dim):
+        ops = dynamics.half_grid_operators(s, os, blk.half_times())
+        nodes = slice(blk.first, blk.last + 1)
+        h_big_series[nodes] = ops.h_big[::2]
+        gen_series[nodes] = ops.gen[::2]
+    rows = []
+    for blk in dynamics.grid_blocks(grid, s.dim):
+        k = slice(max(blk.first, 1), blk.last)
+        ur = res.ur_series[k]
+        lhs = (1j * s.hbar * (res.ur_series[k.start + 1:k.stop + 1]
+                              - res.ur_series[k.start - 1:k.stop - 1])
+               / (2.0 * grid.spacing))
+        h_big, theta, motion = h_big_series[k], res.theta_series[k], res.omega_motion
+        columns = (
+            grid.times()[k],
+            res.unitarity_defect[k],
+            res.norms_phys[k],
+            linalg.fro_norms(lhs - h_big @ ur),
+            linalg.fro_norms(lhs - gen_series[k] @ ur),
+            linalg.fro_norms(res.theta_recon[k] - theta) / linalg.fro_norms(theta),
+            res.qh_residual[k],
+            np.maximum(np.maximum(motion[k.start - 1:k.stop - 1], motion[k]),
+                       motion[k.start + 1:k.stop + 1]),
+        )
+        rows += map(verify.DiagnosticsRow._make, zip(*(c.tolist() for c in columns)))
+    return rows
+
+
+def _growing(steps):
+    """growing-metric-2d at hbar = 0.7: a spacing and an hbar that are not powers
+    of two, so a reordered central difference moves the last digits of the rows."""
+    return dataclasses.replace(make_builtin("growing-metric-2d", steps=steps), hbar=0.7)
+
+
+def _growing_direct():
+    """_growing in direct mode: H = omega^-1 sigma_x omega, given in closed form."""
+    s = _growing(500)
+
+    def h_big(ts):
+        r = np.sqrt(1.0 + ts * ts)
+        out = np.zeros((ts.size, 2, 2), dtype=complex)
+        out[:, 0, 1], out[:, 1, 0] = r, 1.0 / r
+        return out
+
+    sched = OperatorSchedule.closed_form(2, (0.0, 1.0), h_big, None, label="H")
+    return dataclasses.replace(s, name="growing-direct", h=None, h_big=sched)
+
+
+@pytest.mark.parametrize("which", ["growing-metric-2d", "direct", "sampled pair"])
+def test_one_pass_columns_match_the_two_pass_rows(sampled_pair_text, which):
+    s = {"growing-metric-2d": lambda: _growing(300),
+         "direct": _growing_direct,
+         "sampled pair": lambda: scenario_io.parse_scenario(sampled_pair_text)}[which]()
+    if which == "sampled pair":
+        assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+    res = dynamics.evolve(s)
+    rows = verify.diagnostics_from_result(res)
+    assert rows == _two_pass_rows(res)
+    assert verify.max_omega_motion(rows) > 0.1   # the metric moves in every case
