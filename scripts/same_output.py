@@ -18,8 +18,9 @@ directory of its own:
   workload (``perfbench/scenarios.generate``) at seeds 1 and 2;
 * ``quasiherm run`` on files that the admission gates refuse: a metric that
   is not positive definite, an ill-conditioned root, a direct-mode generator
-  that is not quasi-Hermitian, entries too large for a double and runs whose
-  metric or propagator overflows;
+  that is not quasi-Hermitian, entries too large for a double or given as
+  JSON bools, a grid on which RK4 is unstable and runs whose metric or
+  propagator would overflow;
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``.
 
 For ``run`` the CSV bytes, standard output, standard error and exit code are
@@ -70,6 +71,9 @@ GATE_FILES = {
                           + json.dumps(_EYE) + '}}'),
     "initial-state-entry-overflows": ('{"model": ' + json.dumps(_BUILTIN)
                                       + ', "initial_state": [[1, 0], [0, 1e309]]}'),
+    "rk4-unstable": {"model": _BUILTIN, "time": {"steps": 20}, "hbar": 1e-5},
+    "bool-entries": {"dimension": 2, "initial_state": [[True, 0], [0, 0]], "model": {
+        "kind": "pair", "h": [[[False, 0], [True, 0]], [[1, 0], [0, 0]]], "theta": _EYE}},
 }
 
 

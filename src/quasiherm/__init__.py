@@ -11,7 +11,7 @@ from .spaces import (DysonMap, Metric, Space, SpaceTaggedVector, SpectralData,
                      inner_physical, inner_standard, map_to_reference,
                      metric_from_dyson, metric_from_theta, reference_ket,
                      spectral_hamiltonian, standard_ket)
-from .verify import (DiagnosticsRow, Verdict, convergence_order,
-                     run_diagnostics, verdicts)
+from .verify import (Diagnostics, Verdict, convergence_order, run_diagnostics,
+                     verdicts)
 
 __version__ = "0.1.0"

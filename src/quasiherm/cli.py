@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
+
+import numpy as np
 
 from . import models, scenario_io, verify
 from .dynamics import Scenario
@@ -66,12 +67,12 @@ def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
-def rows_to_csv(rows) -> str:
-    """The CSV report: a header, then one line per row. The CSV columns are the
-    first fields of a DiagnosticsRow, in order; one format call writes all rows."""
-    width = len(CSV_COLUMNS)
-    cells = tuple(itertools.chain.from_iterable(r[:width] for r in rows))
-    return (",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(rows)) % cells
+def rows_to_csv(d) -> str:
+    """The CSV report: a header, then one line per interior node. The CSV columns
+    are the first fields of a verify.Diagnostics, in order; one format call
+    writes every line."""
+    cells = np.column_stack(d[:len(CSV_COLUMNS)]).ravel().tolist()
+    return (",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(d.t)) % tuple(cells)
 
 
 def _print_verdicts(vs):
@@ -82,11 +83,11 @@ def _print_verdicts(vs):
 
 
 def cmd_run(scenario: Scenario, out_path: str) -> int:
-    rows = verify.run_diagnostics(scenario)
-    vs = verify.verdicts(rows, scenario)
+    d = verify.run_diagnostics(scenario)
+    vs = verify.verdicts(d, scenario)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
+            fh.write(rows_to_csv(d))
     except OSError as e:
         print(f"error: cannot write {out_path!r}: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -97,25 +98,21 @@ def cmd_run(scenario: Scenario, out_path: str) -> int:
 
 
 def cmd_demo(scenario: Scenario) -> int:
-    rows = verify.run_diagnostics(scenario)
-    vs = verify.verdicts(rows, scenario)
-    norm0 = rows[0].norm_phys
+    d = verify.run_diagnostics(scenario)
+    vs = verify.verdicts(d, scenario)
     print(f"scenario: {scenario.name}  steps={scenario.grid.steps}")
     print()
     print(f"{'t':>8s}  {'naive residual':>16s}  {'corrected residual':>20s}  "
           f"{'norm drift':>12s}")
-    stride = max(1, len(rows) // 10)
-    shown = list(rows[::stride])
-    if shown[-1] is not rows[-1]:
-        shown.append(rows[-1])
-    for r in shown:
-        drift = abs(r.norm_phys / norm0 - 1.0)
-        print(f"{r.t:8.4f}  {r.res_naive:16.6e}  {r.res_corrected:20.6e}  "
-              f"{drift:12.3e}")
+    n = len(d.t)
+    shown = sorted({*range(0, n, max(1, n // 10)), n - 1})   # about ten nodes and the last
+    drift = np.abs(d.norm_phys / d.norm_phys[0] - 1.0)
+    for k in shown:
+        print(f"{d.t[k]:8.4f}  {d.res_naive[k]:16.6e}  {d.res_corrected[k]:20.6e}  "
+              f"{drift[k]:12.3e}")
     print()
-    last = rows[-1]
-    print(f"at t={last.t:.4f}: naive residual {last.res_naive:.4f}, "
-          f"corrected residual {last.res_corrected:.3e}")
+    print(f"at t={d.t[-1]:.4f}: naive residual {d.res_naive[-1]:.4f}, "
+          f"corrected residual {d.res_corrected[-1]:.3e}")
     _print_verdicts(vs)
     # verdicts asks the naive residual to exceed a floor exactly when the metric moves
     moving = any(v.name == "NAIVE_FAILS_IFF_METRIC_MOVES" and v.sense == ">=" for v in vs)

@@ -54,6 +54,7 @@ DEFAULT_TOLERANCES = {
 }
 
 BLOCK_ENTRIES = 1 << 15  # matrix entries of one operator stack over one block of steps
+RK4_LIMIT = 2.0 * np.sqrt(2.0)   # |R(iy)| <= 1 for RK4's step map exactly when |y| <= this
 
 
 def grid_blocks(grid: TimeGrid, dim: int):
@@ -99,8 +100,23 @@ def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
 
     h is the stack of h(t) on grid.half_times(); grid is a TimeGrid or one
     of its blocks, and u0 the value at its first node.
+
+    A step outside RK4's stability interval is refused: |R(iy)|^2 =
+    1 - y^6/72 + y^8/576 exceeds 1 exactly when |y| > 2 sqrt(2), and
+    y = dt ||h||_2 / hbar for the extreme eigenvalue of h. ||h||_F / sqrt(d)
+    stands in for ||h||_2, which it never exceeds, so no stable grid is refused.
     """
-    linalg.check_hermitian(h, eps_herm, t=grid.half_times())
+    ts = grid.half_times()
+    linalg.check_hermitian(h, eps_herm, t=ts)
+    with np.errstate(over="ignore"):
+        y = linalg.fro_norms(h) * (grid.spacing / np.sqrt(h.shape[-1])) / hbar
+    unstable = y > RK4_LIMIT
+    if unstable.any():
+        k = int(np.argmax(unstable))
+        raise ValidationError(
+            f"time step {grid.spacing:g} is too large for RK4 at hbar={hbar:g}: "
+            f"dt*||h||/hbar is at least {y[k]:.6g} at t={ts[k]:g}, above the "
+            f"stability limit 2*sqrt(2); take more steps")
     return _rk4_series((-1j / hbar) * h, grid, u0)
 
 
@@ -239,6 +255,8 @@ def _gate(what: str):
     """Raise a gate that fails inside as a ValidationError naming what and its t."""
     try:
         yield
+    except ValidationError:   # already names its field and t
+        raise
     except QuasihermError as e:
         where = "" if getattr(e, "t", None) is None else f" at t={e.t:g}"
         if isinstance(e, NotHermitian):

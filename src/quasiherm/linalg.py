@@ -39,6 +39,7 @@ exception, with the same values and time, as the exact test alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -272,10 +273,18 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
 
 # --- [re, im] pair encoding used by scenario files and fixtures ---
 
+def _numbers_only(pairs) -> None:
+    """Refuse true, false and strings among the entries of [re, im] pairs:
+    numpy's float conversion reads them as numbers, whatever the nest around them."""
+    if {bool, str} & set(map(type, chain.from_iterable(pairs))):
+        raise TypeError("entries must be JSON numbers, not true, false or strings")
+
+
 def matrix_from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError(f"expected an n x n x 2 nest of [re, im] pairs, got shape {arr.shape}")
+    _numbers_only(chain.from_iterable(obj))
     if not np.isfinite(arr).all():   # before 1j * inf, which warns
         raise NotFinite()
     return as_matrix(arr[..., 0] + 1j * arr[..., 1])
@@ -290,6 +299,7 @@ def vector_from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an n x 2 list of [re, im] pairs, got shape {arr.shape}")
+    _numbers_only(obj)
     if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1]

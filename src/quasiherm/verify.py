@@ -1,7 +1,7 @@
-"""Diagnostics rows, pass/fail verdicts and convergence-order checks.
+"""Diagnostics columns, pass/fail verdicts and convergence-order checks.
 
-evolve forms every per-node column; this module lays the interior nodes
-out as rows and judges them against the scenario's tolerances.
+evolve forms every per-node column; this module takes them as arrays, cut
+to the interior nodes, and judges them against the scenario's tolerances.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from .errors import NotMeasurable, ValidationError
 REFERENCE_REFINEMENT = 8  # resolution multiplier for oracle-free convergence runs
 
 
-class DiagnosticsRow(NamedTuple):
-    """One interior grid node. A named tuple, because a run builds one per node
-    and a frozen dataclass is several times slower to construct."""
-    t: float
-    unitarity_defect: float
-    norm_phys: float
-    res_naive: float
-    res_corrected: float
-    res_metric: float
-    res_qh: float
-    omega_motion: float    # not a CSV column: max ||omega^-1 omega_dot|| over t_{k-1..k+1}
+class Diagnostics(NamedTuple):
+    """The report columns of one run, one entry per interior grid node."""
+    t: np.ndarray
+    unitarity_defect: np.ndarray
+    norm_phys: np.ndarray
+    res_naive: np.ndarray
+    res_corrected: np.ndarray
+    res_metric: np.ndarray
+    res_qh: np.ndarray
+    omega_motion: np.ndarray   # not a CSV column: ||omega^-1 omega_dot|| at every node, ends included
 
 
 @dataclass(frozen=True)
@@ -42,36 +41,27 @@ class Verdict:
     sense: str = "<="   # ">=" for must-exceed checks
 
 
-def diagnostics_from_result(res: EvolutionResult) -> list[DiagnosticsRow]:
-    """One row per interior grid node, laid out from the columns evolve formed."""
+def diagnostics_from_result(res: EvolutionResult) -> Diagnostics:
+    """The columns evolve formed, as views cut to the interior nodes; omega_motion
+    keeps every node."""
     k = slice(1, res.grid.steps)
-    columns = (
-        res.grid.times()[k],
-        res.unitarity_defect[k],
-        res.norms_phys[k],
-        res.res_naive[k],
-        res.res_corrected[k],
-        res.res_metric[k],
-        res.qh_residual[k],
-        np.maximum(np.maximum(res.omega_motion[:-2], res.omega_motion[k]), res.omega_motion[2:]),
-    )
-    return list(map(DiagnosticsRow._make, zip(*(c.tolist() for c in columns))))
+    return Diagnostics(res.grid.times()[k], res.unitarity_defect[k], res.norms_phys[k],
+                       res.res_naive[k], res.res_corrected[k], res.res_metric[k],
+                       res.qh_residual[k], res.omega_motion)
 
 
-def run_diagnostics(s: Scenario) -> list[DiagnosticsRow]:
+def run_diagnostics(s: Scenario) -> Diagnostics:
     return diagnostics_from_result(evolve(s))
 
 
-def max_omega_motion(rows: list[DiagnosticsRow]) -> float:
-    """Largest ||omega^-1 omega_dot|| over all grid nodes: the rows' central
-    differences reach from the first node to the last."""
-    return max(r.omega_motion for r in rows)
+def max_omega_motion(d: Diagnostics) -> float:
+    """Largest ||omega^-1 omega_dot|| over all grid nodes; nan if any is nan."""
+    return float(d.omega_motion.max())
 
 
-def verdicts(rows: list[DiagnosticsRow], s: Scenario) -> list[Verdict]:
-    if not rows:
-        raise ValueError("empty diagnostics")
-
+def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
+    """Judge each column by its largest entry; a nan anywhere in a column is
+    its maximum, so the verdict that reads it fails with observed = nan."""
     phi0 = s.initial_state
     theta0 = np.asarray(s.theta(s.grid.t_start), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -80,12 +70,9 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario) -> list[Verdict]:
         size = "small" if norm0 <= 0.0 else "large"
         raise ValidationError(f"initial_state has physical norm {norm0:g}, "
                               f"too {size} to measure a drift against")
-    drift = max(abs(r.norm_phys / norm0 - 1.0) for r in rows)
-
-    max_metric = max(r.res_metric for r in rows)
-    max_qh = max(r.res_qh for r in rows)
-    max_corr = max(r.res_corrected for r in rows)
-    max_naive = max(r.res_naive for r in rows)
+    drift = float(np.abs(d.norm_phys / norm0 - 1.0).max())
+    max_metric, max_qh, max_corr, max_naive = (
+        float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
 
     analytic = s.omega_analytic is not None and s.omega_analytic[1] is not None
     corr_key = "corrected_analytic" if analytic else "corrected_fd"   # how omega_dot is taken
@@ -98,8 +85,8 @@ def verdicts(rows: list[DiagnosticsRow], s: Scenario) -> list[Verdict]:
         Verdict("CORRECTED_GENERATOR_OK", max_corr <= s.tol(corr_key),
                 max_corr, s.tol(corr_key)),
     ]
-    motion = max_omega_motion(rows)
-    if motion >= s.tol("omega_motion"):
+    # a nan motion is not evidence of a static metric: it takes the moving branch
+    if not max_omega_motion(d) < s.tol("omega_motion"):
         out.append(Verdict("NAIVE_FAILS_IFF_METRIC_MOVES",
                            max_naive >= s.tol("naive_floor"),
                            max_naive, s.tol("naive_floor"), sense=">="))

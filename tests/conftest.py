@@ -17,18 +17,18 @@ def growing_result(growing):
 
 
 @pytest.fixture(scope="session")
-def growing_rows(growing_result):
+def growing_diag(growing_result):
     return verify.diagnostics_from_result(growing_result)
 
 
 @pytest.fixture(scope="session")
-def growing_rows_4000():
+def growing_diag_4000():
     s = make_builtin("growing-metric-2d", steps=4000)
     return verify.run_diagnostics(s)
 
 
 @pytest.fixture(scope="session")
-def builtin_rows():
+def builtin_diag():
     out = {}
     for name in builtin_names():
         s = make_builtin(name)

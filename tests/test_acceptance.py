@@ -17,22 +17,22 @@ def report(name, passed, detail=""):
 def test_01_unitarity_with_moving_metric():
     s = make_builtin("growing-metric-2d")  # N=2000, phi0=(1,0)
     t0 = time.perf_counter()
-    rows = verify.run_diagnostics(s)
+    d = verify.run_diagnostics(s)
     elapsed = time.perf_counter() - t0
     norm0 = float((s.initial_state.conj()
                    @ np.asarray(s.theta(0.0)) @ s.initial_state).real)
-    drift = max(abs(r.norm_phys / norm0 - 1.0) for r in rows)
+    drift = float(np.abs(d.norm_phys / norm0 - 1.0).max())
     report("norm conserved with moving metric",
            drift <= 1e-8 and elapsed < 1.0,
            f"(drift={drift:.3e}, runtime={elapsed:.2f}s)")
 
 
-def test_02_naive_generator_refuted(growing_rows, growing_rows_4000):
+def test_02_naive_generator_refuted(growing_diag, growing_diag_4000):
     closed_form = 0.5 / np.sqrt(2.0)
-    at_end = growing_rows[-1].res_naive
-    stable = abs(at_end - growing_rows_4000[-1].res_naive)
-    rows_fd = verify.run_diagnostics(make_builtin("growing-metric-2d").with_fd_omega_dot())
-    corr = max(r.res_corrected for r in rows_fd)
+    at_end = growing_diag.res_naive[-1]
+    stable = abs(at_end - growing_diag_4000.res_naive[-1])
+    d_fd = verify.run_diagnostics(make_builtin("growing-metric-2d").with_fd_omega_dot())
+    corr = d_fd.res_corrected.max()
     ok = (abs(at_end - closed_form) <= 0.02 * closed_form
           and stable <= 1e-3 and corr <= 1e-4)
     report("naive generator fails, corrected one does not", ok,
@@ -40,16 +40,14 @@ def test_02_naive_generator_refuted(growing_rows, growing_rows_4000):
            f"refinement shift {stable:.2e}, corrected residual {corr:.2e})")
 
 
-def test_03_metric_reconstruction_all_builtins(builtin_rows):
-    worst = max(max(r.res_metric for r in rows)
-                for _, rows in builtin_rows.values())
+def test_03_metric_reconstruction_all_builtins(builtin_diag):
+    worst = max(d.res_metric.max() for _, d in builtin_diag.values())
     report("metric reconstructed from the auxiliary propagator",
            worst <= 1e-6, f"(worst relative error {worst:.2e})")
 
 
-def test_04_quasi_hermiticity_preserved(builtin_rows):
-    worst = max(max(r.res_qh for r in rows)
-                for _, rows in builtin_rows.values())
+def test_04_quasi_hermiticity_preserved(builtin_diag):
+    worst = max(d.res_qh.max() for _, d in builtin_diag.values())
     report("quasi-Hermiticity holds at every node",
            worst <= 1e-11, f"(worst residual {worst:.2e})")
 

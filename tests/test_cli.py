@@ -56,14 +56,13 @@ def test_parse_pair_with_sampled_schedule():
         "initial_state": [[1, 0], [0, 0]],
     })
     s = scenario_io.parse_scenario(text)
-    rows = verify.run_diagnostics(s)
-    assert len(rows) == 49
+    assert len(verify.run_diagnostics(s).t) == 49
 
 
 def test_serialize_roundtrip_bit_identical_diagnostics():
     s1 = cli.load_scenario("growing-metric-2d", steps=300)
     s2 = scenario_io.parse_scenario(scenario_io.serialize_scenario(s1))
-    assert verify.run_diagnostics(s1) == verify.run_diagnostics(s2)
+    assert all(map(np.array_equal, verify.run_diagnostics(s1), verify.run_diagnostics(s2)))
 
 
 @pytest.mark.parametrize("kind", ["pair", "direct"])
@@ -77,24 +76,25 @@ def test_serialize_roundtrip_of_a_file(kind, sampled_pair_text):
     s1 = scenario_io.parse_scenario(text)
     s2 = scenario_io.parse_scenario(scenario_io.serialize_scenario(s1))
     assert s2.kind == kind
-    assert verify.run_diagnostics(s1) == verify.run_diagnostics(s2)
+    assert all(map(np.array_equal, verify.run_diagnostics(s1), verify.run_diagnostics(s2)))
 
 
-def _csv_per_cell(rows):
+def _csv_per_cell(d):
     """The CSV report formatted one f-string per cell: the reference for rows_to_csv."""
     lines = [",".join(cli.CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(f"{getattr(r, c):.17g}" for c in cli.CSV_COLUMNS))
+    for k in range(len(d.t)):
+        lines.append(",".join(f"{float(getattr(d, c)[k]):.17g}" for c in cli.CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def test_rows_to_csv_matches_per_cell_formatting(growing_rows):
-    assert verify.DiagnosticsRow._fields[:len(cli.CSV_COLUMNS)] == cli.CSV_COLUMNS
+def test_rows_to_csv_matches_per_cell_formatting(growing_diag):
+    assert verify.Diagnostics._fields[:len(cli.CSV_COLUMNS)] == cli.CSV_COLUMNS
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
-    shifted = [verify.DiagnosticsRow(*(odd[(i + j) % 7] for j in range(7)), omega_motion=0.0)
-               for i in range(7)]
-    for rows in (growing_rows, shifted, []):
-        assert cli.rows_to_csv(rows) == _csv_per_cell(rows)
+    shifted = verify.Diagnostics(*(np.array([odd[(i + j) % 7] for i in range(7)])
+                                   for j in range(7)), omega_motion=np.zeros(9))
+    empty = verify.Diagnostics(*[np.empty(0)] * 7, omega_motion=np.zeros(2))
+    for d in (growing_diag, shifted, empty):
+        assert cli.rows_to_csv(d) == _csv_per_cell(d)
 
 
 def test_run_writes_csv_and_exits_zero(tmp_path, capsys):
@@ -226,6 +226,15 @@ PAIR_2D = {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
     pytest.param("time.steps", {"model": BUILTIN, "time": {"steps": "50"}},
                  id="time.steps-string"),
     pytest.param("dimension", {"dimension": "2", "model": PAIR_2D}, id="dimension-string"),
+    # matrix and vector entries too: numpy's float conversion would read them as 0, 1 and 1
+    pytest.param("h", {"dimension": 2, "model": dict(PAIR_2D, h=[[[False, 0], [True, 0]],
+                                                                [[1, 0], [0, 0]]])},
+                 id="h-entry-bool"),
+    pytest.param("initial_state", {"model": BUILTIN, "initial_state": [[True, 0], [0, 0]]},
+                 id="initial-state-entry-bool"),
+    pytest.param("theta", {"dimension": 2, "model": dict(PAIR_2D, theta=[[[1, 0], [0, 0]],
+                                                                        [[0, 0], ["1", 0]]])},
+                 id="theta-entry-string"),
     # a JSON integer too large for a double
     pytest.param("hbar", '{"model": {"kind": "builtin", "name": "growing-metric-2d"}, '
                  '"hbar": 1' + 400 * "0" + '}', id="hbar-huge-int"),
@@ -243,10 +252,13 @@ def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
 @pytest.mark.parametrize("doc, err", [
     ({"model": BUILTIN, "time": {"end": 1e300, "steps": 20}},         # theta overflows
      "metric rejected at t=5e+298: matrix entries must be finite at t=5e+298"),
-    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-300},      # u overflows
-     "matrix entries must be finite at t=0.05"),
-    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-10},       # u overflows later
-     "matrix entries must be finite at t=0.5"),
+    # u would overflow, but RK4 is unstable on these grids: refused before the walk
+    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-300},
+     "time step 0.05 is too large for RK4 at hbar=1e-300: dt*||h||/hbar is at least "
+     "5e+298 at t=0, above the stability limit 2*sqrt(2); take more steps"),
+    ({"model": BUILTIN, "time": {"steps": 20}, "hbar": 1e-10},
+     "time step 0.05 is too large for RK4 at hbar=1e-10: dt*||h||/hbar is at least "
+     "5e+08 at t=0, above the stability limit 2*sqrt(2); take more steps"),
 ], ids=["doc0", "doc1", "doc2"])
 def test_run_overflowing_scenario_names_t_exit_3(tmp_path, capsys, doc, err):
     path = tmp_path / "scenario.json"
@@ -296,18 +308,19 @@ def test_run_on_a_tiny_span_judges_finite_residuals(tmp_path, capsys):
     assert observed["NAIVE_FAILS_IFF_METRIC_MOVES"] > 1e299
 
 
-def test_run_on_an_rk4_unstable_grid_prints_only_verdicts(tmp_path, capsys):
-    """At hbar = 1e-5 a step of 0.05 lies far outside RK4's stability region:
-    u grows by ~3e13 a step, so u†u overflows in the unitarity defect. That
-    product raises no RuntimeWarning, and the run ends in failed verdicts."""
+def test_run_on_an_rk4_unstable_grid_is_refused_naming_hbar_step_and_t(tmp_path, capsys):
+    """At hbar = 1e-5 a step of 0.05 lies far outside RK4's stability interval
+    (dt ||sigma_x|| / hbar = 5000 against 2 sqrt(2)): u would grow by ~3e13 a
+    step. The grid is refused before any verdict is judged on such a u."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"model": BUILTIN, "hbar": 1e-5, "time": {"steps": 20}}))
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
     captured = capsys.readouterr()
-    assert code == 1 and captured.err == ""
-    assert "FAIL  NORM_CONSERVED" in captured.out
-    defect = _csv_values(tmp_path / "x.csv")[:, cli.CSV_COLUMNS.index("unitarity_defect")]
-    assert not np.isfinite(defect).all()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: time step 0.05 is too large for RK4 at hbar=1e-05: "
+                            "dt*||h||/hbar is at least 5000 at t=0, above the stability "
+                            "limit 2*sqrt(2); take more steps\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):

@@ -45,6 +45,19 @@ def test_integrate_u_rejects_nonhermitian():
         integrate_u(on_half_grid(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid), grid)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_integrate_u_refuses_exactly_the_rk4_unstable_steps(hbar):
+    """For sigma_x the bound ||h||_F / sqrt(d) is ||h||_2 itself: a step just
+    inside 2 sqrt(2) hbar is walked and shrinks u, one just outside is refused."""
+    limit = 2.0 * np.sqrt(2.0) * hbar
+    stable = TimeGrid(0.0, 20 * 0.999 * limit, 20)
+    u = integrate_u(on_half_grid(lambda t: SIGMA_X, stable), stable, hbar)
+    assert linalg.fro_norm(u[-1]) < linalg.fro_norm(np.eye(2))
+    unstable = TimeGrid(0.0, 20 * 1.001 * limit, 20)
+    with pytest.raises(ValidationError, match=f"RK4 at hbar={hbar:g}: .* at t=0,"):
+        integrate_u(on_half_grid(lambda t: SIGMA_X, unstable), unstable, hbar)
+
+
 def test_ur_definition_identity_metric():
     s = make_builtin("growing-metric-2d", steps=100)
     grid = s.grid
@@ -336,8 +349,7 @@ def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
     eigh = _count_matrices(monkeypatch, "eigh")
     s = scenario_io.parse_scenario(sampled_pair_text)
     assert eigh[0] == 0   # admission gates the metric on eigenvalues alone
-    rows = verify.run_diagnostics(s)
-    verify.verdicts(rows, s)
+    verify.verdicts(verify.run_diagnostics(s), s)
     blocks = dynamics.grid_blocks(s.grid, s.dim)
     assert len(blocks) == 3
     # 2N+1 points, each block's first point shared with the block before it,
@@ -364,7 +376,7 @@ def test_direct_mode_takes_one_residual_per_node(monkeypatch):
             np.array([[0.0, np.sqrt(2)], [1.0 / np.sqrt(2), 0.0]]), (0, 1)),
         initial_state=np.array([1.0, 0.0]))
     res = evolve(s)
-    rows = verify.diagnostics_from_result(res)
+    d = verify.diagnostics_from_result(res)
     assert count[0] == s.grid.steps + 1
     expect = orig(s.h_big(s.grid.times()[1:-1]), res.theta_series[1:-1])
-    assert [r.res_qh for r in rows] == expect.tolist()
+    assert np.array_equal(d.res_qh, expect)
