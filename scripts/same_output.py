@@ -18,9 +18,10 @@ directory of its own:
   workload (``perfbench/scenarios.generate``) at seeds 1 and 2;
 * ``quasiherm run`` on files that the admission gates refuse: a metric that
   is not positive definite, an ill-conditioned root, a direct-mode generator
-  that is not quasi-Hermitian, entries too large for a double or given as
-  JSON bools, a grid on which RK4 is unstable and runs whose metric or
-  propagator would overflow;
+  that is not quasi-Hermitian (also run with ``--steps 300``), entries too
+  large for a double or given as JSON bools, grids on which RK4 is unstable
+  (one of them for a lopsided spectrum) and runs whose metric or propagator
+  would overflow;
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``.
 
 For ``run`` the CSV bytes, standard output, standard error and exit code are
@@ -74,7 +75,12 @@ GATE_FILES = {
     "rk4-unstable": {"model": _BUILTIN, "time": {"steps": 20}, "hbar": 1e-5},
     "bool-entries": {"dimension": 2, "initial_state": [[True, 0], [0, 0]], "model": {
         "kind": "pair", "h": [[[False, 0], [True, 0]], [[1, 0], [0, 0]]], "theta": _EYE}},
+    # dt ||h||_2 / hbar = 3, but ||h||_F / sqrt(2) = 2.12 stays below 2 sqrt(2)
+    "lopsided-spectrum": {"dimension": 2, "time": {"end": 60.0, "steps": 20}, "model": {
+        "kind": "pair", "h": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "theta": _EYE}},
 }
+# gate file -> the flags it is run with besides none
+GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}
 
 
 def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
@@ -94,11 +100,21 @@ def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
             for entry in scenarios.generate(workload, seed, out_dir):
                 cases.append((f"run {workload} seed {seed} {entry['name']}",
                               ["run", "--scenario", entry["path"]]))
+    return cases + gate_cases(inputs)
+
+
+def gate_cases(inputs: str) -> list[tuple[str, list[str]]]:
+    """Write GATE_FILES under the existing directory inputs; return their
+    (label, command line) pairs, one per run of GATE_FLAGS included."""
+    cases = []
     for name, doc in GATE_FILES.items():
         path = os.path.join(inputs, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc if isinstance(doc, str) else json.dumps(doc))
         cases.append((f"run {name}", ["run", "--scenario", path]))
+        if name in GATE_FLAGS:
+            flags = GATE_FLAGS[name]
+            cases.append((f"run {name} {' '.join(flags)}", ["run", "--scenario", path, *flags]))
     return cases
 
 

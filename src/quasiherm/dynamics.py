@@ -20,10 +20,11 @@ The same pass forms every per-node column of the report, among them the
 residuals of the central difference of U_R against H (positive as dt -> 0
 whenever the metric moves) and against G (shrinking like dt^2).
 
-Admission has two entry points. validate_scenario gates every node without
-taking a metric root (positivity from eigenvalues alone); evolve applies the
-same gates inside its half-grid pass, on the stacks it computes anyway, so a
-scenario that was never admitted is refused with the same messages.
+A scenario is admitted in that pass and nowhere else: evolve hands each block
+to validate_scenario, which gates the metric through the roots it takes and,
+in direct mode, the quasi-Hermiticity of H at the nodes; integrate_u gates
+the Hermiticity of h and the stability of the RK4 step. A refusal names the
+first failing time of the half-step grid that is actually run.
 """
 
 from __future__ import annotations
@@ -103,13 +104,17 @@ def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
 
     A step outside RK4's stability interval is refused: |R(iy)|^2 =
     1 - y^6/72 + y^8/576 exceeds 1 exactly when |y| > 2 sqrt(2), and
-    y = dt ||h||_2 / hbar for the extreme eigenvalue of h. ||h||_F / sqrt(d)
-    stands in for ||h||_2, which it never exceeds, so no stable grid is refused.
+    y = dt ||h||_2 / hbar for the extreme eigenvalue of h. The largest column
+    2-norm of h stands in for ||h||_2, which it never exceeds, so no stable
+    grid is refused; it is never below ||h||_F / sqrt(d), and exact for a
+    diagonal h. fro_norms takes each column as a d x 1 matrix, so it does
+    not overflow.
     """
     ts = grid.half_times()
     linalg.check_hermitian(h, eps_herm, t=ts)
+    columns = linalg.fro_norms(np.swapaxes(h, -1, -2)[..., None])   # (n, d): ||h e_j||
     with np.errstate(over="ignore"):
-        y = linalg.fro_norms(h) * (grid.spacing / np.sqrt(h.shape[-1])) / hbar
+        y = columns.max(axis=-1) * grid.spacing / hbar
     unstable = y > RK4_LIMIT
     if unstable.any():
         k = int(np.argmax(unstable))
@@ -265,36 +270,25 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected{where}: {e}") from e
 
 
-def _check_quasi_hermitian(s: Scenario, res: np.ndarray, ts: np.ndarray) -> None:
-    """The direct-mode gate: res, the quasi-Hermiticity residual of H against
-    theta at the times ts, stays below eps_res at every one of them."""
-    bad = res > s.tol("eps_res")
-    if bad.any():
+def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
+                      theta_nodes: np.ndarray) -> tuple[Operators, np.ndarray]:
+    """Admit one block of s's grid: its operator stacks on the half grid, and
+    the quasi-Hermiticity residual of H against theta_nodes, theta at its nodes.
+
+    The metric is gated through omega = sqrt(theta), its inverse and its
+    derivative; in direct mode a residual above eps_res is refused at its
+    node. Either raises ValidationError naming the first failing t.
+    """
+    with _gate("metric"):
+        ops = half_grid_operators(s, os, blk.half_times())
+    qh = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_nodes)
+    bad = qh > s.tol("eps_res")
+    if s.kind == "direct" and bad.any():
         k = int(np.argmax(bad))
         raise ValidationError(
-            f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
-            f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
-
-
-def validate_scenario(s: Scenario) -> None:
-    """Admission gates on every node; raises ValidationError with the first failing t.
-
-    The metric is gated on its eigenvalues alone (no root is taken), and only
-    where omega is not analytic.
-    """
-    for blk in grid_blocks(s.grid, s.dim):
-        ts = blk.times()
-        theta = s.theta(ts)
-        if s.omega_analytic is None:
-            with _gate("metric"):
-                linalg.check_positive_definite(theta, s.tol("eps_herm"),
-                                               s.tol("eps_pos"), t=ts)
-        if s.kind == "pair":
-            with _gate("pair-mode generator"):
-                linalg.check_hermitian(s.h(ts), s.tol("eps_herm"), t=ts)
-        else:
-            _check_quasi_hermitian(
-                s, spaces.quasi_hermiticity_defect(s.h_big(ts), theta), ts)
+            f"direct-mode generator violates quasi-Hermiticity at t={blk.times()[k]:g} "
+            f"(residual {qh[k]:.6g} > {s.tol('eps_res'):g})")
+    return ops, qh
 
 
 @dataclass
@@ -320,11 +314,10 @@ class EvolutionResult:
 def evolve(s: Scenario) -> EvolutionResult:
     """Integrate s over its grid and form every per-node column in one half-grid pass.
 
-    The admission gates of validate_scenario run inside the pass: the metric
-    through the root omega, the Hermiticity of h through integrate_u and, in
-    direct mode, quasi-Hermiticity at the nodes (whose residual is kept in
-    both modes, for the diagnostics). A failure raises the same
-    ValidationError as admission, naming the first failing t of its block.
+    Each block is admitted as it is reached: validate_scenario gates the
+    metric and, in direct mode, quasi-Hermiticity at the nodes (whose residual
+    is kept in both modes, for the diagnostics); integrate_u gates h. A
+    failure raises ValidationError naming the first failing t of its block.
     """
     os = s.omega_schedule()
     grid = s.grid
@@ -340,17 +333,13 @@ def evolve(s: Scenario) -> EvolutionResult:
               else "Hermitian equivalent of the direct-mode generator")
 
     for blk in grid_blocks(grid, s.dim):
-        with _gate("metric"):
-            ops = half_grid_operators(s, os, blk.half_times())
         nodes = slice(blk.first, blk.last + 1)
+        ops, qh[nodes] = validate_scenario(s, os, blk, theta_series[nodes])
         if blk.first == 0:
             omega0 = ops.omega[0].copy()
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
         # only the node values of omega were needed: free the stacks
         ops = ops._replace(omega=None, rate=None)
-        qh[nodes] = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_series[nodes])
-        if s.kind == "direct":
-            _check_quasi_hermitian(s, qh[nodes], blk.times())
         with _gate(h_gate):
             u[nodes] = integrate_u(ops.h, blk, s.hbar, s.tol("eps_herm"),
                                    u0=u[blk.first])

@@ -7,33 +7,24 @@ shape (n, d, d); a gate on a stack checks every matrix and raises for the
 first one that fails, naming its time when the caller passes the stack's
 times as ``t``.
 
-The two admission gates first try a cheap certificate that the gate
-passes, and fall back to the exact spectral test only where it fails:
+The inverse is gated certificate first: it tries a cheap certificate that
+the gate passes, and falls back to the exact spectral test only where it
+fails. With X = inv(A) as computed and r = ||AX - I||_F <= 1/2,
+cond_2(A) <= ||A||_2 ||X||_2 / (1 - ||I - AX||_2) <= 2 ||A||_F ||X||_F,
+however inaccurate X is. The r that counts is the computed one plus its
+rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F. A matrix with
+2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the others (and
+every stack on which inv fails) go to ``cond_2norm``. The SVD's own cond
+is uncertain by about d eps cond relative, so the certificate admits no
+matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
+cond_max is: near 1/eps the SVD alone decides.
 
-* ``inverse``: with X = inv(A) as computed and r = ||AX - I||_F <= 1/2,
-  cond_2(A) <= ||A||_2 ||X||_2 / (1 - ||I - AX||_2) <= 2 ||A||_F ||X||_F,
-  however inaccurate X is. The r that counts is the computed one plus its
-  rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F. A matrix with
-  2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the others (and
-  every stack on which inv fails) go to ``cond_2norm``. The SVD's own cond
-  is uncertain by about d eps cond relative, so the certificate admits no
-  matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
-  cond_max is: near 1/eps the SVD alone decides.
-* ``check_positive_definite``: if the Cholesky factorization of
-  hermitize(A) - tau I with tau = (eps_pos + (d+1)^2 eps) ||A||_F runs to
-  the end, lambda_min > eps_pos lambda_max; the (d+1)^2 eps term covers the
-  backward error of the factorization (Higham, Accuracy and Stability of
-  Numerical Algorithms, 2nd ed., Thm 10.3). A shift that is not finite, or
-  a factorization that fails, falls back to ``eigvalsh``.
-
-The norms come from plain sums of squares. Where they overflow, neither
-certificate holds. Where squares underflow, a norm can come out too small:
-the Cholesky certificate then needs ||A||_F >= 1e-140. The inverse
-certificate needs no such floor: ||A||_F ||X||_F >= ||AX||_F >= 1/2, so a
-norm small enough to lose precision makes the other one overflow.
-
-Either way a gate admits the same matrices, and a refusal raises the same
-exception, with the same values and time, as the exact test alone.
+The norms come from plain sums of squares. Where they overflow, the
+certificate does not hold. It needs no floor where squares underflow:
+||A||_F ||X||_F >= ||AX||_F >= 1/2, so a norm small enough to lose
+precision makes the other one overflow. Either way the gate admits the
+same matrices, and a refusal raises the same exception, with the same
+values and time, as the exact test alone.
 """
 
 from __future__ import annotations
@@ -178,36 +169,6 @@ def _check_spectrum(w, eps_pos: float, t) -> None:
     k = _first_failure((hi <= 0.0) | (lo <= eps_pos * hi))
     if k is not None:
         raise NotPositiveDefinite(float(lo[k]), float(hi[k]), t=_at(t, k))
-
-
-def check_positive_definite(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
-                            t=None) -> None:
-    """The gate of principal_sqrt from eigenvalues alone: raise NotHermitian or
-    NotPositiveDefinite for the first matrix that principal_sqrt would refuse.
-
-    Certificate first: if hermitize(a) - tau I, tau = (eps_pos + (d+1)^2 eps)
-    ||a||_F, has a Cholesky factor for every matrix, then lambda_min >
-    eps_pos ||a||_F >= eps_pos lambda_max (Higham, Thm 10.3, bounds the
-    factorization's backward error by the (d+1)^2 eps term) and the gate
-    passes. A norm below _NORM_FLOOR, a shift that is not finite, or a
-    factorization that fails falls back to the eigenvalues, which decide and
-    name the failure.
-    """
-    m = as_matrices(a, t)
-    check_hermitian(m, eps_herm, t)
-    d = m.shape[-1]
-    norm = _plain_norms(m)
-    tau = (eps_pos + (d + 1) ** 2 * _EPS) * norm
-    if ((norm >= _NORM_FLOOR) & np.isfinite(tau)).all():
-        shifted = hermitize(m)
-        diagonal = np.arange(d)
-        shifted[..., diagonal, diagonal] -= tau[..., None]
-        try:
-            np.linalg.cholesky(shifted)
-            return
-        except np.linalg.LinAlgError:
-            pass
-    _check_spectrum(np.linalg.eigvalsh(hermitize(m)), eps_pos, t)
 
 
 def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,

@@ -1,11 +1,26 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasiherm import cli, scenario_io, verify
+from quasiherm import cli, linalg, scenario_io, verify
 from quasiherm.errors import ParseError, ValidationError
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# theta = I and H = [[0, 1], [0, 0]]: H is not quasi-Hermitian, residual sqrt(2)
+DIRECT_NOT_QH = json.dumps({
+    "dimension": 2,
+    "time": {"start": 0.0, "end": 1.0, "steps": 10},
+    "model": {
+        "kind": "direct",
+        "H": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+        "theta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    },
+})
 
 
 def test_parse_builtin_defaults():
@@ -23,17 +38,21 @@ def test_parse_unknown_builtin_lists_names():
 
 
 def test_parse_direct_violation_reports_residual():
-    text = json.dumps({
-        "dimension": 2,
-        "time": {"start": 0.0, "end": 1.0, "steps": 10},
-        "model": {
-            "kind": "direct",
-            "H": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
-            "theta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-        },
-    })
     with pytest.raises(ValidationError, match="1.414"):
-        scenario_io.parse_scenario(text)
+        verify.run_diagnostics(scenario_io.parse_scenario(DIRECT_NOT_QH))
+
+
+def test_parsing_gates_nothing(monkeypatch, sampled_pair_text):
+    """A file is admitted once, by evolve: parse_scenario checks its structure
+    and takes no Hermiticity test and no decomposition of any matrix."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_scenario gated a matrix")
+
+    monkeypatch.setattr(linalg, "check_hermitian", refuse)
+    for name in ("eig", "eigh", "eigvalsh", "cholesky", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert scenario_io.parse_scenario(sampled_pair_text).kind == "pair"
+    assert scenario_io.parse_scenario(DIRECT_NOT_QH).kind == "direct"
 
 
 def test_parse_error_carries_line():
@@ -321,6 +340,37 @@ def test_run_on_an_rk4_unstable_grid_is_refused_naming_hbar_step_and_t(tmp_path,
                             "dt*||h||/hbar is at least 5000 at t=0, above the stability "
                             "limit 2*sqrt(2); take more steps\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_on_a_lopsided_spectrum_is_refused_by_the_rk4_gate(tmp_path, capsys):
+    """h = diag(1, 0) with dt = 3: dt ||h||_2 / hbar = 3 lies outside RK4's
+    stability interval, though dt ||h||_F / sqrt(2) reads 2.12 < 2 sqrt(2).
+    The largest column norm of h is ||h||_2 here, as for every diagonal h."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"dimension": 2, "time": {"end": 60.0, "steps": 20},
+                                "model": dict(PAIR_2D, h=[[[1, 0], [0, 0]],
+                                                          [[0, 0], [0, 0]]])}))
+    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: time step 3 is too large for RK4 at hbar=1: "
+                            "dt*||h||/hbar is at least 3 at t=0, above the stability "
+                            "limit 2*sqrt(2); take more steps\n")
+
+
+def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
+    """scripts/same_output.py compares these refusals between two commits:
+    each run of a gate file must stay one, a single error line and exit 3."""
+    spec = importlib.util.spec_from_file_location("same_output", SCRIPTS / "same_output.py")
+    same_output = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_output)
+    cases = same_output.gate_cases(str(tmp_path))
+    assert len(cases) == len(same_output.GATE_FILES) + len(same_output.GATE_FLAGS)
+    for label, args in cases:
+        code = cli.main(args + ["--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), label
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, label
 
 
 def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):

@@ -4,8 +4,7 @@ import pytest
 from quasiherm import dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.dynamics import (evolve, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
-                                ur_from_definition, ur_from_naive_generator,
-                                validate_scenario)
+                                ur_from_definition, ur_from_naive_generator)
 from quasiherm.errors import IllConditioned, NotHermitian, ValidationError
 from quasiherm.models import SIGMA_X, u_oracle_sigma_x
 from quasiherm.schedules import OperatorSchedule, TimeGrid
@@ -171,7 +170,6 @@ def test_direct_mode_accepts_quasi_hermitian():
         theta=OperatorSchedule.constant_matrix(np.diag([1.0, 2.0]), (0, 1)),
         h_big=OperatorSchedule.constant_matrix(h_big, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
-    validate_scenario(s)
     res = evolve(s)
     assert np.max(np.abs(res.norms_phys / res.norms_phys[0] - 1.0)) <= 1e-8
 
@@ -184,7 +182,7 @@ def test_direct_mode_rejects_violation():
         h_big=OperatorSchedule.constant_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1)),
         initial_state=np.array([1.0, 0.0]))
     with pytest.raises(ValidationError, match="quasi-Hermiticity"):
-        validate_scenario(s)
+        evolve(s)
 
 
 def test_evolution_deterministic():
@@ -270,8 +268,9 @@ def test_validate_names_first_non_positive_metric_time():
             lambda ts: np.stack([np.diag([0.0, -1.0]) for t in ts]).astype(complex)),
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
-    with pytest.raises(ValidationError, match="metric rejected at t=0.4"):
-        validate_scenario(s)
+    # the midpoint t=0.35, where lambda_min = 0, comes before the node t=0.4
+    with pytest.raises(ValidationError, match=r"metric rejected at t=0\.35:"):
+        evolve(s)
 
 
 def test_unitarity_defect_stays_at_rounding_level(growing_result):
@@ -311,7 +310,7 @@ EVOLVE_GATES = {
     "metric": (_unadmitted("h", theta=_closed(lambda ts: _diag_stack(ts, 1.0, 0.4 - ts))),
                r"^metric rejected at t=0\.4: matrix is not positive definite at t=0\.4 "
                r"\(lambda_min=-?[0-9.e-]+, lambda_max=1\)$"),
-    # non-Hermitian from the midpoint t=0.25 on, which admission at the nodes misses
+    # non-Hermitian from the midpoint t=0.25 on, which a gate at the nodes would miss
     "pair h": (_unadmitted("h", gen=_closed(lambda ts: SIGMA_X + _from(0.25, BUMP)(ts))),
                r"^pair-mode generator not Hermitian at t=0\.25 \(defect 1\.414e\+00\)$"),
     "direct H": (_unadmitted("h_big", gen=_closed(lambda ts: SIGMA_X + _from(0.5, BUMP)(ts))),
@@ -321,13 +320,8 @@ EVOLVE_GATES = {
 
 
 @pytest.mark.parametrize("case", list(EVOLVE_GATES))
-def test_evolve_gates_a_scenario_never_admitted(monkeypatch, case):
+def test_evolve_gates_a_scenario_never_admitted(case):
     s, message = EVOLVE_GATES[case]
-
-    def no_second_admission(_):
-        raise AssertionError("evolve must apply the gates in its own pass")
-
-    monkeypatch.setattr(dynamics, "validate_scenario", no_second_admission)
     with pytest.raises(ValidationError, match=message):
         evolve(s)
 
@@ -348,7 +342,7 @@ def _count_matrices(monkeypatch, name):
 def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
     eigh = _count_matrices(monkeypatch, "eigh")
     s = scenario_io.parse_scenario(sampled_pair_text)
-    assert eigh[0] == 0   # admission gates the metric on eigenvalues alone
+    assert eigh[0] == 0   # parsing gates nothing: evolve takes the first metric root
     verify.verdicts(verify.run_diagnostics(s), s)
     blocks = dynamics.grid_blocks(s.grid, s.dim)
     assert len(blocks) == 3
