@@ -20,8 +20,8 @@ directory of its own:
   is not positive definite, an ill-conditioned root, a direct-mode generator
   that is not quasi-Hermitian (also run with ``--steps 300``), entries too
   large for a double or given as JSON bools, grids on which RK4 is unstable
-  (one of them for a lopsided spectrum) and runs whose metric or propagator
-  would overflow;
+  (two of them for spectra that a column bound on ||h||_2 would miss) and
+  runs whose metric or propagator would overflow;
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``.
 
 For ``run`` the CSV bytes, standard output, standard error and exit code are
@@ -78,6 +78,10 @@ GATE_FILES = {
     # dt ||h||_2 / hbar = 3, but ||h||_F / sqrt(2) = 2.12 stays below 2 sqrt(2)
     "lopsided-spectrum": {"dimension": 2, "time": {"end": 60.0, "steps": 20}, "model": {
         "kind": "pair", "h": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "theta": _EYE}},
+    # h = (1/2) [[1, 1], [1, 1]]: dt ||h||_2 / hbar = 3, but every column norm of h
+    # is 1/sqrt(2), so a column bound reads 2.12
+    "spread-spectrum": {"dimension": 2, "time": {"end": 60.0, "steps": 20}, "model": {
+        "kind": "pair", "h": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], "theta": _EYE}},
 }
 # gate file -> the flags it is run with besides none
 GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}

@@ -12,19 +12,16 @@ stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. The integrators t
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
-once and only the update is a Python loop. The grid is walked in blocks
-of steps, so the working set is a block of stacks plus the node series
-of the result.
+once and only the update is a Python loop.
 
-The same pass forms every per-node column of the report, among them the
-residuals of the central difference of U_R against H (positive as dt -> 0
-whenever the metric moves) and against G (shrinking like dt^2).
-
-A scenario is admitted in that pass and nowhere else: evolve hands each block
-to validate_scenario, which gates the metric through the roots it takes and,
-in direct mode, the quasi-Hermiticity of H at the nodes; integrate_u gates
-the Hermiticity of h and the stability of the RK4 step. A refusal names the
-first failing time of the half-step grid that is actually run.
+evolve walks the grid a block of steps at a time, keeps no node series and
+forms every per-node column of the report, among them the residuals of the
+central difference of U_R against H (positive as dt -> 0 whenever the
+metric moves) and against G (shrinking like dt^2). It admits each block as
+it goes, as convergence_order does: validate_scenario gates the metric and,
+in direct mode, the quasi-Hermiticity of H at the nodes; integrate_scenario_u
+gates the Hermiticity of h and the stability of the RK4 step. A refusal
+names the first failing time of the half-step grid that is actually run.
 """
 
 from __future__ import annotations
@@ -63,6 +60,10 @@ def grid_blocks(grid: TimeGrid, dim: int):
     return grid.blocks(BLOCK_ENTRIES // (2 * dim * dim))
 
 
+def _constant(m: np.ndarray) -> bool:   # every matrix of m is m[0]; a varying m exits early
+    return bool((m[-1] == m[0]).all() and (m == m[0]).all())
+
+
 def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     """Integrate U'(t) = M(t) U(t) over grid from U = u0 (identity by default).
 
@@ -78,7 +79,7 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     """
     dt = grid.spacing
     eye = np.eye(m.shape[-1])
-    if (m[-1] == m[0]).all() and (m == m[0]).all():   # ends first: a varying m exits early
+    if _constant(m):
         m1 = m2 = m4 = m[:1]
     else:
         m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
@@ -104,17 +105,20 @@ def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
 
     A step outside RK4's stability interval is refused: |R(iy)|^2 =
     1 - y^6/72 + y^8/576 exceeds 1 exactly when |y| > 2 sqrt(2), and
-    y = dt ||h||_2 / hbar for the extreme eigenvalue of h. The largest column
-    2-norm of h stands in for ||h||_2, which it never exceeds, so no stable
-    grid is refused; it is never below ||h||_F / sqrt(d), and exact for a
-    diagonal h. fro_norms takes each column as a d x 1 matrix, so it does
-    not overflow.
+    y = dt ||h||_2 / hbar for the extreme eigenvalue of h, which is taken when
+    every matrix of h is h[0]. For a varying h the largest column 2-norm stands
+    in for ||h||_2, which it never exceeds, so no stable grid is refused; it is
+    never below ||h||_F / sqrt(d), and exact for a diagonal h. fro_norms takes
+    each column as a d x 1 matrix, so it does not overflow.
     """
     ts = grid.half_times()
     linalg.check_hermitian(h, eps_herm, t=ts)
-    columns = linalg.fro_norms(np.swapaxes(h, -1, -2)[..., None])   # (n, d): ||h e_j||
+    if _constant(h):
+        norm2 = np.abs(linalg.eig_hermitian(h[:1], eps_herm, t=ts).eigenvalues).max(axis=-1)
+    else:   # (n, d): ||h e_j||
+        norm2 = linalg.fro_norms(np.swapaxes(h, -1, -2)[..., None]).max(axis=-1)
     with np.errstate(over="ignore"):
-        y = columns.max(axis=-1) * grid.spacing / hbar
+        y = norm2 * grid.spacing / hbar
     unstable = y > RK4_LIMIT
     if unstable.any():
         k = int(np.argmax(unstable))
@@ -270,101 +274,95 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected{where}: {e}") from e
 
 
-def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
-                      theta_nodes: np.ndarray) -> tuple[Operators, np.ndarray]:
-    """Admit one block of s's grid: its operator stacks on the half grid, and
-    the quasi-Hermiticity residual of H against theta_nodes, theta at its nodes.
+def validate_scenario(s: Scenario, os: OmegaSchedule,
+                      blk) -> tuple[Operators, np.ndarray, np.ndarray]:
+    """Admit one block of s's grid: its operator stacks on the half grid, theta
+    at its nodes, and the quasi-Hermiticity residual of H against that theta.
 
-    The metric is gated through omega = sqrt(theta), its inverse and its
-    derivative; in direct mode a residual above eps_res is refused at its
-    node. Either raises ValidationError naming the first failing t.
+    The metric is gated through theta and through omega = sqrt(theta), its
+    inverse and its derivative; in direct mode a residual above eps_res is
+    refused at its node. Either raises ValidationError naming the first failing t.
     """
+    ts = blk.times()
     with _gate("metric"):
+        theta = linalg.as_matrices(s.theta(ts), t=ts)
         ops = half_grid_operators(s, os, blk.half_times())
-    qh = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta_nodes)
+    qh = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
     bad = qh > s.tol("eps_res")
     if s.kind == "direct" and bad.any():
         k = int(np.argmax(bad))
         raise ValidationError(
-            f"direct-mode generator violates quasi-Hermiticity at t={blk.times()[k]:g} "
+            f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
             f"(residual {qh[k]:.6g} > {s.tol('eps_res'):g})")
-    return ops, qh
+    return ops, theta, qh
+
+
+def integrate_scenario_u(s: Scenario, h: np.ndarray, blk, u0=None) -> np.ndarray:
+    """integrate_u of s's h over blk, a failed gate raised as a ValidationError."""
+    with _gate("pair-mode generator" if s.kind == "pair"
+               else "Hermitian equivalent of the direct-mode generator"):
+        return integrate_u(h, blk, s.hbar, s.tol("eps_herm"), u0=u0)
 
 
 @dataclass
 class EvolutionResult:
-    """Per-node series for one integrated scenario; res_* are nan at both end nodes."""
+    """The report of one integrated scenario: one 1-D column per quantity, one
+    entry per grid node. res_naive and res_corrected are nan at both end nodes."""
     scenario: Scenario
-    grid: TimeGrid
-    u_series: np.ndarray
-    ur_series: np.ndarray          # from the definition
-    ur_naive_series: np.ndarray
-    ur_corr_series: np.ndarray
-    theta_series: np.ndarray
-    theta_recon: np.ndarray
-    norms_phys: np.ndarray
-    unitarity_defect: np.ndarray
+    norms_phys: np.ndarray         # <U_R phi0 | theta | U_R phi0>
+    unitarity_defect: np.ndarray   # ||u^dagger u - I||_F
     res_naive: np.ndarray          # ||i hbar U_R' - H U_R||_F, U_R' a central difference
     res_corrected: np.ndarray      # ||i hbar U_R' - G U_R||_F
     res_metric: np.ndarray         # ||theta_recon - theta||_F / ||theta||_F
-    omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F at the nodes
-    qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta at the nodes
+    omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F
+    qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta
+    gap_naive: np.ndarray          # ||U_naive - U_R||_F, U_naive integrated from H
+    gap_corrected: np.ndarray      # ||U_corr - U_R||_F, U_corr integrated from G
 
 
 def evolve(s: Scenario) -> EvolutionResult:
     """Integrate s over its grid and form every per-node column in one half-grid pass.
 
-    Each block is admitted as it is reached: validate_scenario gates the
-    metric and, in direct mode, quasi-Hermiticity at the nodes (whose residual
-    is kept in both modes, for the diagnostics); integrate_u gates h. A
-    failure raises ValidationError naming the first failing t of its block.
+    Each block is admitted as it is reached (validate_scenario, then h in
+    integrate_scenario_u), and only the columns outlive it: the next block
+    starts from u, U_naive and U_corr at its last node, and its central
+    difference reads U_R at the node before. A failure raises ValidationError
+    naming the first failing t of its block.
     """
     os = s.omega_schedule()
-    grid = s.grid
-    shape = (grid.steps + 1, s.dim, s.dim)
-    u, ur, ur_naive, ur_corr, theta_recon = (np.empty(shape, dtype=complex) for _ in range(5))
-    defect, omega_motion, qh, res_naive, res_corrected, res_metric = (
-        np.full(grid.steps + 1, np.nan) for _ in range(6))
-    eye = np.eye(s.dim)
-    u[0] = ur_naive[0] = ur_corr[0] = eye
-    with _gate("metric"):
-        theta_series = linalg.as_matrices(s.theta(grid.times()), t=grid.times())
-    h_gate = ("pair-mode generator" if s.kind == "pair"
-              else "Hermitian equivalent of the direct-mode generator")
+    (norms, defect, res_naive, res_corrected, res_metric, omega_motion, qh,
+     gap_naive, gap_corrected) = (np.full(s.grid.steps + 1, np.nan) for _ in range(9))
+    u0 = naive0 = corr0 = None   # at the block's first node, carried from the block before
+    before = np.empty((0, s.dim, s.dim), dtype=complex)   # U_R at the node before it
 
-    for blk in grid_blocks(grid, s.dim):
+    for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        ops, qh[nodes] = validate_scenario(s, os, blk, theta_series[nodes])
+        ops, theta, qh[nodes] = validate_scenario(s, os, blk)
         if blk.first == 0:
-            omega0 = ops.omega[0].copy()
+            omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
         # only the node values of omega were needed: free the stacks
         ops = ops._replace(omega=None, rate=None)
-        with _gate(h_gate):
-            u[nodes] = integrate_u(ops.h, blk, s.hbar, s.tol("eps_herm"),
-                                   u0=u[blk.first])
-        ur[nodes] = ur_from_definition(u[nodes], ops.omega_inv[::2], omega0)
-        ur_naive[nodes] = ur_from_naive_generator(ops.h_big, blk, s.hbar,
-                                                  u0=ur_naive[blk.first])
-        ur_corr[nodes] = ur_from_corrected_generator(ops.gen, blk, s.hbar,
-                                                     u0=ur_corr[blk.first])
-        theta_recon[nodes] = metric_from_ur(ur[nodes], theta_series[0], blk,
-                                            s.tol("cond_max"))
+        u = integrate_scenario_u(s, ops.h, blk, u0)
+        ur = ur_from_definition(u, ops.omega_inv[::2], omega0)
+        ur_naive = ur_from_naive_generator(ops.h_big, blk, s.hbar, naive0)
+        ur_corr = ur_from_corrected_generator(ops.gen, blk, s.hbar, corr0)
+        theta_recon = metric_from_ur(ur, theta0, blk, s.tol("cond_max"))
         with np.errstate(over="ignore", invalid="ignore"):   # an RK4-unstable grid
-            defect[nodes] = linalg.fro_norms(linalg.dagger(u[nodes]) @ u[nodes] - eye)
-        # interior nodes k, whose central difference reaches blk.last, written above
-        k = slice(max(blk.first, 1), blk.last)
-        at_k = slice(2 * (k.start - blk.first), 2 * (k.stop - blk.first), 2)   # on the half grid
-        lhs = (1j * s.hbar * (ur[k.start + 1:k.stop + 1] - ur[k.start - 1:k.stop - 1])
-               / (2.0 * grid.spacing))
-        res_naive[k] = linalg.fro_norms(lhs - ops.h_big[at_k] @ ur[k])
-        res_corrected[k] = linalg.fro_norms(lhs - ops.gen[at_k] @ ur[k])
-        theta = theta_series[k]
-        res_metric[k] = linalg.fro_norms(theta_recon[k] - theta) / linalg.fro_norms(theta)
+            defect[nodes] = linalg.fro_norms(linalg.dagger(u) @ u - np.eye(s.dim))
+        gap_naive[nodes] = linalg.fro_norms(ur_naive - ur)
+        gap_corrected[nodes] = linalg.fro_norms(ur_corr - ur)
+        states = np.einsum("kij,j->ki", ur, s.initial_state)   # reference-space kets U_R(t) phi0
+        norms[nodes] = np.einsum("ki,kij,kj->k", states.conj(), theta, states).real
+        res_metric[nodes] = linalg.fro_norms(theta_recon - theta) / linalg.fro_norms(theta)
+        # the block's nodes but its last (and node 0) have both neighbours in wide
+        wide = np.concatenate((before, ur))
+        p = slice(1 - before.shape[0], blk.steps)
+        k, at_k = slice(blk.first + p.start, blk.last), slice(2 * p.start, 2 * p.stop, 2)
+        lhs = 1j * s.hbar * (wide[2:] - wide[:-2]) / (2.0 * s.grid.spacing)
+        res_naive[k] = linalg.fro_norms(lhs - ops.h_big[at_k] @ ur[p])
+        res_corrected[k] = linalg.fro_norms(lhs - ops.gen[at_k] @ ur[p])
+        u0, naive0, corr0, before = u[-1], ur_naive[-1], ur_corr[-1], ur[-2:-1]
 
-    states = np.einsum("kij,j->ki", ur, s.initial_state)   # reference-space kets U_R(t) phi0
-    norms = np.einsum("ki,kij,kj->k", states.conj(), theta_series, states).real
-
-    return EvolutionResult(s, grid, u, ur, ur_naive, ur_corr, theta_series, theta_recon,
-                           norms, defect, res_naive, res_corrected, res_metric,
-                           omega_motion, qh)
+    return EvolutionResult(s, norms, defect, res_naive, res_corrected, res_metric,
+                           omega_motion, qh, gap_naive, gap_corrected)

@@ -32,7 +32,7 @@ _SPAN_SLACK = 1e-9
 _LATTICE_RTOL = 1e-6
 _TINY = np.finfo(float).tiny   # the smallest normal double
 _EPS = np.finfo(float).eps
-MAX_STEPS = 10**7   # a d=2 run keeps about 1 kB per step: some 10 GB at this size
+MAX_STEPS = 10**7   # a d=2 `quasiherm run` peaks near 530 B/step (tracemalloc): ~5 GB here
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Diagnostics columns, pass/fail verdicts and convergence-order checks.
 
-evolve forms every per-node column; this module takes them as arrays, cut
-to the interior nodes, and judges them against the scenario's tolerances.
+evolve forms every per-node column; this module cuts them to the interior
+nodes and judges them. convergence_order admits its walks as evolve does.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import numpy as np
 
 from . import linalg
 from .dynamics import (EvolutionResult, Scenario, evolve, grid_blocks,
-                       half_grid_operators, integrate_u,
-                       ur_from_corrected_generator)
+                       integrate_scenario_u, ur_from_corrected_generator,
+                       validate_scenario)
 from .errors import NotMeasurable, ValidationError
 
 REFERENCE_REFINEMENT = 8  # resolution multiplier for oracle-free convergence runs
@@ -44,10 +44,10 @@ class Verdict:
 def diagnostics_from_result(res: EvolutionResult) -> Diagnostics:
     """The columns evolve formed, as views cut to the interior nodes; omega_motion
     keeps every node."""
-    k = slice(1, res.grid.steps)
-    return Diagnostics(res.grid.times()[k], res.unitarity_defect[k], res.norms_phys[k],
-                       res.res_naive[k], res.res_corrected[k], res.res_metric[k],
-                       res.qh_residual[k], res.omega_motion)
+    k = slice(1, res.scenario.grid.steps)
+    return Diagnostics(res.scenario.grid.times()[k], res.unitarity_defect[k],
+                       res.norms_phys[k], res.res_naive[k], res.res_corrected[k],
+                       res.res_metric[k], res.qh_residual[k], res.omega_motion)
 
 
 def run_diagnostics(s: Scenario) -> Diagnostics:
@@ -98,19 +98,21 @@ def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
 
 
 def _end_state(s: Scenario, steps: int, probe: str) -> np.ndarray:
+    """The probe's propagator at the end of s's span over steps steps, each block
+    admitted as evolve admits it; a pair's u probe reads h alone, no metric root."""
     if probe not in ("u", "ur_corr"):
         raise ValueError(f"unknown probe {probe!r}")
     s2 = s.with_steps(steps)
     os = s2.omega_schedule()
     end = None
     for blk in grid_blocks(s2.grid, s2.dim):
-        ts = blk.half_times()
-        if probe == "u":
-            h = s2.h(ts) if s2.h is not None else half_grid_operators(s2, os, ts).h
-            end = integrate_u(h, blk, s2.hbar, s2.tol("eps_herm"), u0=end)[-1]
-        else:
-            gen = half_grid_operators(s2, os, ts).gen
+        if probe == "ur_corr":
+            gen = validate_scenario(s2, os, blk)[0].gen
             end = ur_from_corrected_generator(gen, blk, s2.hbar, u0=end)[-1]
+        else:
+            h = (s2.h(blk.half_times()) if s2.kind == "pair"
+                 else validate_scenario(s2, os, blk)[0].h)
+            end = integrate_scenario_u(s2, h, blk, end)[-1]
     return end
 
 

@@ -42,6 +42,27 @@ def test_parse_direct_violation_reports_residual():
         verify.run_diagnostics(scenario_io.parse_scenario(DIRECT_NOT_QH))
 
 
+@pytest.mark.parametrize("probe", ["u", "ur_corr"])
+def test_convergence_order_admits_a_direct_file_as_a_run_does(probe):
+    s = scenario_io.parse_scenario(DIRECT_NOT_QH)
+    with pytest.raises(ValidationError) as exc:
+        verify.convergence_order(s, probe)
+    assert str(exc.value) == ("direct-mode generator violates quasi-Hermiticity at t=0 "
+                              "(residual 1.41421 > 1e-08)")
+
+
+def test_convergence_order_gates_the_metric_only_where_the_probe_reads_it():
+    """The u probe of a pair scenario integrates h alone and never reads theta;
+    the ur_corr probe takes its roots, and refuses an indefinite theta."""
+    s = scenario_io.parse_scenario(json.dumps({
+        "dimension": 2, "time": {"start": 0.0, "end": 1.0, "steps": 100},
+        "model": {"kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                  "theta": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}}))
+    with pytest.raises(ValidationError, match=r"^metric rejected at t=0: "):
+        verify.convergence_order(s, "ur_corr")
+    assert 3.5 <= verify.convergence_order(s, "u") <= 4.5
+
+
 def test_parsing_gates_nothing(monkeypatch, sampled_pair_text):
     """A file is admitted once, by evolve: parse_scenario checks its structure
     and takes no Hermiticity test and no decomposition of any matrix."""
@@ -356,6 +377,23 @@ def test_run_on_a_lopsided_spectrum_is_refused_by_the_rk4_gate(tmp_path, capsys)
     assert captured.err == ("error: time step 3 is too large for RK4 at hbar=1: "
                             "dt*||h||/hbar is at least 3 at t=0, above the stability "
                             "limit 2*sqrt(2); take more steps\n")
+
+
+def test_run_on_a_spread_spectrum_is_refused_by_the_rk4_gate(tmp_path, capsys):
+    """h = (1/2) [[1, 1], [1, 1]] with dt = 3: dt ||h||_2 / hbar = 3 lies outside
+    RK4's stability interval, though every column norm of h is 1/sqrt(2) and
+    a column bound reads 2.12. A constant h is gated on its eigenvalues."""
+    path = tmp_path / "scenario.json"
+    half = [[0.5, 0], [0.5, 0]]
+    path.write_text(json.dumps({"dimension": 2, "time": {"end": 60.0, "steps": 20},
+                                "model": dict(PAIR_2D, h=[half, half])}))
+    code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: time step 3 is too large for RK4 at hbar=1: "
+                            "dt*||h||/hbar is at least 3 at t=0, above the stability "
+                            "limit 2*sqrt(2); take more steps\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
