@@ -22,10 +22,14 @@ directory of its own:
   large for a double or given as JSON bools, grids on which RK4 is unstable
   (two of them for spectra that a column bound on ||h||_2 would miss) and
   runs whose metric or propagator would overflow;
-* ``quasiherm demo`` on the four builtins, and ``quasiherm list``.
+* ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
+* ``verify.convergence_order`` with both probes on the four builtins at 250
+  steps, on the benchmark's convergence-d8 files and on every gate file: each
+  probe's order printed with ``%.17g``, or the text of the exception that
+  stopped it.
 
 For ``run`` the CSV bytes, standard output, standard error and exit code are
-compared; for ``demo`` and ``list`` all but the CSV. The path of each side's
+compared; for the other commands all but the CSV. The path of each side's
 tree is replaced by ``<tree>`` in both streams first, so a warning that
 names a source file compares equal when its line is the same. Every
 difference is printed; the exit code is 1 if there is any, 0 if not.
@@ -48,6 +52,18 @@ BUILTINS = ("constant-metric-2d", "growing-metric-2d", "nonhermitian-dyson",
             "scalar-exponential")
 SEEDS = (1, 2)
 MAIN = "import sys; from quasiherm.cli import main; sys.exit(main())"
+# argv: a scenario (builtin name or path), then optionally --steps N
+CONVERGE = """
+import sys
+from quasiherm import cli, verify
+args = sys.argv[1:]
+steps = int(args[args.index("--steps") + 1]) if "--steps" in args else None
+for probe in ("u", "ur_corr"):
+    try:
+        print(probe, "%.17g" % verify.convergence_order(cli.load_scenario(args[0], steps), probe))
+    except Exception as e:
+        print(probe, f"{type(e).__name__}: {e}")
+"""
 
 _SIGMA_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 _EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -97,14 +113,20 @@ def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
         cases += [(f"run {name}", ["run", "--scenario", name]),
                   (f"run {name} --steps 300 --hbar 0.7",
                    ["run", "--scenario", name, "--steps", "300", "--hbar", "0.7"]),
-                  (f"demo {name}", ["demo", "--scenario", name])]
+                  (f"demo {name}", ["demo", "--scenario", name]),
+                  (f"convergence {name} --steps 250", ["convergence", name, "--steps", "250"])]
     for workload in scenarios.WORKLOADS:
         for seed in SEEDS:
             out_dir = os.path.join(inputs, f"{workload}-seed{seed}")
             for entry in scenarios.generate(workload, seed, out_dir):
-                cases.append((f"run {workload} seed {seed} {entry['name']}",
-                              ["run", "--scenario", entry["path"]]))
-    return cases + gate_cases(inputs)
+                label = f"{workload} seed {seed} {entry['name']}"
+                cases.append((f"run {label}", ["run", "--scenario", entry["path"]]))
+                if workload == "convergence-d8":
+                    cases.append((f"convergence {label}", ["convergence", entry["path"]]))
+    gates = gate_cases(inputs)
+    # a gate case's command line is run --scenario PATH [flags]
+    return cases + gates + [("convergence" + label[len("run"):], ["convergence", *args[2:]])
+                            for label, args in gates]
 
 
 def gate_cases(inputs: str) -> list[tuple[str, list[str]]]:
@@ -127,8 +149,9 @@ def run_case(tree: str, args: list[str], work: str) -> dict:
     os.makedirs(work)
     if args[0] == "run":
         args = args + ["--out", "out.csv"]
+    code, args = (CONVERGE, args[1:]) if args[0] == "convergence" else (MAIN, args)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", MAIN, *args], cwd=work, env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=work, env=env,
                           capture_output=True, text=True)
     out = {"exit code": str(proc.returncode),
            "stdout": proc.stdout.replace(tree, "<tree>"),

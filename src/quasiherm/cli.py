@@ -65,14 +65,17 @@ def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None
 
 
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+CSV_CHUNK_ROWS = 4096   # lines formatted by one call: the text held at once stays small
 
 
-def rows_to_csv(d) -> str:
-    """The CSV report: a header, then one line per interior node. The CSV columns
-    are the first fields of a verify.Diagnostics, in order; one format call
-    writes every line."""
-    cells = np.column_stack(d[:len(CSV_COLUMNS)]).ravel().tolist()
-    return (",".join(CSV_COLUMNS) + "\n" + _CSV_ROW * len(d.t)) % tuple(cells)
+def rows_to_csv(d, fh) -> None:
+    """Write the CSV report of the verify.Diagnostics d to the open text file fh:
+    a header, then one line per interior node, CSV_CHUNK_ROWS lines per format call."""
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    cols = [getattr(d, c) for c in CSV_COLUMNS]
+    for a in range(0, len(d.t), CSV_CHUNK_ROWS):
+        cells = np.column_stack([c[a:a + CSV_CHUNK_ROWS] for c in cols])
+        fh.write((_CSV_ROW * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 def _print_verdicts(vs):
@@ -87,7 +90,7 @@ def cmd_run(scenario: Scenario, out_path: str) -> int:
     vs = verify.verdicts(d, scenario)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(d))
+            rows_to_csv(d, fh)
     except OSError as e:
         print(f"error: cannot write {out_path!r}: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,9 +18,9 @@ evolve walks the grid a block of steps at a time, keeps no node series and
 forms every per-node column of the report, among them the residuals of the
 central difference of U_R against H (positive as dt -> 0 whenever the
 metric moves) and against G (shrinking like dt^2). It admits each block as
-it goes, as convergence_order does: validate_scenario gates the metric and,
-in direct mode, the quasi-Hermiticity of H at the nodes; integrate_scenario_u
-gates the Hermiticity of h and the stability of the RK4 step. A refusal
+it goes, as convergence_order does: validate_scenario gates the metric, in
+direct mode the quasi-Hermiticity of H at the nodes, and then the
+Hermiticity of h and the stability of the RK4 step (gate_h). A refusal
 names the first failing time of the half-step grid that is actually run.
 """
 
@@ -96,15 +96,12 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     return out
 
 
-def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
-                eps_herm: float = linalg.EPS_HERM, u0=None) -> np.ndarray:
-    """RK4 series for i hbar u' = h(t) u with a Hermiticity gate at every stage.
+def gate_h(h: np.ndarray, grid, hbar: float = 1.0,
+           eps_herm: float = linalg.EPS_HERM) -> None:
+    """Refuse h, the stack of h(t) on grid.half_times(), unless it is Hermitian at
+    every stage (NotHermitian) and every RK4 step of grid is stable (ValidationError).
 
-    h is the stack of h(t) on grid.half_times(); grid is a TimeGrid or one
-    of its blocks, and u0 the value at its first node.
-
-    A step outside RK4's stability interval is refused: |R(iy)|^2 =
-    1 - y^6/72 + y^8/576 exceeds 1 exactly when |y| > 2 sqrt(2), and
+    |R(iy)|^2 = 1 - y^6/72 + y^8/576 exceeds 1 exactly when |y| > 2 sqrt(2), and
     y = dt ||h||_2 / hbar for the extreme eigenvalue of h, which is taken when
     every matrix of h is h[0]. For a varying h the largest column 2-norm stands
     in for ||h||_2, which it never exceeds, so no stable grid is refused; it is
@@ -126,6 +123,12 @@ def integrate_u(h: np.ndarray, grid, hbar: float = 1.0,
             f"time step {grid.spacing:g} is too large for RK4 at hbar={hbar:g}: "
             f"dt*||h||/hbar is at least {y[k]:.6g} at t={ts[k]:g}, above the "
             f"stability limit 2*sqrt(2); take more steps")
+
+
+def integrate_u(h: np.ndarray, grid, hbar: float = 1.0, u0=None) -> np.ndarray:
+    """RK4 series for i hbar u' = h(t) u. h is the stack of h(t) on
+    grid.half_times(), admitted by gate_h; grid is a TimeGrid or one of its
+    blocks, and u0 the value at its first node."""
     return _rk4_series((-1j / hbar) * h, grid, u0)
 
 
@@ -281,7 +284,8 @@ def validate_scenario(s: Scenario, os: OmegaSchedule,
 
     The metric is gated through theta and through omega = sqrt(theta), its
     inverse and its derivative; in direct mode a residual above eps_res is
-    refused at its node. Either raises ValidationError naming the first failing t.
+    refused at its node; then h goes through admit_h. Each raises
+    ValidationError naming the first failing t.
     """
     ts = blk.times()
     with _gate("metric"):
@@ -294,14 +298,15 @@ def validate_scenario(s: Scenario, os: OmegaSchedule,
         raise ValidationError(
             f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
             f"(residual {qh[k]:.6g} > {s.tol('eps_res'):g})")
+    admit_h(s, ops.h, blk)
     return ops, theta, qh
 
 
-def integrate_scenario_u(s: Scenario, h: np.ndarray, blk, u0=None) -> np.ndarray:
-    """integrate_u of s's h over blk, a failed gate raised as a ValidationError."""
+def admit_h(s: Scenario, h: np.ndarray, blk) -> None:
+    """gate_h of s's h over blk, a failed gate raised as a ValidationError."""
     with _gate("pair-mode generator" if s.kind == "pair"
                else "Hermitian equivalent of the direct-mode generator"):
-        return integrate_u(h, blk, s.hbar, s.tol("eps_herm"), u0=u0)
+        gate_h(h, blk, s.hbar, s.tol("eps_herm"))
 
 
 @dataclass
@@ -323,11 +328,10 @@ class EvolutionResult:
 def evolve(s: Scenario) -> EvolutionResult:
     """Integrate s over its grid and form every per-node column in one half-grid pass.
 
-    Each block is admitted as it is reached (validate_scenario, then h in
-    integrate_scenario_u), and only the columns outlive it: the next block
-    starts from u, U_naive and U_corr at its last node, and its central
-    difference reads U_R at the node before. A failure raises ValidationError
-    naming the first failing t of its block.
+    Each block is admitted as it is reached (validate_scenario), and only the
+    columns outlive it: the next block starts from u, U_naive and U_corr at
+    its last node, and its central difference reads U_R at the node before. A
+    failure raises ValidationError naming the first failing t of its block.
     """
     os = s.omega_schedule()
     (norms, defect, res_naive, res_corrected, res_metric, omega_motion, qh,
@@ -343,7 +347,7 @@ def evolve(s: Scenario) -> EvolutionResult:
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
         # only the node values of omega were needed: free the stacks
         ops = ops._replace(omega=None, rate=None)
-        u = integrate_scenario_u(s, ops.h, blk, u0)
+        u = integrate_u(ops.h, blk, s.hbar, u0)
         ur = ur_from_definition(u, ops.omega_inv[::2], omega0)
         ur_naive = ur_from_naive_generator(ops.h_big, blk, s.hbar, naive0)
         ur_corr = ur_from_corrected_generator(ops.gen, blk, s.hbar, corr0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Scenario
 from .errors import ValidationError
-from .schedules import OperatorSchedule, TimeGrid
+from .schedules import OperatorSchedule, TimeGrid, constant_fn
 from .spaces import metric_from_theta
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,11 +37,6 @@ def _diag(a: float, b: np.ndarray) -> np.ndarray:
     out = np.zeros((b.size, 2, 2), dtype=complex)
     out[:, 0, 0], out[:, 1, 1] = a, b
     return out
-
-
-def _constant(m: np.ndarray):
-    """The times -> stack function of a fixed matrix."""
-    return lambda ts: np.broadcast_to(m, (ts.size,) + m.shape)
 
 
 def _growing_metric(span):
@@ -75,7 +70,8 @@ def _static_metric(theta_mat: np.ndarray, label: str):
     def metric(span):
         m = metric_from_theta(theta_mat)
         return (OperatorSchedule.constant_matrix(theta_mat, span, label=label),
-                (_constant(m.omega), _constant(np.zeros_like(m.omega)), _constant(m.omega_inv)))
+                (constant_fn(m.omega), constant_fn(np.zeros_like(m.omega)),
+                 constant_fn(m.omega_inv)))
     return metric
 
 

@@ -134,7 +134,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _serialize_schedule(sched: OperatorSchedule):
-    if sched.kind == OperatorSchedule.SAMPLED:
+    if sched.snapshots is not None:
         return {"times": [float(t) for t in sched.sample_times],
                 "snapshots": [linalg.matrix_to_pairs(m) for m in sched.snapshots]}
     if sched.constant is not None:

@@ -1,21 +1,20 @@
 """Time grids and time-dependent operator schedules.
 
-A schedule is either CLOSED_FORM (analytic evaluator plus analytic time
-derivative) or SAMPLED (uniform snapshots, piecewise-cubic Hermite
-interpolation with finite-difference slopes). The derived omega schedule
-wraps a metric schedule and serves omega, its inverse and its time
-derivative, with a finite-difference fallback for the derivative.
+A schedule is given in closed form (an evaluator and its analytic time
+derivative) or sampled (uniform snapshots, kept in .snapshots, and their
+cubic Hermite interpolant with its exact derivative). The derived omega
+schedule serves omega, its inverse and its time derivative from a metric
+schedule, with a finite-difference fallback for the derivative.
 
-Every evaluator takes a time or a 1-D array of times; an array gives a
-stack of shape (n, d, d), one matrix per time. A time-dependent operator
-is given only as a function of a 1-D array of times that returns such a
-stack: closed forms, the analytic omega, omega_dot and omega^-1, and the
-sampled interpolant are each called once for all the times (a single time
-is an array of one). The integrators evaluate each operator once per point
-of the half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block
-of steps at a time (TimeGrid.blocks). On such a grid the finite-difference
-derivative takes its stencil points from the grid itself (an index shift),
-so each metric root is computed once per point.
+Every evaluator takes a 1-D array of times and returns a stack of shape
+(n, d, d), one matrix per time: closed forms, the analytic omega, omega_dot
+and omega^-1, and the sampled interpolant are each called once for all the
+times. The integrators evaluate each operator once per point of the
+half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
+steps at a time (TimeGrid.blocks). The finite-difference derivative takes
+its stencil from that grid (an index shift) plus a two-point halo beyond
+either end of a block: each metric root is taken once per point of a block,
+and the node two blocks share and the halos beside it are rooted again.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ _SPAN_SLACK = 1e-9
 _LATTICE_RTOL = 1e-6
 _TINY = np.finfo(float).tiny   # the smallest normal double
 _EPS = np.finfo(float).eps
-MAX_STEPS = 10**7   # a d=2 `quasiherm run` peaks near 530 B/step (tracemalloc): ~5 GB here
+MAX_STEPS = 10**7   # a d=2 `quasiherm run` peaks near 100 B/step (tracemalloc): ~1 GB here
 
 
 @dataclass(frozen=True)
@@ -106,54 +105,41 @@ class GridBlock:
         return self.grid.half_times()[2 * self.first:2 * self.last + 1]
 
 
-def _times(t) -> tuple[np.ndarray, bool]:
-    """(1-D float array of times, whether t was a single time)."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError(f"expected a time or a 1-D array of times, got shape {ts.shape}")
-    return np.atleast_1d(ts), ts.ndim == 0
-
-
-def _as_stack(a, n: int) -> np.ndarray:
-    """A matrix or a stack as a stack of n matrices."""
-    a = np.asarray(a, dtype=complex)
-    return a.reshape((n,) + a.shape[-2:])
+def constant_fn(m: np.ndarray):
+    """The times -> stack function of a fixed matrix."""
+    return lambda ts: np.broadcast_to(m, (ts.size,) + m.shape)
 
 
 class OperatorSchedule:
-    """t -> A(t) on a fixed span; callable, with a .derivative method."""
+    """t -> A(t) on a fixed span: a function of a 1-D array of times that returns
+    a stack, with a .derivative method of the same shape."""
 
-    CLOSED_FORM = "closed_form"
-    SAMPLED = "sampled"
-
-    def __init__(self, kind, dim, span, value_fn, deriv_fn,
+    def __init__(self, dim, span, value_fn, deriv_fn,
                  sample_times=None, snapshots=None, constant=None, label=""):
-        self.kind = kind
         self.dim = dim
         self.span = (float(span[0]), float(span[1]))
         self._value = value_fn   # 1-D array of times -> stack
         self._deriv = deriv_fn
         self.sample_times = sample_times
-        self.snapshots = snapshots
+        self.snapshots = snapshots   # set when the schedule is sampled
         self.constant = constant  # set when the schedule is a fixed matrix
         self.label = label
 
     @classmethod
     def closed_form(cls, dim, span, value_fn, deriv_fn, label=""):
         """value_fn and deriv_fn map a 1-D array of times to a stack."""
-        return cls(cls.CLOSED_FORM, dim, span, value_fn, deriv_fn, label=label)
+        return cls(dim, span, value_fn, deriv_fn, label=label)
 
     @classmethod
     def constant_matrix(cls, matrix, span, label=""):
         m = linalg.as_matrix(matrix)
-        zero = np.zeros_like(m)
-        return cls(cls.CLOSED_FORM, m.shape[0], span,
-                   lambda ts: np.broadcast_to(m, (ts.size,) + m.shape),
-                   lambda ts: np.broadcast_to(zero, (ts.size,) + m.shape),
+        return cls(m.shape[0], span, constant_fn(m), constant_fn(np.zeros_like(m)),
                    constant=m, label=label)
 
     @classmethod
     def sampled(cls, times, snapshots):
+        """The cubic Hermite interpolant of the snapshots with central-difference
+        slopes (one-sided at the ends), and its exact, continuous derivative."""
         ts = np.asarray(times, dtype=float)
         if ts.ndim != 1 or ts.size < 4:
             raise ValueError("sampled schedules need at least 4 snapshot times")
@@ -165,16 +151,18 @@ class OperatorSchedule:
         mats = np.stack([linalg.as_matrix(s) for s in snapshots])
         if mats.shape[0] != ts.size:
             raise ValueError("snapshot count must match snapshot times")
-        dim = mats.shape[1]
         spacing = float(dt[0])
         slopes = np.empty_like(mats)
         slopes[1:-1] = (mats[2:] - mats[:-2]) / (2.0 * spacing)
         slopes[0] = (-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) / (2.0 * spacing)
         slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * spacing)
 
-        def value_fn(t):
+        def interval(t):   # the snapshot interval of each time and the offset in it, in [0, 1]
             j = np.clip(((t - ts[0]) / spacing).astype(int), 0, ts.size - 2)
-            s = ((t - ts[j]) / spacing)[:, None, None]
+            return j, ((t - ts[j]) / spacing)[:, None, None]
+
+        def value_fn(t):
+            j, s = interval(t)
             s2, s3 = s * s, s * s * s
             h00 = 2.0 * s3 - 3.0 * s2 + 1.0
             h10 = s3 - 2.0 * s2 + s
@@ -183,13 +171,20 @@ class OperatorSchedule:
             return (h00 * mats[j] + h10 * spacing * slopes[j]
                     + h01 * mats[j + 1] + h11 * spacing * slopes[j + 1])
 
-        sched = cls(cls.SAMPLED, dim, (ts[0], ts[-1]), value_fn, None,
-                    sample_times=ts, snapshots=mats)
-        sched._deriv = lambda t: _fd_derivative(sched, t, spacing, sched.span)
-        return sched
+        def deriv_fn(t):   # d/dt of value_fn, term by term
+            j, s = interval(t)
+            s2 = s * s
+            return ((6.0 * s2 - 6.0 * s) * (mats[j] - mats[j + 1]) / spacing
+                    + (3.0 * s2 - 4.0 * s + 1.0) * slopes[j]
+                    + (3.0 * s2 - 2.0 * s) * slopes[j + 1])
+
+        return cls(mats.shape[1], (ts[0], ts[-1]), value_fn, deriv_fn,
+                   sample_times=ts, snapshots=mats)
 
     def check_span(self, ts):
         """Raise OutOfRange for the first time of the 1-D array ts outside the span."""
+        if np.ndim(ts) != 1:
+            raise ValueError(f"expected a 1-D array of times, got shape {np.shape(ts)}")
         lo, hi = self.span
         slack = _SPAN_SLACK * (hi - lo)
         bad = (ts < lo - slack) | (ts > hi + slack)
@@ -197,33 +192,31 @@ class OperatorSchedule:
             t = ts[int(np.argmax(bad))]
             raise OutOfRange(f"t={t:g} outside schedule span [{lo:g}, {hi:g}]")
 
-    def __call__(self, t) -> np.ndarray:
-        ts, single = _times(t)
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
         self.check_span(ts)
         with np.errstate(over="ignore", invalid="ignore"):   # the finiteness gates refuse inf
-            out = self._value(ts)
-        return out[0] if single else out
+            return self._value(ts)
 
-    def derivative(self, t) -> np.ndarray:
-        ts, single = _times(t)
+    def derivative(self, ts: np.ndarray) -> np.ndarray:
         self.check_span(ts)
-        out = self._deriv(ts)
-        return out[0] if single else out
+        return self._deriv(ts)
 
 
-def _fd_derivative(fn, ts, step, span, values=None):
+def _fd_derivative(fn, ts, step, span, values):
     """d/dt of fn at the times ts by central differences with the given step,
     second-order one-sided where a central stencil would leave the span.
 
-    fn maps a 1-D array of times to a stack and is called once. When ts is a
-    uniform grid whose spacing divides step, the stencil points are grid
-    points (an index shift) plus a halo beyond either end of ts, and with
-    values = fn(ts) given fn is called only for the halo. Other ts take
-    their three stencil points each.
-    """
+    ts must be uniform with a spacing that divides step (one time counts as
+    spaced by step; other ts raise ValueError), and values = fn(ts): the
+    stencil points are grid points plus a halo beyond either end, where fn is
+    called once."""
     n = ts.size
     h = ts[1] - ts[0] if n > 1 else step
     r = int(round(step / h)) if h > 0 else 0
+    if (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
+            or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
+        raise ValueError(f"the finite-difference step {step:g} is not a multiple of the "
+                         f"spacing of the {n} times, or they are not uniformly spaced")
     lo, hi = span
     fwd = ts - step < lo
     bwd = ~fwd & (ts + step > hi)
@@ -233,24 +226,14 @@ def _fd_derivative(fn, ts, step, span, values=None):
     weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
                        np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
     w = weights[:, :, None, None]
-    if n > 1 and (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
-                  or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
-        f = fn((ts[:, None] + offsets * step).ravel())
-        f = f.reshape((n, 3) + f.shape[1:])
-        return (w[:, 0] * f[:, 0] + w[:, 1] * f[:, 1] + w[:, 2] * f[:, 2]) / (2.0 * step)
     idx = np.arange(n)[:, None] + r * offsets   # as lattice indices
     need = np.unique(idx[weights != 0.0])
     inside = (need >= 0) & (need < n)
-    lattice_t = np.where(need < 0, ts[0] + need * h,
-                         np.where(need >= n, ts[-1] + (need - (n - 1)) * h,
-                                  ts[np.clip(need, 0, n - 1)]))
-    if values is None:
-        f = fn(lattice_t)
-    else:
-        f = np.empty((need.size,) + values.shape[1:], dtype=complex)
-        f[inside] = values[need[inside]]
-        if not inside.all():
-            f[~inside] = fn(lattice_t[~inside])
+    f = np.empty((need.size,) + values.shape[1:], dtype=complex)
+    f[inside] = values[need[inside]]
+    if not inside.all():
+        halo = need[~inside]
+        f[~inside] = fn(np.where(halo < 0, ts[0] + halo * h, ts[-1] + (halo - (n - 1)) * h))
     pos = np.searchsorted(need, idx)
     return (w[:, 0] * f[pos[:, 0]] + w[:, 1] * f[pos[:, 1]]
             + w[:, 2] * f[pos[:, 2]]) / (2.0 * step)
@@ -264,7 +247,8 @@ class OmegaSchedule:
     of a 1-D array of times that returns a stack. omega_dot or omega_inv may
     be None: the derivative is then a central difference of omega with step
     fd_step, and the inverse the gated inverse of omega. Each method takes a
-    time or a 1-D array of times, like the schedules.
+    1-D array of times and returns a stack, like the schedules; the central
+    difference needs times spaced evenly by a divisor of fd_step.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, fd_step: float,
@@ -278,30 +262,21 @@ class OmegaSchedule:
         self._eps_pos = eps_pos
         self._cond_max = cond_max
 
-    def omega(self, t) -> np.ndarray:
-        ts, single = _times(t)
+    def omega(self, ts: np.ndarray) -> np.ndarray:
         if self._omega_fn is not None:
-            w = self._omega_fn(ts)
-        else:
-            w = linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts)
-        return w[0] if single else w
+            return self._omega_fn(ts)
+        return linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts)
 
-    def omega_inv(self, t, omega=None) -> np.ndarray:
-        """omega(t)^-1; pass omega = self.omega(t) if it is already at hand."""
-        ts, single = _times(t)
+    def omega_inv(self, ts: np.ndarray, omega=None) -> np.ndarray:
+        """omega^-1 at the times ts; pass omega = self.omega(ts) if it is already at hand."""
         if self._omega_inv_fn is not None:
-            wi = self._omega_inv_fn(ts)
-        else:
-            w = self.omega(ts) if omega is None else _as_stack(omega, ts.size)
-            wi = linalg.inverse(w, self._cond_max, t=ts)
-        return wi[0] if single else wi
+            return self._omega_inv_fn(ts)
+        w = self.omega(ts) if omega is None else omega
+        return linalg.inverse(w, self._cond_max, t=ts)
 
-    def omega_dot(self, t, omega=None) -> np.ndarray:
-        """d/dt omega(t); pass omega = self.omega(t) if it is already at hand."""
-        ts, single = _times(t)
+    def omega_dot(self, ts: np.ndarray, omega=None) -> np.ndarray:
+        """d/dt omega at the times ts; pass omega = self.omega(ts) if it is already at hand."""
         if self._omega_dot_fn is not None:
-            wd = self._omega_dot_fn(ts)
-        else:
-            values = None if omega is None else _as_stack(omega, ts.size)
-            wd = _fd_derivative(self.omega, ts, self.fd_step, self.span, values)
-        return wd[0] if single else wd
+            return self._omega_dot_fn(ts)
+        w = self.omega(ts) if omega is None else omega
+        return _fd_derivative(self.omega, ts, self.fd_step, self.span, w)

@@ -20,7 +20,7 @@ def test_01_unitarity_with_moving_metric():
     d = verify.run_diagnostics(s)
     elapsed = time.perf_counter() - t0
     norm0 = float((s.initial_state.conj()
-                   @ np.asarray(s.theta(0.0)) @ s.initial_state).real)
+                   @ s.theta(np.array([0.0]))[0] @ s.initial_state).real)
     drift = float(np.abs(d.norm_phys / norm0 - 1.0).max())
     report("norm conserved with moving metric",
            drift <= 1e-8 and elapsed < 1.0,

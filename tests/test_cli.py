@@ -1,13 +1,15 @@
 import importlib.util
+import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quasiherm import cli, linalg, scenario_io, verify
-from quasiherm.errors import ParseError, ValidationError
+from quasiherm.errors import ParseError, QuasihermError, ValidationError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -127,14 +129,43 @@ def _csv_per_cell(d):
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(d):
+    fh = io.StringIO()
+    cli.rows_to_csv(d, fh)
+    return fh.getvalue()
+
+
 def test_rows_to_csv_matches_per_cell_formatting(growing_diag):
     assert verify.Diagnostics._fields[:len(cli.CSV_COLUMNS)] == cli.CSV_COLUMNS
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
     shifted = verify.Diagnostics(*(np.array([odd[(i + j) % 7] for i in range(7)])
                                    for j in range(7)), omega_motion=np.zeros(9))
     empty = verify.Diagnostics(*[np.empty(0)] * 7, omega_motion=np.zeros(2))
-    for d in (growing_diag, shifted, empty):
-        assert cli.rows_to_csv(d) == _csv_per_cell(d)
+    # two full chunks of rows and part of a third, and exactly one chunk
+    n = 2 * cli.CSV_CHUNK_ROWS + 3
+    rng = np.random.default_rng(5)
+    long = verify.Diagnostics(*(rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+                                for _ in range(7)), omega_motion=np.zeros(n + 2))
+    one_chunk = verify.Diagnostics(*(c[:cli.CSV_CHUNK_ROWS] for c in long[:7]),
+                                   omega_motion=np.zeros(2))
+    for d in (growing_diag, shifted, empty, long, one_chunk):
+        assert _csv_text(d) == _csv_per_cell(d)
+
+
+def test_rows_to_csv_heap_peak_stays_flat_at_1e5_rows(tmp_path):
+    """The whole text of 1e5 rows is 13 MB; formatting it at once peaked at 48 MB."""
+    n = 100_000
+    d = verify.Diagnostics(*(np.linspace(1.0, 2.0, n) * np.pi ** k for k in range(7)),
+                           omega_motion=np.zeros(n + 2))
+    with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            cli.rows_to_csv(d, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "out.csv").stat().st_size > 13e6
+    assert peak < 4e6
 
 
 def test_run_writes_csv_and_exits_zero(tmp_path, capsys):
@@ -396,12 +427,17 @@ def test_run_on_a_spread_spectrum_is_refused_by_the_rk4_gate(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
-    """scripts/same_output.py compares these refusals between two commits:
-    each run of a gate file must stay one, a single error line and exit 3."""
+def _same_output():
     spec = importlib.util.spec_from_file_location("same_output", SCRIPTS / "same_output.py")
     same_output = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_output)
+    return same_output
+
+
+def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
+    """scripts/same_output.py compares these refusals between two commits:
+    each run of a gate file must stay one, a single error line and exit 3."""
+    same_output = _same_output()
     cases = same_output.gate_cases(str(tmp_path))
     assert len(cases) == len(same_output.GATE_FILES) + len(same_output.GATE_FLAGS)
     for label, args in cases:
@@ -440,3 +476,39 @@ def test_run_passes_every_verdict_without_runtime_warnings(tmp_path, capsys, sce
                                                  "QH_HOLDS", "CORRECTED_GENERATOR_OK",
                                                  "NAIVE_FAILS_IFF_METRIC_MOVES")]
     assert code == 0
+
+
+# gate files whose first refusal in a run is a gate on theta, which the u probe
+# of a pair scenario never reads
+THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "theta-overflows")
+
+
+def test_convergence_order_refuses_every_gate_file_with_the_run_message(tmp_path, capsys):
+    for label, args in _same_output().gate_cases(str(tmp_path)):
+        cli.main(args + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        steps = int(args[args.index("--steps") + 1]) if "--steps" in args else None
+        try:
+            s = cli.load_scenario(args[2], steps)
+        except QuasihermError as e:   # refused at parse, as the run was
+            assert f"error: {e}\n" == err, label
+            continue
+        for probe in ("u", "ur_corr"):
+            if probe == "u" and Path(args[2]).stem in THETA_REFUSED:
+                continue
+            with pytest.raises(QuasihermError) as exc:
+                verify.convergence_order(s, probe)
+            assert f"error: {exc.value}\n" == err, (label, probe)
+
+
+@pytest.mark.parametrize("probe", ["u", "ur_corr"])
+def test_convergence_order_refuses_a_non_hermitian_h_as_a_run_does(probe):
+    """A pair file whose h is not Hermitian, under a moving sampled theta."""
+    s = scenario_io.parse_scenario(json.dumps({
+        "dimension": 2, "time": {"start": 0.0, "end": 1.0, "steps": 50},
+        "model": {"kind": "pair", "h": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+                  "theta": {"times": [0.0, 1 / 3, 2 / 3, 1.0], "snapshots": [
+                      [[[1 + k / 3, 0], [0, 0]], [[0, 0], [1, 0]]] for k in range(4)]}}}))
+    with pytest.raises(ValidationError) as exc:
+        verify.convergence_order(s, probe)
+    assert str(exc.value) == "pair-mode generator not Hermitian at t=0 (defect 1.414e+00)"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quasiherm import dynamics, linalg, make_builtin, scenario_io, spaces, verify
-from quasiherm.dynamics import (evolve, integrate_u, metric_from_ur,
+from quasiherm.dynamics import (evolve, gate_h, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
                                 ur_from_definition, ur_from_naive_generator)
 from quasiherm.errors import IllConditioned, NotHermitian, ValidationError
@@ -41,23 +41,26 @@ def test_integrate_u_unitarity_defect():
     assert linalg.fro_norm(u[-1].conj().T @ u[-1] - np.eye(2)) <= 1e-10
 
 
-def test_integrate_u_rejects_nonhermitian():
+def test_gate_h_rejects_nonhermitian():
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(NotHermitian):
-        integrate_u(on_half_grid(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid), grid)
+        gate_h(on_half_grid(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), grid), grid)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
-def test_integrate_u_refuses_exactly_the_rk4_unstable_steps(hbar):
+def test_gate_h_refuses_exactly_the_rk4_unstable_steps(hbar):
     """sigma_x is a constant generator, gated on ||h||_2 itself: a step just
-    inside 2 sqrt(2) hbar is walked and shrinks u, one just outside is refused."""
+    inside 2 sqrt(2) hbar is admitted, walked and shrinks u, one just outside
+    is refused."""
     limit = 2.0 * np.sqrt(2.0) * hbar
     stable = TimeGrid(0.0, 20 * 0.999 * limit, 20)
-    u = integrate_u(on_half_grid(lambda t: SIGMA_X, stable), stable, hbar)
+    h = on_half_grid(lambda t: SIGMA_X, stable)
+    gate_h(h, stable, hbar)
+    u = integrate_u(h, stable, hbar)
     assert linalg.fro_norm(u[-1]) < linalg.fro_norm(np.eye(2))
     unstable = TimeGrid(0.0, 20 * 1.001 * limit, 20)
     with pytest.raises(ValidationError, match=f"RK4 at hbar={hbar:g}: .* at t=0,"):
-        integrate_u(on_half_grid(lambda t: SIGMA_X, unstable), unstable, hbar)
+        gate_h(on_half_grid(lambda t: SIGMA_X, unstable), unstable, hbar)
 
 
 def test_ur_definition_identity_metric():
@@ -70,7 +73,8 @@ def test_ur_definition_identity_metric():
         initial_state=np.array([1.0, 0.0]),
     ).omega_schedule()
     u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
-    ur = ur_from_definition(u, os_ident.omega_inv(grid.times()), os_ident.omega(0.0))
+    ur = ur_from_definition(u, os_ident.omega_inv(grid.times()),
+                            os_ident.omega(grid.times()[:1])[0])
     assert np.allclose(ur, u)
 
 
@@ -258,13 +262,13 @@ def test_constant_generator_steps_like_a_varying_one():
     assert not np.array_equal(a[-1], b[-1])
 
 
-def test_integrate_u_gates_midpoint_stages():
+def test_gate_h_checks_midpoint_stages():
     bump = np.array([[0.0, 1.0], [0.0, 0.0]])
     # non-Hermitian only at t = 0.25, the midpoint of the third step
     h = lambda t: SIGMA_X + (bump if abs(t - 0.25) < 1e-12 else 0.0)  # noqa: E731
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(NotHermitian) as exc:
-        integrate_u(on_half_grid(h, grid), grid)
+        gate_h(on_half_grid(h, grid), grid)
     assert exc.value.t == pytest.approx(0.25)
 
 
@@ -394,3 +398,20 @@ def test_direct_mode_takes_one_residual_per_node(monkeypatch):
     ts = s.grid.times()[1:-1]
     expect = orig(s.h_big(ts), s.theta(ts))
     assert np.array_equal(d.res_qh, expect)
+
+
+def test_every_walked_block_passes_the_h_gate_once(monkeypatch, sampled_pair_text):
+    """evolve and both convergence probes gate each block's h, and only once."""
+    seen = []
+    gate = dynamics.gate_h
+    monkeypatch.setattr(dynamics, "gate_h", lambda h, blk, *rest: (
+        seen.append((blk.grid.steps, blk.first)), gate(h, blk, *rest))[1])
+    s = scenario_io.parse_scenario(sampled_pair_text)   # 600 steps, three blocks
+    evolve(s)
+    assert seen == [(600, b.first) for b in dynamics.grid_blocks(s.grid, s.dim)]
+    for probe in ("u", "ur_corr"):
+        seen.clear()
+        verify.convergence_order(s.with_steps(100), probe)
+        walked = [(n, b.first) for n in (100, 1600, 200)
+                  for b in dynamics.grid_blocks(s.with_steps(n).grid, s.dim)]
+        assert seen == walked, probe

@@ -13,6 +13,11 @@ def diag_stack(ts, a, b):
     return out
 
 
+def at(t):
+    """One time as the 1-D array every evaluator takes."""
+    return np.array([t])
+
+
 def growing_theta(span=(0.0, 1.0)):
     return OperatorSchedule.closed_form(
         2, span,
@@ -49,21 +54,30 @@ def test_grid_accepts_tiny_but_normal_spacing():
 
 def test_closed_form_eval_and_derivative():
     s = growing_theta()
-    assert np.allclose(s(1.0), np.diag([1.0, 2.0]))
-    assert np.allclose(s.derivative(1.0), np.diag([0.0, 2.0]))
+    assert np.allclose(s(at(1.0))[0], np.diag([1.0, 2.0]))
+    assert np.allclose(s.derivative(at(1.0))[0], np.diag([0.0, 2.0]))
 
 
 def test_constant_schedule_zero_derivative():
     s = OperatorSchedule.constant_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]), (0, 1))
-    assert np.allclose(s.derivative(0.3), np.zeros((2, 2)))
+    assert np.allclose(s.derivative(at(0.3))[0], np.zeros((2, 2)))
 
 
 def test_out_of_range():
     s = growing_theta()
     with pytest.raises(OutOfRange):
-        s(1.5)
+        s(at(1.5))
     with pytest.raises(OutOfRange):
-        s.derivative(-0.5)
+        s.derivative(at(-0.5))
+
+
+def test_evaluators_refuse_a_bare_time():
+    s = growing_theta()
+    os = OmegaSchedule(s, fd_step=0.1)
+    for evaluate in (s, s.derivative, os.omega, os.omega_inv, os.omega_dot):
+        for t in (0.5, np.float64(0.5), np.array([[0.5]])):
+            with pytest.raises(ValueError, match="1-D array of times"):
+                evaluate(t)
 
 
 def quad_snapshots(times):
@@ -76,14 +90,14 @@ def test_sampled_exact_at_nodes():
     ts = np.linspace(0.0, 1.0, 6)
     s = OperatorSchedule.sampled(ts, quad_snapshots(ts))
     for t, snap in zip(ts, quad_snapshots(ts)):
-        assert np.allclose(s(t), snap, atol=1e-14)
+        assert np.allclose(s(at(t))[0], snap, atol=1e-14)
 
 
 def test_sampled_interpolates_quadratics_exactly():
     ts = np.linspace(0.0, 1.0, 6)
     s = OperatorSchedule.sampled(ts, quad_snapshots(ts))
     for t in (0.13, 0.5, 0.87):
-        assert np.allclose(s(t), quad_snapshots([t])[0], atol=1e-13)
+        assert np.allclose(s(at(t))[0], quad_snapshots([t])[0], atol=1e-13)
 
 
 def test_sampled_derivative_central_difference():
@@ -91,10 +105,44 @@ def test_sampled_derivative_central_difference():
     s = OperatorSchedule.sampled(ts, quad_snapshots(ts))
     for t in ts[1:-1]:
         expect = np.array([[2.0 * t, 1.0], [2.0, 0.0]])
-        assert np.allclose(s.derivative(t), expect, atol=1e-12)
+        assert np.allclose(s.derivative(at(t))[0], expect, atol=1e-12)
     # one-sided second order at the endpoints is exact on quadratics too
-    assert np.allclose(s.derivative(0.0), [[0.0, 1.0], [2.0, 0.0]], atol=1e-12)
-    assert np.allclose(s.derivative(1.0), [[2.0, 1.0], [2.0, 0.0]], atol=1e-12)
+    assert np.allclose(s.derivative(at(0.0))[0], [[0.0, 1.0], [2.0, 0.0]], atol=1e-12)
+    assert np.allclose(s.derivative(at(1.0))[0], [[2.0, 1.0], [2.0, 0.0]], atol=1e-12)
+    # the interpolant is the quadratic itself, so its derivative is exact between
+    # the snapshots too
+    dense = np.linspace(0.0, 1.0, 201)
+    expect = np.zeros((dense.size, 2, 2), dtype=complex)
+    expect[:, 0, 0], expect[:, 0, 1], expect[:, 1, 0] = 2.0 * dense, 1.0, 2.0
+    assert np.allclose(s.derivative(dense), expect, rtol=0, atol=1e-12)
+
+
+def random_sampled(seed=3):
+    ts = np.linspace(0.0, 1.0, 6)
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    return ts, mats, OperatorSchedule.sampled(ts, mats)
+
+
+def test_sampled_derivative_matches_a_central_difference_of_the_interpolant():
+    ts, _, s = random_sampled()
+    # inside each snapshot interval, where the interpolant is a cubic
+    t = (ts[:-1, None] + (ts[1] - ts[0]) * np.array([0.01, 0.3, 0.5, 0.77, 0.99])).ravel()
+    step = 1e-6
+    fd = (s(t + step) - s(t - step)) / (2.0 * step)
+    assert np.allclose(s.derivative(t), fd, rtol=0, atol=1e-7)
+
+
+def test_sampled_derivative_is_continuous_at_the_snapshots():
+    ts, mats, s = random_sampled()
+    h = ts[1] - ts[0]
+    inner = ts[1:-1]
+    # the two sides of each inner snapshot lie in adjacent snapshot intervals
+    left, right = s.derivative(inner - 1e-13), s.derivative(inner + 1e-13)
+    assert np.allclose(left, right, rtol=0, atol=1e-9)
+    # at a snapshot the derivative is the interpolant's slope there
+    assert np.allclose(s.derivative(inner), (mats[2:] - mats[:-2]) / (2.0 * h),
+                       rtol=0, atol=1e-12)
 
 
 def test_sampled_needs_four_uniform_snapshots():
@@ -107,10 +155,12 @@ def test_sampled_needs_four_uniform_snapshots():
 
 def test_omega_schedule_hand_values():
     os = OmegaSchedule(growing_theta(), fd_step=1e-3)
-    assert np.allclose(os.omega(1.0), np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)
-    assert np.allclose(os.omega_inv(1.0), np.diag([1.0, 1.0 / np.sqrt(2.0)]), atol=1e-12)
+    assert np.allclose(os.omega(at(1.0))[0], np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)
+    assert np.allclose(os.omega_inv(at(1.0))[0], np.diag([1.0, 1.0 / np.sqrt(2.0)]),
+                       atol=1e-12)
     # d/dt sqrt(1+t^2) = t / sqrt(1+t^2); finite-difference route
-    assert np.allclose(os.omega_dot(1.0), np.diag([0.0, 1.0 / np.sqrt(2.0)]), atol=1e-6)
+    assert np.allclose(os.omega_dot(at(1.0))[0], np.diag([0.0, 1.0 / np.sqrt(2.0)]),
+                       atol=1e-6)
 
 
 def test_omega_schedule_analytic_derivative():
@@ -118,19 +168,20 @@ def test_omega_schedule_analytic_derivative():
     omega_dot = lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts))  # noqa: E731
     exact = np.diag([0.0, 1.0 / np.sqrt(2.0)])
     os = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, omega_dot, None))
-    assert np.allclose(os.omega_dot(1.0), exact, atol=1e-15)
+    assert np.allclose(os.omega_dot(at(1.0))[0], exact, atol=1e-15)
     # no analytic inverse: the gated inverse of the analytic omega
-    assert np.allclose(os.omega_inv(1.0), np.diag([1.0, 1.0 / np.sqrt(2.0)]), atol=1e-15)
+    assert np.allclose(os.omega_inv(at(1.0))[0], np.diag([1.0, 1.0 / np.sqrt(2.0)]),
+                       atol=1e-15)
     # no analytic derivative: the finite difference of the analytic omega
     fd = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, None, None))
-    assert not np.array_equal(fd.omega_dot(1.0), os.omega_dot(1.0))
-    assert np.allclose(fd.omega_dot(1.0), exact, atol=1e-6)
+    assert not np.array_equal(fd.omega_dot(at(1.0)), os.omega_dot(at(1.0)))
+    assert np.allclose(fd.omega_dot(at(1.0))[0], exact, atol=1e-6)
 
 
 def test_omega_constant_metric_zero_derivative():
     theta = OperatorSchedule.constant_matrix(np.diag([1.0, 4.0]), (0, 1))
     os = OmegaSchedule(theta, fd_step=1e-3)
-    assert np.allclose(os.omega_dot(0.5), np.zeros((2, 2)), atol=1e-12)
+    assert np.allclose(os.omega_dot(at(0.5))[0], np.zeros((2, 2)), atol=1e-12)
 
 
 def test_omega_reports_failing_time():
@@ -140,7 +191,7 @@ def test_omega_reports_failing_time():
         lambda ts: diag_stack(ts, 0.0, 1.0))
     os = OmegaSchedule(theta, fd_step=1e-3)
     with pytest.raises(NotPositiveDefinite) as exc:
-        os.omega(0.4)
+        os.omega(at(0.4))
     assert exc.value.t == pytest.approx(0.4)
 
 
@@ -160,6 +211,22 @@ def hermite_reference(ts, mats, t):
     s = (t - ts[j]) / h
     return ((2 * s ** 3 - 3 * s ** 2 + 1) * mats[j] + (s ** 3 - 2 * s ** 2 + s) * h * slopes[j]
             + (-2 * s ** 3 + 3 * s ** 2) * mats[j + 1] + (s ** 3 - s ** 2) * h * slopes[j + 1])
+
+
+def hermite_derivative_reference(ts, mats, t):
+    """d/dt of hermite_reference at one time, from the power-basis coefficients of
+    the cubic on its interval."""
+    h = ts[1] - ts[0]
+    slopes = np.empty_like(mats)
+    slopes[1:-1] = (mats[2:] - mats[:-2]) / (2.0 * h)
+    slopes[0] = (-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) / (2.0 * h)
+    slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * h)
+    j = max(min(int((t - ts[0]) / h), ts.size - 2), 0)
+    s = (t - ts[j]) / h
+    c1 = h * slopes[j]
+    c2 = 3.0 * (mats[j + 1] - mats[j]) - h * (2.0 * slopes[j] + slopes[j + 1])
+    c3 = 2.0 * (mats[j] - mats[j + 1]) + h * (slopes[j] + slopes[j + 1])
+    return (c1 + 2.0 * c2 * s + 3.0 * c3 * s * s) / h
 
 
 def fd_reference(f, t, step, lo, hi):
@@ -183,8 +250,8 @@ def test_stacked_closed_form_schedule():
     s = growing_theta()
     stacked, slopes = s(HALF_GRID), s.derivative(HALF_GRID)
     for k, t in enumerate(HALF_GRID):
-        assert np.array_equal(stacked[k], s(t))
-        assert np.array_equal(slopes[k], s.derivative(t))
+        assert np.array_equal(stacked[k], s(at(t))[0])
+        assert np.array_equal(slopes[k], s.derivative(at(t))[0])
 
 
 def test_closed_forms_called_once_per_stack():
@@ -212,20 +279,17 @@ def test_closed_forms_called_once_per_stack():
 
 
 def test_stacked_sampled_schedule_matches_reference():
-    ts = np.linspace(0.0, 1.0, 6)
-    rng = np.random.default_rng(3)
-    mats = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
-    s = OperatorSchedule.sampled(ts, mats)
+    ts, mats, s = random_sampled()
     stacked = s(HALF_GRID)
     for k, t in enumerate(HALF_GRID):
         ref = hermite_reference(ts, mats, t)
         assert np.allclose(stacked[k], ref, rtol=0, atol=1e-14)
-        assert np.array_equal(stacked[k], s(t))
-    # the derivative is a finite difference of the interpolant with the snapshot spacing
-    grid = np.linspace(0.0, 1.0, 11)   # spacing 0.1 does not divide 0.2: one time at a time
+        assert np.array_equal(stacked[k], s(at(t))[0])
+    # the derivative is the exact derivative of the interpolant
+    grid = np.linspace(0.0, 1.0, 11)
     slopes = s.derivative(grid)
     for k, t in enumerate(grid):
-        ref = fd_reference(s, t, 0.2, 0.0, 1.0)
+        ref = hermite_derivative_reference(ts, mats, t)
         assert np.allclose(slopes[k], ref, rtol=0, atol=1e-12)
 
 
@@ -240,12 +304,12 @@ def test_stacked_omega_matches_scalar_and_reference():
     w, wi = os.omega(HALF_GRID), os.omega_inv(HALF_GRID)
     wd = os.omega_dot(HALF_GRID)
     for k, t in enumerate(HALF_GRID):
-        assert np.allclose(w[k], os.omega(t), rtol=0, atol=1e-15)
-        assert np.allclose(wi[k], os.omega_inv(t), rtol=0, atol=1e-15)
+        assert np.allclose(w[k], os.omega(at(t))[0], rtol=0, atol=1e-15)
+        assert np.allclose(wi[k], os.omega_inv(at(t))[0], rtol=0, atol=1e-15)
         # the first two and last two points take the one-sided rule
-        ref = fd_reference(os.omega, t, 0.1, 0.0, 1.0)
+        ref = fd_reference(lambda x: os.omega(at(x))[0], t, 0.1, 0.0, 1.0)
         assert np.allclose(wd[k], ref, rtol=0, atol=1e-13)
-        assert np.allclose(os.omega_dot(t), ref, rtol=0, atol=1e-15)
+        assert np.allclose(os.omega_dot(at(t))[0], ref, rtol=0, atol=1e-15)
     assert np.array_equal(os.omega_inv(HALF_GRID, omega=w), wi)
     assert np.array_equal(os.omega_dot(HALF_GRID, omega=w), wd)
 
@@ -257,6 +321,14 @@ def test_omega_dot_on_a_block_matches_whole_grid():
         part = HALF_GRID[first:last]
         got = os.omega_dot(part, omega=os.omega(part))
         assert np.allclose(got, whole[first:last], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 4),      # spacing 1/3 against 0.1
+                                   np.array([0.0, 0.05, 0.15, 0.2])])   # not uniform
+def test_omega_dot_refuses_times_off_the_stencil_lattice(times):
+    os = OmegaSchedule(growing_theta(), fd_step=0.1)
+    with pytest.raises(ValueError, match="not a multiple of the spacing"):
+        os.omega_dot(times)
 
 
 def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
