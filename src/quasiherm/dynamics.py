@@ -264,42 +264,47 @@ class Scenario:
 
 @contextmanager
 def _gate(what: str):
-    """Raise a gate that fails inside as a ValidationError naming what and its t."""
+    """Raise a gate that fails inside as a ValidationError naming what; the
+    failure's own message names its t."""
     try:
         yield
     except ValidationError:   # already names its field and t
         raise
     except QuasihermError as e:
-        where = "" if getattr(e, "t", None) is None else f" at t={e.t:g}"
         if isinstance(e, NotHermitian):
+            where = "" if e.t is None else f" at t={e.t:g}"
             raise ValidationError(f"{what} not Hermitian{where} "
                                   f"(defect {e.defect:.3e})") from None
-        raise ValidationError(f"{what} rejected{where}: {e}") from e
+        raise ValidationError(f"{what} rejected: {e}") from e
 
 
-def validate_scenario(s: Scenario, os: OmegaSchedule,
-                      blk) -> tuple[Operators, np.ndarray, np.ndarray]:
-    """Admit one block of s's grid: its operator stacks on the half grid, theta
-    at its nodes, and the quasi-Hermiticity residual of H against that theta.
+def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
+                      qh: np.ndarray | None = None) -> tuple[Operators, np.ndarray]:
+    """Admit one block of s's grid: its operator stacks on the half grid and
+    theta at its nodes.
 
     The metric is gated through theta and through omega = sqrt(theta), its
-    inverse and its derivative; in direct mode a residual above eps_res is
-    refused at its node; then h goes through admit_h. Each raises
-    ValidationError naming the first failing t.
+    inverse and its derivative; in direct mode a quasi-Hermiticity residual of
+    H above eps_res is refused at its node; then h goes through admit_h. Each
+    raises ValidationError naming the first failing t. The residual is formed
+    in direct mode, or when qh is given: an array that receives it node by node.
     """
     ts = blk.times()
     with _gate("metric"):
         theta = linalg.as_matrices(s.theta(ts), t=ts)
         ops = half_grid_operators(s, os, blk.half_times())
-    qh = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
-    bad = qh > s.tol("eps_res")
-    if s.kind == "direct" and bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(
-            f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
-            f"(residual {qh[k]:.6g} > {s.tol('eps_res'):g})")
+    if s.kind == "direct" or qh is not None:
+        res = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
+        bad = res > s.tol("eps_res")
+        if s.kind == "direct" and bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(
+                f"direct-mode generator violates quasi-Hermiticity at t={ts[k]:g} "
+                f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
+        if qh is not None:
+            qh[:] = res
     admit_h(s, ops.h, blk)
-    return ops, theta, qh
+    return ops, theta
 
 
 def admit_h(s: Scenario, h: np.ndarray, blk) -> None:
@@ -341,7 +346,7 @@ def evolve(s: Scenario) -> EvolutionResult:
 
     for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        ops, theta, qh[nodes] = validate_scenario(s, os, blk)
+        ops, theta = validate_scenario(s, os, blk, qh[nodes])
         if blk.first == 0:
             omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])

@@ -14,7 +14,8 @@ cond_2(A) <= ||A||_2 ||X||_2 / (1 - ||I - AX||_2) <= 2 ||A||_F ||X||_F,
 however inaccurate X is. The r that counts is the computed one plus its
 rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F. A matrix with
 2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the others (and
-every stack on which inv fails) go to ``cond_2norm``. The SVD's own cond
+every stack on which inv fails) go to ``cond_2norm``, and a matrix that
+inv cannot invert is refused whatever its cond. The SVD's own cond
 is uncertain by about d eps cond relative, so the certificate admits no
 matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
 cond_max is: near 1/eps the SVD alone decides.
@@ -205,15 +206,22 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     there the SVD's cond, which the gate must reproduce, is itself only
     known to about d eps cond relative. The others, and the whole stack
     when inv fails on it, have their condition number taken by cond_2norm,
-    which decides and names the first refusal. The result is inv(a) as
-    computed.
+    which decides and names the first refusal; a matrix inv cannot invert
+    is refused whatever its cond. The result is inv(a) as computed.
     """
     m = as_matrices(a, t)
     stack = m.reshape((-1,) + m.shape[-2:])
+    singular = np.zeros(len(stack), dtype=bool)
     try:
         x = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        x = None
+    except np.linalg.LinAlgError:   # inv refuses the stack: invert matrix by matrix
+        x = np.zeros_like(stack)
+        for k, mk in enumerate(stack):
+            try:
+                x[k] = np.linalg.inv(mk)
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        x = x.reshape(m.shape)
         undecided = np.ones(len(stack), dtype=bool)
     else:
         d = m.shape[-1]
@@ -226,10 +234,10 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
             ceiling = min(cond_max, 1.0 / (16 * (d + 2) ** 2 * _EPS))
             undecided = ~((r <= 0.5) & (2.0 * norms <= ceiling))
     c = np.atleast_1d(cond_2norm(stack[undecided]))   # an empty stack when all are certified
-    k = _first_failure(~(c <= cond_max))
+    k = _first_failure(~(c <= cond_max) | singular[undecided])
     if k is not None:
         raise IllConditioned(float(c[k]), t=_at(t, np.flatnonzero(undecided)[k]))
-    return np.linalg.inv(m) if x is None else x
+    return x
 
 
 # --- [re, im] pair encoding used by scenario files and fixtures ---
@@ -251,11 +259,6 @@ def matrix_from_pairs(obj) -> np.ndarray:
     return as_matrix(arr[..., 0] + 1j * arr[..., 1])
 
 
-def matrix_to_pairs(a) -> list:
-    m = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def vector_from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -264,8 +267,3 @@ def vector_from_pairs(obj) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def vector_to_pairs(v) -> list:
-    arr = np.asarray(v, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in arr]

@@ -40,11 +40,10 @@ def _diag(a: float, b: np.ndarray) -> np.ndarray:
 
 
 def _growing_metric(span):
-    theta = OperatorSchedule.closed_form(
+    theta = OperatorSchedule(
         2, span,
         lambda ts: _diag(1.0, 1.0 + ts * ts),
-        lambda ts: _diag(0.0, 2.0 * ts),
-        label="diag(1, 1+t^2)")
+        lambda ts: _diag(0.0, 2.0 * ts))
     root = lambda ts: np.sqrt(1.0 + ts * ts)  # noqa: E731
     return theta, (lambda ts: _diag(1.0, root(ts)),
                    lambda ts: _diag(0.0, ts / root(ts)),
@@ -57,19 +56,18 @@ def _scalar_exponential(span):
     def times_eye(f):
         return lambda ts: f(ts)[:, None, None] * eye
 
-    theta = OperatorSchedule.closed_form(
+    theta = OperatorSchedule(
         2, span,
         times_eye(lambda ts: np.exp(2.0 * ts)),
-        times_eye(lambda ts: 2.0 * np.exp(2.0 * ts)),
-        label="exp(2t) I")
+        times_eye(lambda ts: 2.0 * np.exp(2.0 * ts)))
     return theta, (times_eye(np.exp), times_eye(np.exp), times_eye(lambda ts: np.exp(-ts)))
 
 
-def _static_metric(theta_mat: np.ndarray, label: str):
+def _static_metric(theta_mat: np.ndarray):
     """A metric that does not move: omega is its principal root, omega_dot zero."""
     def metric(span):
         m = metric_from_theta(theta_mat)
-        return (OperatorSchedule.constant_matrix(theta_mat, span, label=label),
+        return (OperatorSchedule.constant_matrix(theta_mat, span),
                 (constant_fn(m.omega), constant_fn(np.zeros_like(m.omega)),
                  constant_fn(m.omega_inv)))
     return metric
@@ -79,10 +77,9 @@ _DYSON = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 
 BUILTINS = {   # name -> span -> (theta schedule, (omega, omega_dot, omega_inv))
     "growing-metric-2d": _growing_metric,
-    "constant-metric-2d": _static_metric(
-        np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex), "[[2,1],[1,2]]"),
+    "constant-metric-2d": _static_metric(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)),
     "scalar-exponential": _scalar_exponential,
-    "nonhermitian-dyson": _static_metric(_DYSON.conj().T @ _DYSON, "Omega† Omega"),
+    "nonhermitian-dyson": _static_metric(_DYSON.conj().T @ _DYSON),
 }
 
 
@@ -101,7 +98,7 @@ def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
     theta, omega_analytic = metric(span)
     return Scenario(
         name=name, dim=2, grid=TimeGrid(span[0], span[1], steps), theta=theta,
-        h=OperatorSchedule.constant_matrix(SIGMA_X, span, label="sigma_x"),
+        h=OperatorSchedule.constant_matrix(SIGMA_X, span),
         initial_state=[1.0, 0.0] if initial_state is None else initial_state, hbar=hbar,
         tolerances=dict(tolerances or {}), omega_analytic=omega_analytic,
         u_oracle=u_oracle_sigma_x)

@@ -131,34 +131,3 @@ def parse_scenario(text: str) -> Scenario:
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     return s
-
-
-def _serialize_schedule(sched: OperatorSchedule):
-    if sched.snapshots is not None:
-        return {"times": [float(t) for t in sched.sample_times],
-                "snapshots": [linalg.matrix_to_pairs(m) for m in sched.snapshots]}
-    if sched.constant is not None:
-        return linalg.matrix_to_pairs(sched.constant)
-    raise ValidationError(f"closed-form schedule {sched.label!r} is not serializable")
-
-
-def serialize_scenario(s: Scenario) -> str:
-    obj = {
-        "dimension": s.dim,
-        "hbar": s.hbar,
-        "time": {"start": s.grid.t_start, "end": s.grid.t_end, "steps": s.grid.steps},
-        "initial_state": linalg.vector_to_pairs(s.initial_state),
-    }
-    if s.tolerances:
-        obj["tolerances"] = dict(s.tolerances)
-    if s.name in models.BUILTINS:
-        obj["model"] = {"kind": "builtin", "name": s.name}
-    elif s.h is not None:
-        obj["name"] = s.name
-        obj["model"] = {"kind": "pair", "h": _serialize_schedule(s.h),
-                        "theta": _serialize_schedule(s.theta)}
-    else:
-        obj["name"] = s.name
-        obj["model"] = {"kind": "direct", "H": _serialize_schedule(s.h_big),
-                        "theta": _serialize_schedule(s.theta)}
-    return json.dumps(obj, indent=2, sort_keys=True)

@@ -1,10 +1,10 @@
 """Time grids and time-dependent operator schedules.
 
-A schedule is given in closed form (an evaluator and its analytic time
-derivative) or sampled (uniform snapshots, kept in .snapshots, and their
-cubic Hermite interpolant with its exact derivative). The derived omega
-schedule serves omega, its inverse and its time derivative from a metric
-schedule, with a finite-difference fallback for the derivative.
+A schedule is a value function and its time derivative on a span: given in
+closed form, a fixed matrix (constant_matrix), or the cubic Hermite
+interpolant of uniform snapshots with its exact derivative (sampled). The
+derived omega schedule serves omega, its inverse and its time derivative
+from a metric schedule, with a finite-difference fallback for the derivative.
 
 Every evaluator takes a 1-D array of times and returns a stack of shape
 (n, d, d), one matrix per time: closed forms, the analytic omega, omega_dot
@@ -114,27 +114,17 @@ class OperatorSchedule:
     """t -> A(t) on a fixed span: a function of a 1-D array of times that returns
     a stack, with a .derivative method of the same shape."""
 
-    def __init__(self, dim, span, value_fn, deriv_fn,
-                 sample_times=None, snapshots=None, constant=None, label=""):
+    def __init__(self, dim, span, value_fn, deriv_fn):
+        """value_fn and deriv_fn map a 1-D array of times to a stack."""
         self.dim = dim
         self.span = (float(span[0]), float(span[1]))
-        self._value = value_fn   # 1-D array of times -> stack
+        self._value = value_fn
         self._deriv = deriv_fn
-        self.sample_times = sample_times
-        self.snapshots = snapshots   # set when the schedule is sampled
-        self.constant = constant  # set when the schedule is a fixed matrix
-        self.label = label
 
     @classmethod
-    def closed_form(cls, dim, span, value_fn, deriv_fn, label=""):
-        """value_fn and deriv_fn map a 1-D array of times to a stack."""
-        return cls(dim, span, value_fn, deriv_fn, label=label)
-
-    @classmethod
-    def constant_matrix(cls, matrix, span, label=""):
+    def constant_matrix(cls, matrix, span):
         m = linalg.as_matrix(matrix)
-        return cls(m.shape[0], span, constant_fn(m), constant_fn(np.zeros_like(m)),
-                   constant=m, label=label)
+        return cls(m.shape[0], span, constant_fn(m), constant_fn(np.zeros_like(m)))
 
     @classmethod
     def sampled(cls, times, snapshots):
@@ -178,8 +168,7 @@ class OperatorSchedule:
                     + (3.0 * s2 - 4.0 * s + 1.0) * slopes[j]
                     + (3.0 * s2 - 2.0 * s) * slopes[j + 1])
 
-        return cls(mats.shape[1], (ts[0], ts[-1]), value_fn, deriv_fn,
-                   sample_times=ts, snapshots=mats)
+        return cls(mats.shape[1], (ts[0], ts[-1]), value_fn, deriv_fn)
 
     def check_span(self, ts):
         """Raise OutOfRange for the first time of the 1-D array ts outside the span."""

@@ -285,14 +285,15 @@ def test_validate_names_first_non_positive_metric_time():
     grid = TimeGrid(0.0, 1.0, 10)
     s = dynamics.Scenario(
         name="sinking", dim=2, grid=grid,
-        theta=OperatorSchedule.closed_form(
+        theta=OperatorSchedule(
             2, (0.0, 1.0),
             lambda ts: np.stack([np.diag([1.0, 0.35 - t]) for t in ts]).astype(complex),
             lambda ts: np.stack([np.diag([0.0, -1.0]) for t in ts]).astype(complex)),
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
     # the midpoint t=0.35, where lambda_min = 0, comes before the node t=0.4
-    with pytest.raises(ValidationError, match=r"metric rejected at t=0\.35:"):
+    with pytest.raises(ValidationError,
+                       match=r"^metric rejected: matrix is not positive definite at t=0\.35 "):
         evolve(s)
 
 
@@ -325,13 +326,13 @@ def _unadmitted(kind, theta=None, gen=None):
 
 
 def _closed(fn):
-    return OperatorSchedule.closed_form(2, (0.0, 1.0), fn, fn)
+    return OperatorSchedule(2, (0.0, 1.0), fn, fn)
 
 
 EVOLVE_GATES = {
     # non-positive from the node t=0.4 on; the midpoint before it is still positive
     "metric": (_unadmitted("h", theta=_closed(lambda ts: _diag_stack(ts, 1.0, 0.4 - ts))),
-               r"^metric rejected at t=0\.4: matrix is not positive definite at t=0\.4 "
+               r"^metric rejected: matrix is not positive definite at t=0\.4 "
                r"\(lambda_min=-?[0-9.e-]+, lambda_max=1\)$"),
     # non-Hermitian from the midpoint t=0.25 on, which a gate at the nodes would miss
     "pair h": (_unadmitted("h", gen=_closed(lambda ts: SIGMA_X + _from(0.25, BUMP)(ts))),

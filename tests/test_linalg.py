@@ -77,6 +77,16 @@ def test_inverse_rejects_singular():
         linalg.inverse(np.diag([1.0, 0.0]))
 
 
+def test_inverse_refuses_a_matrix_inv_cannot_invert_under_any_ceiling():
+    """[[1, 2], [2, 4]] is singular, yet its SVD cond rounds to 2.5e16, under a
+    ceiling of 1e20: it is refused as ill-conditioned at its own t."""
+    stack = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+    with pytest.raises(IllConditioned) as exc:
+        linalg.inverse(stack, cond_max=1e20, t=[0.0, 0.5, 1.0])
+    assert exc.value.t == 0.5
+    assert exc.value.cond < 1e20
+
+
 def test_fro_norm_cases():
     assert linalg.fro_norm(np.zeros((3, 3))) == 0.0
     assert linalg.fro_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
@@ -155,12 +165,14 @@ def test_spectrum_unitary_invariance(rng):
 
 
 def test_pair_encoding_roundtrip():
+    """Literal [re, im] pairs, as a scenario file writes them, read back as the
+    matrix and vector they encode."""
     ident = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     assert np.array_equal(linalg.matrix_from_pairs(ident), np.eye(2))
     m = np.array([[1 + 2j, 3], [0, -1j]])
-    assert np.array_equal(linalg.matrix_from_pairs(linalg.matrix_to_pairs(m)), m)
+    assert np.array_equal(linalg.matrix_from_pairs([[[1, 2], [3, 0]], [[0, 0], [0, -1]]]), m)
     v = np.array([1j, 2.5])
-    assert np.array_equal(linalg.vector_from_pairs(linalg.vector_to_pairs(v)), v)
+    assert np.array_equal(linalg.vector_from_pairs([[0, 1], [2.5, 0]]), v)
 
 
 # --- stacks: each matrix gated and decomposed as if on its own ---

@@ -19,7 +19,7 @@ def at(t):
 
 
 def growing_theta(span=(0.0, 1.0)):
-    return OperatorSchedule.closed_form(
+    return OperatorSchedule(
         2, span,
         lambda ts: diag_stack(ts, 1.0, 1.0 + ts * ts),
         lambda ts: diag_stack(ts, 0.0, 2.0 * ts))
@@ -185,7 +185,7 @@ def test_omega_constant_metric_zero_derivative():
 
 
 def test_omega_reports_failing_time():
-    theta = OperatorSchedule.closed_form(
+    theta = OperatorSchedule(
         2, (0.0, 1.0),
         lambda ts: diag_stack(ts, 1.0, ts - 0.5),
         lambda ts: diag_stack(ts, 0.0, 1.0))
@@ -263,7 +263,7 @@ def test_closed_forms_called_once_per_stack():
             return fn(ts)
         return wrapped
 
-    theta = OperatorSchedule.closed_form(
+    theta = OperatorSchedule(
         2, (0.0, 1.0), counted(lambda ts: diag_stack(ts, 1.0, 1.0 + ts * ts)),
         counted(lambda ts: diag_stack(ts, 0.0, 2.0 * ts)))
     theta(HALF_GRID)
@@ -333,7 +333,7 @@ def test_omega_dot_refuses_times_off_the_stencil_lattice(times):
 
 def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
     # omega = diag(1, (1 + t)^2) is quadratic in t: every stencil is exact
-    theta = OperatorSchedule.closed_form(
+    theta = OperatorSchedule(
         2, (0.0, 1.0),
         lambda ts: diag_stack(ts, 1.0, (1.0 + ts) ** 4),
         lambda ts: diag_stack(ts, 0.0, 4.0 * (1.0 + ts) ** 3))
