@@ -12,7 +12,11 @@ stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. The integrators t
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
-once and only the update is a Python loop.
+once. For d <= SCAN_MAX_DIM the maps are then composed by a chunked scan,
+whose Python loops run over the steps of one chunk and over the chunks,
+not over every step; products of maps are kept as their difference from
+I (delta form), so their rounding stays relative to the step, not to the
+propagator. Above SCAN_MAX_DIM the walk goes step by step.
 
 evolve walks the grid a block of steps at a time, keeps no node series and
 forms every per-node column of the report, among them the residuals of the
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import linalg, spaces
 from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
-from .schedules import OmegaSchedule, OperatorSchedule, TimeGrid
+from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
 
 DEFAULT_TOLERANCES = {
     "eps_herm": linalg.EPS_HERM,
@@ -53,15 +57,38 @@ DEFAULT_TOLERANCES = {
 
 BLOCK_ENTRIES = 1 << 15  # matrix entries of one operator stack over one block of steps
 RK4_LIMIT = 2.0 * np.sqrt(2.0)   # |R(iy)| <= 1 for RK4's step map exactly when |y| <= this
+SCAN_CHUNK = 32     # steps per chunk of the scan walk (_rk4_series)
+# Above this d a block (BLOCK_ENTRIES / (2 d^2) steps) holds too few chunks for
+# the scan to repay its SCAN_CHUNK batched iterations: the walk goes step by step.
+SCAN_MAX_DIM = 6
+
+
+def _chunk(dim: int) -> int:
+    """Steps per chunk of the walk of dim x dim step maps; 1 is the plain loop."""
+    return SCAN_CHUNK if dim <= SCAN_MAX_DIM else 1
 
 
 def grid_blocks(grid: TimeGrid, dim: int):
-    """The blocks the integrators walk grid in, sized for dim x dim operators."""
-    return grid.blocks(BLOCK_ENTRIES // (2 * dim * dim))
+    """The blocks the integrators walk grid in, sized for dim x dim operators.
+
+    Every cut falls on a multiple of the walk's chunk, where a block's walk
+    continues the walk of the whole grid bit for bit, so the bits of a run do
+    not depend on the block size.
+    """
+    c = _chunk(dim)
+    cuts = [b.first - b.first % c for b in grid.blocks(BLOCK_ENTRIES // (2 * dim * dim))]
+    return [GridBlock(grid, a, b) for a, b in zip(cuts, cuts[1:] + [grid.steps])]
 
 
 def _constant(m: np.ndarray) -> bool:   # every matrix of m is m[0]; a varying m exits early
     return bool((m[-1] == m[0]).all() and (m == m[0]).all())
+
+
+def _walk(maps, series: np.ndarray) -> None:
+    """series[k + 1] = series[k] + maps[k] series[k], from series[0], in place."""
+    for dk, u, nxt in zip(maps, series, series[1:]):
+        np.matmul(dk, u, out=nxt)
+        np.add(u, nxt, out=nxt)
 
 
 def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
@@ -70,29 +97,58 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
     m holds M on grid.half_times(). A step is u -> u + D u with
     D = dt/6 (m1 + 2 m2 A + 2 m2 B + m4 C), A = I + dt/2 m1,
     B = I + dt/2 m2 A, C = I + dt m2 B: classical RK4 for a linear ODE.
-    The update is not folded into (I + D) u, whose rounding would repeat
-    identically at every step of a constant generator.
+
+    The walk is a chunked scan of the step maps (Blelloch 1990), in chunks
+    of C = _chunk(d) steps from the first step, so no Python loop is N
+    long; one is C long and one N/C:
+    1. the partial products of each chunk, all chunks at once, as
+       X_j = X_{j-1} + D_j X_{j-1} + D_j, the product of the first j + 1
+       step maps less I (X overwrites D);
+    2. the chunk starts b_{i+1} = b_i + X_{C-1} b_i, a loop over the chunks;
+    3. every node of chunk i as b_i + X_j b_i, in one stacked matmul.
+    The tail of fewer than C steps, and every step when C = 1, takes the
+    plain walk u -> u + D u. Products are kept in this delta form, never
+    folded into I + D or I + X: near I, the rounding of such a fold is a
+    relative error of the whole propagator, which would repeat identically
+    at every step of a constant generator. Chunks start at multiples of C,
+    so a block cut there (grid_blocks) walks the same arithmetic as the
+    whole grid.
 
     When every matrix of m is the same (a constant generator, as for the
     builtins' sigma_x), all step maps are the same matrix: D is formed once,
-    from the same arithmetic as each per-step D, and serves every step.
+    from the same arithmetic as each per-step D, and one chunk's X serves
+    every chunk.
     """
     dt = grid.spacing
-    eye = np.eye(m.shape[-1])
-    if _constant(m):
+    dim = m.shape[-1]
+    eye = np.eye(dim)
+    constant = _constant(m)
+    if constant:
         m1 = m2 = m4 = m[:1]
     else:
         m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
+    c = _chunk(dim)
+    scanned = grid.steps - grid.steps % c if c > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):   # metric_from_ur refuses inf and nan
         m2a = m2 @ (eye + (0.5 * dt) * m1)
         m2b = m2 @ (eye + (0.5 * dt) * m2a)
         d = (dt / 6.0) * (m1 + 2.0 * m2a + 2.0 * m2b + m4 @ (eye + dt * m2b))
-        d = np.broadcast_to(d, (grid.steps,) + d.shape[1:])
-        out = np.empty((grid.steps + 1,) + m.shape[1:], dtype=complex)
+        out = np.empty((grid.steps + 1, dim, dim), dtype=complex)
         out[0] = eye if u0 is None else u0
-        for dk, u, nxt in zip(d, out, out[1:]):
-            np.matmul(dk, u, out=nxt)
-            np.add(u, nxt, out=nxt)
+        if scanned:
+            x = (np.repeat(d, c, axis=0) if constant else d[:scanned]).reshape(-1, c, dim, dim)
+            dx = np.empty((x.shape[0], dim, dim), dtype=complex)
+            for j in range(1, c):
+                np.matmul(x[:, j], x[:, j - 1], out=dx)
+                x[:, j] += dx
+                x[:, j] += x[:, j - 1]
+            starts = np.empty((scanned // c + 1, dim, dim), dtype=complex)
+            starts[0] = out[0]
+            _walk(np.broadcast_to(x[:, -1], starts[1:].shape), starts)
+            nodes = out[1:scanned + 1].reshape(-1, c, dim, dim)
+            np.matmul(x, starts[:-1, None], out=nodes)
+            nodes += starts[:-1, None]
+        _walk(np.broadcast_to(d, (grid.steps,) + d.shape[1:])[scanned:], out[scanned:])
     return out
 
 

@@ -195,6 +195,14 @@ def test_run_coarse_grid_fails_verdicts(tmp_path):
     assert code == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: CORRECTED_GENERATOR_OK judges "
+                   "res_corrected on an absolute scale, which grows with hbar (8.05e-6 > 1e-6)")
+def test_run_passes_every_verdict_at_a_large_hbar(tmp_path):
+    code = cli.main(["run", "--scenario", "growing-metric-2d", "--hbar", "100",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 0
+
+
 def test_run_unwritable_path_exit_2(tmp_path):
     code = cli.main(["run", "--scenario", "growing-metric-2d", "--steps", "100",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")])

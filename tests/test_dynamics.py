@@ -10,7 +10,7 @@ from quasiherm.dynamics import (evolve, gate_h, integrate_u, metric_from_ur,
                                 ur_from_definition, ur_from_naive_generator)
 from quasiherm.errors import IllConditioned, NotHermitian, ValidationError
 from quasiherm.models import SIGMA_X, u_oracle_sigma_x
-from quasiherm.schedules import OperatorSchedule, TimeGrid
+from quasiherm.schedules import GridBlock, OperatorSchedule, TimeGrid
 
 SPAN_HALF_PI = (0.0, np.pi / 2)
 
@@ -239,15 +239,61 @@ def test_step_maps_match_classical_rk4():
     assert np.allclose(u, ref, rtol=0, atol=1e-13)
 
 
-def test_blocks_continue_the_whole_grid_run():
-    grid = TimeGrid(0.0, 1.0, 100)
-    h = lambda t: SIGMA_X * (1.0 + t)  # noqa: E731
+def _walk_in_blocks(h, grid, cuts):
+    """integrate_u over grid as a whole and block by block, each block cut at
+    cuts and started from the last node of the block before: (whole, parts)."""
     whole = integrate_u(on_half_grid(h, grid), grid)
-    end = None
-    for blk in grid.blocks(30):
-        part = integrate_u(on_half_grid(h, blk), blk, u0=end)
-        assert np.array_equal(part, whole[blk.first:blk.last + 1])
-        end = part[-1]
+    parts, end = [], None
+    for a, b in zip([0] + cuts, cuts + [grid.steps]):
+        blk = GridBlock(grid, a, b)
+        parts.append(integrate_u(on_half_grid(h, blk), blk, u0=end))
+        end = parts[-1][-1]
+    return whole, parts
+
+
+def _big_h(dim):
+    """t -> a varying Hermitian dim x dim generator of 2-norm at most 2."""
+    rng = np.random.default_rng(dim)
+    a, b = (linalg.hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            for _ in range(2))
+    a, b = a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2)
+    return lambda t: a + t * b
+
+
+def test_blocks_continue_the_whole_grid_run():
+    """Blocks cut at multiples of the walk's chunk, as grid_blocks cuts them,
+    continue the whole-grid walk bit for bit; above SCAN_MAX_DIM, where the
+    walk goes step by step, so do blocks cut anywhere."""
+    chunk = dynamics.SCAN_CHUNK
+    grid = TimeGrid(0.0, 1.0, 200)
+    for h, cuts in ((lambda t: SIGMA_X * (1.0 + t), [chunk, 3 * chunk, 6 * chunk]),
+                    (lambda t: SIGMA_X, [2 * chunk, 5 * chunk]),
+                    (_big_h(dynamics.SCAN_MAX_DIM + 1), [25, 50, 75, 133])):
+        whole, parts = _walk_in_blocks(h, grid, cuts)
+        for a, part in zip([0] + cuts, parts):
+            assert np.array_equal(part, whole[a:a + part.shape[0]]), a
+
+
+def test_blocks_cut_off_the_chunks_stay_within_rounding_of_the_whole_run():
+    """A cut inside a chunk regroups the scan's products: the block walks agree
+    with the whole-grid walk to rounding, the bound of the one-pass columns."""
+    grid = TimeGrid(0.0, 1.0, 100)
+    for h in (lambda t: SIGMA_X * (1.0 + t), lambda t: SIGMA_X, _big_h(3)):
+        whole, parts = _walk_in_blocks(h, grid, [25, 50, 75])
+        for a, part in zip([0, 25, 50, 75], parts):
+            assert np.allclose(part, whole[a:a + part.shape[0]],
+                               rtol=0.0, atol=100 * np.finfo(float).eps), a
+
+
+def test_run_bits_do_not_depend_on_the_block_size(monkeypatch, growing_result):
+    s = growing_result.scenario
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 1 << 9)   # 64 steps a block at d = 2
+    blocks = dynamics.grid_blocks(s.grid, s.dim)
+    assert len(blocks) > 1 and all(b.first % dynamics.SCAN_CHUNK == 0 for b in blocks)
+    res = evolve(s)
+    for f in dataclasses.fields(res)[1:]:
+        assert np.array_equal(getattr(res, f.name), getattr(growing_result, f.name),
+                              equal_nan=True), f.name
 
 
 def test_constant_generator_steps_like_a_varying_one():

@@ -1,11 +1,12 @@
-"""Hypothesis-driven invariants for the linear-algebra and space layers."""
+"""Hypothesis-driven invariants for the linear-algebra, space and dynamics layers."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasiherm import linalg, spaces
+from quasiherm import dynamics, linalg, spaces
+from quasiherm.schedules import TimeGrid
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -77,3 +78,45 @@ def test_physical_norm_positive(m):
     norm = spaces.inner_physical(spaces.reference_ket(v), spaces.reference_ket(v), metric)
     assert abs(norm.imag) <= 1e-12 * abs(norm.real)
     assert norm.real > 0.0
+
+
+def per_step_rk4(m, grid, u0):
+    """Reference: U' = M U by classical RK4 stages, one step at a time, from u0;
+    m is M on grid.half_times()."""
+    dt = grid.spacing
+    out = [u0]
+    for k in range(grid.steps):
+        u = out[-1]
+        k1 = m[2 * k] @ u
+        k2 = m[2 * k + 1] @ (u + 0.5 * dt * k1)
+        k3 = m[2 * k + 1] @ (u + 0.5 * dt * k2)
+        k4 = m[2 * k + 2] @ (u + dt * k3)
+        out.append(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.stack(out)
+
+
+# step counts anywhere in [2, 300], and just below, at and just above a
+# multiple of the scan walk's chunk
+steps = st.one_of(
+    st.integers(2, 300),
+    st.builds(lambda q, off: q * dynamics.SCAN_CHUNK + off,
+              st.integers(1, 300 // dynamics.SCAN_CHUNK - 1), st.sampled_from([-1, 0, 1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), steps, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_integrate_u_matches_a_per_step_rk4_walk(dim, n, constant, seed):
+    rng = np.random.default_rng(seed)
+
+    def unit_hermitian():
+        a = linalg.hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return a / np.linalg.norm(a, 2)
+
+    grid = TimeGrid(0.0, 1.0, n)
+    ts = grid.half_times()
+    a, b = unit_hermitian(), unit_hermitian()
+    h = (np.broadcast_to(a, (ts.size, dim, dim)) if constant
+         else a + np.sin(5.0 * ts)[:, None, None] * b)
+    u0 = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    u = dynamics.integrate_u(h, grid, u0=u0)
+    assert np.abs(u - per_step_rk4(-1j * h, grid, u0)).max() <= 1e-13
