@@ -32,7 +32,11 @@ For ``run`` the CSV bytes, standard output, standard error and exit code are
 compared; for the other commands all but the CSV. The path of each side's
 tree is replaced by ``<tree>`` in both streams first, so a warning that
 names a source file compares equal when its line is the same. Every
-difference is printed; the exit code is 1 if there is any, 0 if not.
+difference is printed; the exit code is 1 if there is any, 0 if not. Two
+CSVs with the same header and row count are compared number by number: for
+each column that differs, the count of rows that differ, the largest
+|new - base| / |base| (inf where a value turned nan or left zero) and the t of
+its row. Other differences are shown as the first lines of a text diff.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_bench import ROOT, export_base  # noqa: E402
@@ -163,6 +169,27 @@ def run_case(tree: str, args: list[str], work: str) -> dict:
     return out
 
 
+def csv_differences(base: str, new: str) -> list[str] | None:
+    """One line per column that differs between two CSV texts; None when their
+    headers or row counts differ."""
+    a, b = ([line.split(",") for line in text.splitlines()] for text in (base, new))
+    if len(a) != len(b) or a[0] != b[0]:
+        return None
+    x, y = (np.array(rows[1:], dtype=float) for rows in (a, b))
+    differ = np.array(a[1:]) != np.array(b[1:])
+    out = []
+    for j, name in enumerate(a[0]):
+        rows = np.flatnonzero(differ[:, j])
+        if rows.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.abs(y[rows, j] - x[rows, j]) / np.abs(x[rows, j])
+            rel[np.isnan(rel)] = np.inf
+            k = int(np.argmax(rel))
+            out.append(f"{name}: {rows.size} rows differ, largest |new - base| / |base| "
+                       f"{rel[k]:.3g} at {a[0][0]}={a[rows[k] + 1][0]}")
+    return out
+
+
 def differences(label: str, base: dict, new: dict) -> list[str]:
     out = []
     for what in sorted(set(base) | set(new)):
@@ -171,6 +198,10 @@ def differences(label: str, base: dict, new: dict) -> list[str]:
             continue
         if a is None or b is None:
             out.append(f"{label}: {what} only on the {'base' if b is None else 'new'} side")
+            continue
+        shown = csv_differences(a, b) if what == "csv" else None
+        if shown is not None:
+            out.append(f"{label}: {what} differs\n" + "\n".join("    " + d for d in shown))
             continue
         diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), "base", "new",
                                          lineterm="", n=0))

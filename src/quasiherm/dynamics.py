@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg, spaces
 from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
-from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
+from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid, _lattice_times
 
 DEFAULT_TOLERANCES = {
     "eps_herm": linalg.EPS_HERM,
@@ -229,9 +229,28 @@ class Operators(NamedTuple):
     rate: np.ndarray       # omega^-1 omega_dot, the correction term of G over -i hbar
 
 
-def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Operators:
-    """The operator stacks at the times ts, each operator evaluated once per time."""
-    w = os.omega(ts)
+def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
+                        seam=None) -> tuple[Operators, tuple]:
+    """The operator stacks on blk's half grid, each operator evaluated once per
+    time, and the seam for the next block of the same grid.
+
+    omega is rooted on a window: blk's half-grid points and those its omega_dot
+    stencil reads beyond them, at the grid's own half-times (continued by the
+    first half step past the grid's ends). seam = (j, roots) holds omega at the
+    half-grid indices j, j + 1, ... from the block before, and only the points
+    it lacks are rooted, in one call. The seam returned copies the window from
+    2 max(below, above) points before the last node, all that the next block
+    reads back, so each point is rooted once and the blocks change no bit.
+    """
+    ts = blk.half_times()
+    below, above = os._reach(ts)
+    lo, hi = 2 * blk.first - below, 2 * blk.last + 1 + above   # half-grid indices of the window
+    kept = None if seam is None else seam[1][lo - seam[0]:]
+    hts = blk.grid.half_times()
+    start = lo if kept is None else lo + kept.shape[0]
+    new = os.omega(_lattice_times(hts, hts[1] - hts[0], start, hi))
+    window = new if kept is None else np.concatenate((kept, new))
+    w = window[below:below + ts.size]
     wi = os.omega_inv(ts, omega=w)
     if s.h is not None:
         h = s.h(ts)
@@ -239,9 +258,10 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, ts: np.ndarray) -> Ope
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    rate = wi @ os.omega_dot(ts, omega=w)
+    rate = wi @ os.omega_dot(ts, window, below)
     gen = h_big - 1j * s.hbar * rate
-    return Operators(h, h_big, gen, w, wi, rate)
+    keep = max(lo, 2 * blk.last - 2 * max(below, above))
+    return Operators(h, h_big, gen, w, wi, rate), (keep, window[keep - lo:].copy())
 
 
 @dataclass
@@ -334,10 +354,11 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected: {e}") from e
 
 
-def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
-                      qh: np.ndarray | None = None) -> tuple[Operators, np.ndarray]:
-    """Admit one block of s's grid: its operator stacks on the half grid and
-    theta at its nodes.
+def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None = None,
+                      seam=None) -> tuple[Operators, np.ndarray, tuple]:
+    """Admit one block of s's grid: its operator stacks on the half grid, theta
+    at its nodes, and the seam of half_grid_operators, which takes seam from
+    the block before.
 
     The metric is gated through theta and through omega = sqrt(theta), its
     inverse and its derivative; in direct mode a quasi-Hermiticity residual of
@@ -348,7 +369,7 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
     ts = blk.times()
     with _gate("metric"):
         theta = linalg.as_matrices(s.theta(ts), t=ts)
-        ops = half_grid_operators(s, os, blk.half_times())
+        ops, seam = half_grid_operators(s, os, blk, seam)
     if s.kind == "direct" or qh is not None:
         res = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
         bad = res > s.tol("eps_res")
@@ -360,7 +381,7 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
         if qh is not None:
             qh[:] = res
     admit_h(s, ops.h, blk)
-    return ops, theta
+    return ops, theta, seam
 
 
 def admit_h(s: Scenario, h: np.ndarray, blk) -> None:
@@ -397,12 +418,12 @@ def evolve(s: Scenario) -> EvolutionResult:
     os = s.omega_schedule()
     (norms, defect, res_naive, res_corrected, res_metric, omega_motion, qh,
      gap_naive, gap_corrected) = (np.full(s.grid.steps + 1, np.nan) for _ in range(9))
-    u0 = naive0 = corr0 = None   # at the block's first node, carried from the block before
+    u0 = naive0 = corr0 = seam = None   # carried from the block before
     before = np.empty((0, s.dim, s.dim), dtype=complex)   # U_R at the node before it
 
     for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        ops, theta = validate_scenario(s, os, blk, qh[nodes])
+        ops, theta, seam = validate_scenario(s, os, blk, qh[nodes], seam)
         if blk.first == 0:
             omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])

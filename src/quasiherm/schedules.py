@@ -11,10 +11,12 @@ Every evaluator takes a 1-D array of times and returns a stack of shape
 and omega^-1, and the sampled interpolant are each called once for all the
 times. The integrators evaluate each operator once per point of the
 half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
-steps at a time (TimeGrid.blocks). The finite-difference derivative takes
-its stencil from that grid (an index shift) plus a two-point halo beyond
-either end of a block: each metric root is taken once per point of a block,
-and the node two blocks share and the halos beside it are rooted again.
+steps at a time (TimeGrid.blocks). The finite-difference derivative reads
+omega on a window of that lattice, which holds every point of its stencil:
+a block's own points and two beyond either end. The walkers root each point
+of the window once, at its own half-time, and pass the roots around the
+node two blocks share to the next block (dynamics.half_grid_operators);
+the central rows are two slices of the window.
 """
 
 from __future__ import annotations
@@ -191,14 +193,15 @@ class OperatorSchedule:
         return self._deriv(ts)
 
 
-def _fd_derivative(fn, ts, step, span, values):
-    """d/dt of fn at the times ts by central differences with the given step,
-    second-order one-sided where a central stencil would leave the span.
+def _fd_stencil(ts, step, span):
+    """(r, fwd, bwd, below, above) of the central difference with the given step
+    at the times ts: the step in spacings of ts; how many of the first and of
+    the last times take the one-sided rule because a central stencil would
+    leave the span; and how many lattice points before ts[0] and after ts[-1]
+    the stencil reads.
 
     ts must be uniform with a spacing that divides step (one time counts as
-    spaced by step; other ts raise ValueError), and values = fn(ts): the
-    stencil points are grid points plus a halo beyond either end, where fn is
-    called once."""
+    spaced by step); other ts raise ValueError."""
     n = ts.size
     h = ts[1] - ts[0] if n > 1 else step
     r = int(round(step / h)) if h > 0 else 0
@@ -207,25 +210,46 @@ def _fd_derivative(fn, ts, step, span, values):
         raise ValueError(f"the finite-difference step {step:g} is not a multiple of the "
                          f"spacing of the {n} times, or they are not uniformly spaced")
     lo, hi = span
-    fwd = ts - step < lo
-    bwd = ~fwd & (ts + step > hi)
-    # three stencil points per time, in steps from it, and their weights
-    offsets = np.where(fwd[:, None], [0, 1, 2],
-                       np.where(bwd[:, None], [0, -1, -2], [1, -1, -1]))
-    weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
-                       np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
-    w = weights[:, :, None, None]
-    idx = np.arange(n)[:, None] + r * offsets   # as lattice indices
-    need = np.unique(idx[weights != 0.0])
-    inside = (need >= 0) & (need < n)
-    f = np.empty((need.size,) + values.shape[1:], dtype=complex)
-    f[inside] = values[need[inside]]
-    if not inside.all():
-        halo = need[~inside]
-        f[~inside] = fn(np.where(halo < 0, ts[0] + halo * h, ts[-1] + (halo - (n - 1)) * h))
-    pos = np.searchsorted(need, idx)
-    return (w[:, 0] * f[pos[:, 0]] + w[:, 1] * f[pos[:, 1]]
-            + w[:, 2] * f[pos[:, 2]]) / (2.0 * step)
+    fwd = int(np.count_nonzero(ts - step < lo))
+    bwd = int(np.count_nonzero(ts[fwd:] + step > hi))
+    mid = fwd + bwd < n   # central rows read i -+ r, one-sided rows i +- r and i +- 2r
+    below = max(0, r - fwd if mid else 0, 2 * r + bwd - n if bwd else 0)
+    above = max(0, r - bwd if mid else 0, 2 * r + fwd - n if fwd else 0)
+    return r, fwd, bwd, below, above
+
+
+def _lattice_times(ts, h, lo, hi):
+    """The times at the lattice indices lo..hi-1 of the uniform times ts,
+    continued past either end by the spacing h."""
+    n = ts.size
+    if 0 <= lo and hi <= n:
+        return ts[lo:hi]
+    idx = np.arange(lo, hi)
+    return np.where(idx < 0, ts[0] + idx * h,
+                    np.where(idx >= n, ts[-1] + (idx - (n - 1)) * h,
+                             ts[np.clip(idx, 0, n - 1)]))
+
+
+def _fd_derivative(w, lead, ts, step, span):
+    """d/dt of a function at the times ts by central differences with the given
+    step, second-order one-sided where a central stencil would leave the span.
+
+    ts as for _fd_stencil. w holds the function on a window of the lattice of
+    ts, w[lead + i] at ts[i], and at every point the stencil reads:
+    a central row is (w[i + r] - w[i - r]) / (2 step), two slices of the
+    window; the rows at either end of the span take [-3, 4, -1]."""
+    r, fwd, bwd, below, above = _fd_stencil(ts, step, span)
+    n = ts.size
+    if lead < below or w.shape[0] < lead + n + above:
+        raise ValueError(f"a window of {w.shape[0]} points with the first time at {lead} "
+                         "does not hold every point of the stencil")
+    a, b, end = lead + fwd, lead + n - bwd, lead + n   # window indices: central rows a..b-1
+    out = np.empty((n,) + w.shape[1:], dtype=complex)
+    out[:fwd] = -3.0 * w[lead:a] + 4.0 * w[lead + r:a + r] - w[lead + 2 * r:a + 2 * r]
+    np.subtract(w[a + r:b + r], w[a - r:b - r], out=out[fwd:n - bwd])
+    out[n - bwd:] = 3.0 * w[b:end] - 4.0 * w[b - r:end - r] + w[b - 2 * r:end - 2 * r]
+    out /= 2.0 * step
+    return out
 
 
 class OmegaSchedule:
@@ -263,9 +287,26 @@ class OmegaSchedule:
         w = self.omega(ts) if omega is None else omega
         return linalg.inverse(w, self._cond_max, t=ts)
 
-    def omega_dot(self, ts: np.ndarray, omega=None) -> np.ndarray:
-        """d/dt omega at the times ts; pass omega = self.omega(ts) if it is already at hand."""
+    def _reach(self, ts: np.ndarray) -> tuple[int, int]:
+        """How many lattice points before ts[0] and after ts[-1] omega_dot(ts)
+        reads omega at: none when omega_dot is analytic."""
+        if self._omega_dot_fn is not None:
+            return 0, 0
+        return _fd_stencil(ts, self.fd_step, self.span)[3:]
+
+    def omega_dot(self, ts: np.ndarray, window=None, lead=0) -> np.ndarray:
+        """d/dt omega at the times ts.
+
+        A central difference reads omega on a window of the lattice of ts:
+        window[lead + i] at ts[i], and every point that _reach(ts) counts
+        around them. Without a window, omega is taken here on that window in
+        one call, past either end of ts at times continued by its spacing."""
         if self._omega_dot_fn is not None:
             return self._omega_dot_fn(ts)
-        w = self.omega(ts) if omega is None else omega
-        return _fd_derivative(self.omega, ts, self.fd_step, self.span, w)
+        if window is None:
+            self.theta.check_span(ts)
+            below, above = self._reach(ts)
+            h = ts[1] - ts[0] if ts.size > 1 else self.fd_step
+            window = self.omega(_lattice_times(ts, h, -below, ts.size + above))
+            lead = below
+        return _fd_derivative(window, lead, ts, self.fd_step, self.span)

@@ -81,7 +81,8 @@ def test_ur_definition_identity_metric():
 def node_series(s):
     """u, U_R from its definition, U_naive and U_corr at every node of s's grid,
     walked as one block with the public primitives."""
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), s.grid.half_times())
+    whole = GridBlock(s.grid, 0, s.grid.steps)
+    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)[0]
     u = integrate_u(ops.h, s.grid, s.hbar)
     return (u, ur_from_definition(u, ops.omega_inv[::2], ops.omega[0]),
             ur_from_naive_generator(ops.h_big, s.grid, s.hbar),
@@ -410,16 +411,39 @@ def _count_matrices(monkeypatch, name):
 
 
 def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
+    """A block roots omega only where no block before it did: its stencil's
+    points at the seam come from the block before."""
     eigh = _count_matrices(monkeypatch, "eigh")
     s = scenario_io.parse_scenario(sampled_pair_text)
     assert eigh[0] == 0   # parsing gates nothing: evolve takes the first metric root
     verify.verdicts(verify.run_diagnostics(s), s)
-    blocks = dynamics.grid_blocks(s.grid, s.dim)
-    assert len(blocks) == 3
-    # 2N+1 points, each block's first point shared with the block before it,
-    # and a finite-difference halo of two points past either end of a block
-    bound = 2 * s.grid.steps + 1 + (len(blocks) - 1) + 4 * len(blocks)
-    assert 2 * s.grid.steps + 1 < eigh[0] <= bound
+    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+    assert eigh[0] == 2 * s.grid.steps + 1
+    eigh[0] = 0
+    verify.convergence_order(s.with_steps(100), "ur_corr")   # grids of 100, 200 and 400 steps
+    assert eigh[0] == sum(2 * n + 1 for n in (100, 200, 400))
+
+
+def _columns_equal(a, b):
+    for f in dataclasses.fields(a)[1:]:   # every column, after the scenario
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True), f.name
+
+
+@pytest.mark.parametrize("factor, blocks", [(4, 1), (0.5, 5), (2 ** -8, 600)])
+def test_block_layout_does_not_change_the_result(monkeypatch, sampled_pair_text,
+                                                 factor, blocks):
+    """Every half-grid point is rooted once, at its own time, whatever block
+    takes it, so the blocks' size changes no bit of a run or of the ur_corr
+    order. With one step a block (2^-8), the one-sided rows of the last block
+    read up to two steps back, past its first node into the seam."""
+    s = scenario_io.parse_scenario(sampled_pair_text)
+    res, order = evolve(s), verify.convergence_order(s.with_steps(100), "ur_corr")
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", int(factor * dynamics.BLOCK_ENTRIES))
+    assert len(dynamics.grid_blocks(s.grid, s.dim)) == blocks
+    eigh = _count_matrices(monkeypatch, "eigh")
+    _columns_equal(evolve(s), res)
+    assert eigh[0] == 2 * s.grid.steps + 1
+    assert verify.convergence_order(s.with_steps(100), "ur_corr") == order
 
 
 def test_direct_mode_takes_one_residual_per_node(monkeypatch):
@@ -464,23 +488,29 @@ def test_every_walked_block_passes_the_h_gate_once(monkeypatch, sampled_pair_tex
         assert seen == walked, probe
 
 
-def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(growing_result):
-    """(hbar, sigma_x) -> (2^7 hbar, 2^7 sigma_x) leaves h/hbar, and so every
-    propagator, bit for bit as it was: every column but the two generator
-    residuals is unchanged, and those are multiplied by exactly 2^7.
+@pytest.mark.parametrize("k", [-3, 7])
+@pytest.mark.parametrize("which", ["growing-metric-2d", "sampled pair"])
+def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(
+        growing_result, sampled_pair_text, which, k):
+    """(hbar, h) -> (2^k hbar, 2^k h) leaves h/hbar, and so every propagator,
+    bit for bit as it was: every column but the two generator residuals is
+    unchanged, and those are multiplied by exactly 2^k. The sampled pair walks
+    three blocks with a finite-difference omega_dot.
 
     No verdict is asserted. CORRECTED_GENERATOR_OK judges res_corrected against
-    an absolute tolerance, so it flips to FAIL here although the propagators are
-    the same: the units defect of the verdicts that ROADMAP item 2 addresses.
+    an absolute tolerance, so at k = 7 it flips to FAIL on growing-metric-2d
+    although the propagators are the same: the units defect of the verdicts
+    that ROADMAP item 2 addresses.
     """
-    s = growing_result.scenario
-    c, span = 2.0 ** 7, (s.grid.t_start, s.grid.t_end)
-    scaled = evolve(dataclasses.replace(
-        s, hbar=c * s.hbar, h=OperatorSchedule.constant_matrix(c * SIGMA_X, span)))
+    base = (growing_result if which == "growing-metric-2d"
+            else evolve(scenario_io.parse_scenario(sampled_pair_text)))
+    s, c = base.scenario, 2.0 ** k
+    h = OperatorSchedule(s.dim, s.h.span, lambda ts: c * s.h(ts),
+                         lambda ts: c * s.h.derivative(ts))
+    scaled = evolve(dataclasses.replace(s, hbar=c * s.hbar, h=h))
     for col in ("norms_phys", "unitarity_defect", "res_metric", "omega_motion",
                 "qh_residual", "gap_naive", "gap_corrected"):
-        assert np.array_equal(getattr(scaled, col), getattr(growing_result, col),
-                              equal_nan=True), col
+        assert np.array_equal(getattr(scaled, col), getattr(base, col), equal_nan=True), col
     for col in ("res_naive", "res_corrected"):
-        assert np.array_equal(getattr(scaled, col), c * getattr(growing_result, col),
+        assert np.array_equal(getattr(scaled, col), c * getattr(base, col),
                               equal_nan=True), col

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasiherm import dynamics, linalg, spaces
+from quasiherm import dynamics, linalg, schedules, spaces
 from quasiherm.schedules import TimeGrid
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -120,3 +120,51 @@ def test_integrate_u_matches_a_per_step_rk4_walk(dim, n, constant, seed):
     u0 = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
     u = dynamics.integrate_u(h, grid, u0=u0)
     assert np.abs(u - per_step_rk4(-1j * h, grid, u0)).max() <= 1e-13
+
+
+def weighted_fd(w, lead, ts, step, span):
+    """The three-point weighted form of the finite difference: per row, stencil
+    offsets and weights [1, -1, 0] (central), [-3, 4, -1] (forward) or
+    [3, -4, 1] (backward), gathered from the window w, w[lead + i] at ts[i].
+    Returns the derivative and the window indices of weight other than 0."""
+    n = ts.size
+    h = ts[1] - ts[0] if n > 1 else step
+    r = int(round(step / h))
+    lo, hi = span
+    fwd = ts - step < lo
+    bwd = ~fwd & (ts + step > hi)
+    offsets = np.where(fwd[:, None], [0, 1, 2],
+                       np.where(bwd[:, None], [0, -1, -2], [1, -1, -1]))
+    weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
+                       np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
+    wt = weights[:, :, None, None]
+    idx = lead + np.arange(n)[:, None] + r * offsets
+    f = w[idx]
+    return ((wt[:, 0] * f[:, 0] + wt[:, 1] * f[:, 1] + wt[:, 2] * f[:, 2]) / (2.0 * step),
+            idx[weights != 0.0])
+
+
+entry = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([0.125, 0.1, 1.0 / 3.0]),
+       st.sampled_from(["start", "end", "both", "neither"]), st.integers(0, 2),
+       st.integers(1, 3), st.data())
+def test_fd_slices_equal_the_weighted_stencil(n, r, h, cut, pad, dim, data):
+    """The slice form of _fd_derivative equals the weighted three-point form
+    entry for entry (a zero may differ in sign) on any window, one-sided rows
+    included, for spans that cut the rows at either end or at neither; the
+    reach of _fd_stencil is exactly what the stencil reads."""
+    ts = 1.0 + h * np.arange(n)
+    step = r * h if n > 1 else h   # one time counts as spaced by the step
+    lo = ts[0] if cut in ("start", "both") else ts[0] - 5.0 * step
+    hi = ts[-1] if cut in ("end", "both") else ts[-1] + 5.0 * step
+    below, above = schedules._fd_stencil(ts, step, (lo, hi))[3:]
+    size = pad + below + n + above + pad
+    w = (data.draw(arrays(np.float64, (size, dim, dim), elements=entry))
+         + 1j * data.draw(arrays(np.float64, (size, dim, dim), elements=entry)))
+    got = schedules._fd_derivative(w, pad + below, ts, step, (lo, hi))
+    ref, read = weighted_fd(w, pad + below, ts, step, (lo, hi))
+    assert (read.min(), read.max()) == (pad, size - 1 - pad)
+    assert np.array_equal(got, ref)

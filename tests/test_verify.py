@@ -7,7 +7,7 @@ from quasiherm import builtin_names, dynamics, linalg, make_builtin, scenario_io
 from quasiherm.dynamics import DEFAULT_TOLERANCES
 from quasiherm.errors import NotMeasurable
 from quasiherm.models import SIGMA_X
-from quasiherm.schedules import OperatorSchedule, TimeGrid
+from quasiherm.schedules import GridBlock, OperatorSchedule, TimeGrid
 from quasiherm.verify import convergence_order, run_diagnostics, verdicts
 
 
@@ -183,8 +183,9 @@ def _two_pass_columns(res):
     u, ur, theta, theta_recon, h_big_series, gen_series = (
         np.empty(shape, dtype=complex) for _ in range(6))
     u[0] = np.eye(s.dim)
+    seam = None
     for blk in dynamics.grid_blocks(grid, s.dim):
-        ops = dynamics.half_grid_operators(s, os, blk.half_times())
+        ops, seam = dynamics.half_grid_operators(s, os, blk, seam)
         nodes = slice(blk.first, blk.last + 1)
         if blk.first == 0:
             omega0 = ops.omega[0]
@@ -214,10 +215,15 @@ def _two_pass_columns(res):
     return [np.concatenate(c) for c in zip(*blocks)], ur
 
 
+def _whole(s):
+    """s's grid as one block."""
+    return GridBlock(s.grid, 0, s.grid.steps)
+
+
 def _whole_grid_gaps(s, ur):
     """||U_naive - U_R|| and ||U_corr - U_R|| at every node, U_naive and U_corr
     walked over the whole grid as one block."""
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), s.grid.half_times())
+    ops = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))[0]
     return [linalg.fro_norms(walk(gen, s.grid, s.hbar) - ur)
             for walk, gen in ((dynamics.ur_from_naive_generator, ops.h_big),
                               (dynamics.ur_from_corrected_generator, ops.gen))]
@@ -331,7 +337,7 @@ def _observable_defect(s):
     / ||theta G||_F: G is not theta-quasi-Hermitian, and misses it by -i hbar theta_dot."""
     ts = s.grid.half_times()
     theta, theta_dot = s.theta(ts), s.theta.derivative(ts)
-    gen = dynamics.half_grid_operators(s, s.omega_schedule(), ts).gen
+    gen = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))[0].gen
     tg = theta @ gen
     defect = tg - linalg.dagger(gen) @ theta + 1j * s.hbar * theta_dot
     return float((np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(tg, axis=(1, 2))).max())
