@@ -20,8 +20,10 @@ directory of its own:
   is not positive definite, an ill-conditioned root, a direct-mode generator
   that is not quasi-Hermitian (also run with ``--steps 300``), entries too
   large for a double or given as JSON bools, grids on which RK4 is unstable
-  (two of them for spectra that a column bound on ||h||_2 would miss) and
-  runs whose metric or propagator would overflow;
+  (two of them for spectra that a column bound on ||h||_2 would miss), runs
+  whose metric or propagator would overflow, and a sampled metric on two
+  steps, too few for the central difference of omega (also run with
+  ``--steps 3``, which the gates admit);
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
 * ``verify.convergence_order`` with both probes on the four builtins at 250
   steps, on the benchmark's convergence-d8 files and on every gate file: each
@@ -104,9 +106,17 @@ GATE_FILES = {
     # is 1/sqrt(2), so a column bound reads 2.12
     "spread-spectrum": {"dimension": 2, "time": {"end": 60.0, "steps": 20}, "model": {
         "kind": "pair", "h": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], "theta": _EYE}},
+    # a sampled, moving metric on two steps: the one-sided rows of the central
+    # difference of omega would read it half a step outside the span
+    "two-step-sampled-metric": {"dimension": 2, "time": {"steps": 2}, "model": {
+        "kind": "pair", "h": _SIGMA_X,
+        "theta": {"times": [0.0, 1 / 3, 2 / 3, 1.0], "snapshots": [
+            [[[1 + k / 3, 0], [0, 0]], [[0, 0], [1, 0]]] for k in range(4)]}}},
 }
 # gate file -> the flags it is run with besides none
 GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}
+# gate file -> flags on which the gates admit it
+ADMITTED_FLAGS = {"two-step-sampled-metric": ["--steps", "3"]}
 
 
 def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
@@ -130,6 +140,9 @@ def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
                 if workload == "convergence-d8":
                     cases.append((f"convergence {label}", ["convergence", entry["path"]]))
     gates = gate_cases(inputs)
+    gates += [(f"run {name} {' '.join(flags)}",
+               ["run", "--scenario", os.path.join(inputs, name + ".json"), *flags])
+              for name, flags in ADMITTED_FLAGS.items()]
     # a gate case's command line is run --scenario PATH [flags]
     return cases + gates + [("convergence" + label[len("run"):], ["convergence", *args[2:]])
                             for label, args in gates]

@@ -8,7 +8,9 @@ deliberately, so its failure for moving metrics can be exhibited), and
 from the corrected generator G = H - i hbar omega^-1 omega_dot.
 
 Every operator is evaluated once per point of the half-step grid, as a
-stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. The integrators take
+stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. omega and
+omega_dot come from the one OmegaSchedule of a walk (on_block), which alone
+decides which metric roots each block takes. The integrators take
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import linalg, spaces
 from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
-from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid, _lattice_times
+from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
 
 DEFAULT_TOLERANCES = {
     "eps_herm": linalg.EPS_HERM,
@@ -68,16 +70,20 @@ def _chunk(dim: int) -> int:
     return SCAN_CHUNK if dim <= SCAN_MAX_DIM else 1
 
 
-def grid_blocks(grid: TimeGrid, dim: int):
-    """The blocks the integrators walk grid in, sized for dim x dim operators.
+def grid_blocks(grid: TimeGrid, dim: int) -> list[GridBlock]:
+    """The blocks the integrators walk grid in, sized for dim x dim operators:
+    as few as hold at most BLOCK_ENTRIES / (2 d^2) steps each (but never less
+    than one chunk), of equal size but the last.
 
     Every cut falls on a multiple of the walk's chunk, where a block's walk
     continues the walk of the whole grid bit for bit, so the bits of a run do
     not depend on the block size.
     """
     c = _chunk(dim)
-    cuts = [b.first - b.first % c for b in grid.blocks(BLOCK_ENTRIES // (2 * dim * dim))]
-    return [GridBlock(grid, a, b) for a, b in zip(cuts, cuts[1:] + [grid.steps])]
+    most = max(c, BLOCK_ENTRIES // (2 * dim * dim) // c * c)
+    count = -(-grid.steps // most)
+    size = -(-grid.steps // (count * c)) * c   # whole chunks, at most `most`
+    return [GridBlock(grid, a, min(a + size, grid.steps)) for a in range(0, grid.steps, size)]
 
 
 def _constant(m: np.ndarray) -> bool:   # every matrix of m is m[0]; a varying m exits early
@@ -229,28 +235,12 @@ class Operators(NamedTuple):
     rate: np.ndarray       # omega^-1 omega_dot, the correction term of G over -i hbar
 
 
-def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
-                        seam=None) -> tuple[Operators, tuple]:
+def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock) -> Operators:
     """The operator stacks on blk's half grid, each operator evaluated once per
-    time, and the seam for the next block of the same grid.
-
-    omega is rooted on a window: blk's half-grid points and those its omega_dot
-    stencil reads beyond them, at the grid's own half-times (continued by the
-    first half step past the grid's ends). seam = (j, roots) holds omega at the
-    half-grid indices j, j + 1, ... from the block before, and only the points
-    it lacks are rooted, in one call. The seam returned copies the window from
-    2 max(below, above) points before the last node, all that the next block
-    reads back, so each point is rooted once and the blocks change no bit.
-    """
+    time; omega and omega_dot come from os.on_block (os the omega schedule of
+    blk's grid, which roots each point of a walk once)."""
     ts = blk.half_times()
-    below, above = os._reach(ts)
-    lo, hi = 2 * blk.first - below, 2 * blk.last + 1 + above   # half-grid indices of the window
-    kept = None if seam is None else seam[1][lo - seam[0]:]
-    hts = blk.grid.half_times()
-    start = lo if kept is None else lo + kept.shape[0]
-    new = os.omega(_lattice_times(hts, hts[1] - hts[0], start, hi))
-    window = new if kept is None else np.concatenate((kept, new))
-    w = window[below:below + ts.size]
+    w, w_dot = os.on_block(blk)
     wi = os.omega_inv(ts, omega=w)
     if s.h is not None:
         h = s.h(ts)
@@ -258,10 +248,9 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    rate = wi @ os.omega_dot(ts, window, below)
+    rate = wi @ w_dot
     gen = h_big - 1j * s.hbar * rate
-    keep = max(lo, 2 * blk.last - 2 * max(below, above))
-    return Operators(h, h_big, gen, w, wi, rate), (keep, window[keep - lo:].copy())
+    return Operators(h, h_big, gen, w, wi, rate)
 
 
 @dataclass
@@ -321,7 +310,7 @@ class Scenario:
 
     def omega_schedule(self) -> OmegaSchedule:
         return OmegaSchedule(
-            self.theta, fd_step=self.grid.spacing, analytic=self.omega_analytic,
+            self.theta, self.grid, analytic=self.omega_analytic,
             eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
             cond_max=self.tol("cond_max"))
 
@@ -354,11 +343,10 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected: {e}") from e
 
 
-def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None = None,
-                      seam=None) -> tuple[Operators, np.ndarray, tuple]:
-    """Admit one block of s's grid: its operator stacks on the half grid, theta
-    at its nodes, and the seam of half_grid_operators, which takes seam from
-    the block before.
+def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
+                      qh: np.ndarray | None = None) -> tuple[Operators, np.ndarray]:
+    """Admit one block of s's grid: its operator stacks on the half grid and
+    theta at its nodes.
 
     The metric is gated through theta and through omega = sqrt(theta), its
     inverse and its derivative; in direct mode a quasi-Hermiticity residual of
@@ -369,7 +357,7 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None
     ts = blk.times()
     with _gate("metric"):
         theta = linalg.as_matrices(s.theta(ts), t=ts)
-        ops, seam = half_grid_operators(s, os, blk, seam)
+        ops = half_grid_operators(s, os, blk)
     if s.kind == "direct" or qh is not None:
         res = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
         bad = res > s.tol("eps_res")
@@ -381,7 +369,7 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None
         if qh is not None:
             qh[:] = res
     admit_h(s, ops.h, blk)
-    return ops, theta, seam
+    return ops, theta
 
 
 def admit_h(s: Scenario, h: np.ndarray, blk) -> None:
@@ -418,12 +406,12 @@ def evolve(s: Scenario) -> EvolutionResult:
     os = s.omega_schedule()
     (norms, defect, res_naive, res_corrected, res_metric, omega_motion, qh,
      gap_naive, gap_corrected) = (np.full(s.grid.steps + 1, np.nan) for _ in range(9))
-    u0 = naive0 = corr0 = seam = None   # carried from the block before
+    u0 = naive0 = corr0 = None   # carried from the block before
     before = np.empty((0, s.dim, s.dim), dtype=complex)   # U_R at the node before it
 
     for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        ops, theta, seam = validate_scenario(s, os, blk, qh[nodes], seam)
+        ops, theta = validate_scenario(s, os, blk, qh[nodes])
         if blk.first == 0:
             omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])

@@ -3,7 +3,7 @@
 A schedule is a value function and its time derivative on a span: given in
 closed form, a fixed matrix (constant_matrix), or the cubic Hermite
 interpolant of uniform snapshots with its exact derivative (sampled). The
-derived omega schedule serves omega, its inverse and its time derivative
+omega schedule of a grid serves omega, its inverse and its time derivative
 from a metric schedule, with a finite-difference fallback for the derivative.
 
 Every evaluator takes a 1-D array of times and returns a stack of shape
@@ -11,11 +11,10 @@ Every evaluator takes a 1-D array of times and returns a stack of shape
 and omega^-1, and the sampled interpolant are each called once for all the
 times. The integrators evaluate each operator once per point of the
 half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
-steps at a time (TimeGrid.blocks). The finite-difference derivative reads
-omega on a window of that lattice, which holds every point of its stencil:
-a block's own points and two beyond either end. The walkers root each point
-of the window once, at its own half-time, and pass the roots around the
-node two blocks share to the next block (dynamics.half_grid_operators);
+steps at a time (GridBlock). The central difference of omega reads it on a
+window of that grid: a block's own points and up to four beyond either end.
+OmegaSchedule.on_block roots each point of the window once, at its own
+half-time, and keeps the roots that the next block reads back (the seam);
 the central rows are two slices of the window.
 """
 
@@ -27,10 +26,10 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import OutOfRange
+from .errors import OutOfRange, ValidationError
 
 _SPAN_SLACK = 1e-9
-_LATTICE_RTOL = 1e-6
+_R = 2   # the central difference's step, dt, in half-grid spacings
 _TINY = np.finfo(float).tiny   # the smallest normal double
 _EPS = np.finfo(float).eps
 MAX_STEPS = 10**7   # a d=2 `quasiherm run` peaks near 100 B/step (tracemalloc): ~1 GB here
@@ -77,12 +76,6 @@ class TimeGrid:
     def half_times(self) -> np.ndarray:
         """Nodes and step midpoints, computed once per grid (read-only)."""
         return self._half_times
-
-    def blocks(self, max_steps: int) -> list["GridBlock"]:
-        """Consecutive blocks of at most max_steps steps covering the grid."""
-        count = -(-self.steps // max(1, max_steps))
-        edges = [self.steps * i // count for i in range(count + 1)]
-        return [GridBlock(self, a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -194,28 +187,19 @@ class OperatorSchedule:
 
 
 def _fd_stencil(ts, step, span):
-    """(r, fwd, bwd, below, above) of the central difference with the given step
-    at the times ts: the step in spacings of ts; how many of the first and of
+    """(fwd, bwd, below, above) of the central difference with the given step at
+    the half-grid times ts, spaced by step / 2: how many of the first and of
     the last times take the one-sided rule because a central stencil would
-    leave the span; and how many lattice points before ts[0] and after ts[-1]
-    the stencil reads.
-
-    ts must be uniform with a spacing that divides step (one time counts as
-    spaced by step); other ts raise ValueError."""
-    n = ts.size
-    h = ts[1] - ts[0] if n > 1 else step
-    r = int(round(step / h)) if h > 0 else 0
-    if (r < 1 or abs(r * h - step) > _LATTICE_RTOL * step
-            or not np.allclose(np.diff(ts), h, rtol=_LATTICE_RTOL, atol=0.0)):
-        raise ValueError(f"the finite-difference step {step:g} is not a multiple of the "
-                         f"spacing of the {n} times, or they are not uniformly spaced")
+    leave the span, and how many half-grid points before ts[0] and after
+    ts[-1] the stencil reads."""
+    n, r = ts.size, _R
     lo, hi = span
     fwd = int(np.count_nonzero(ts - step < lo))
     bwd = int(np.count_nonzero(ts[fwd:] + step > hi))
     mid = fwd + bwd < n   # central rows read i -+ r, one-sided rows i +- r and i +- 2r
     below = max(0, r - fwd if mid else 0, 2 * r + bwd - n if bwd else 0)
     above = max(0, r - bwd if mid else 0, 2 * r + fwd - n if fwd else 0)
-    return r, fwd, bwd, below, above
+    return fwd, bwd, below, above
 
 
 def _lattice_times(ts, h, lo, hi):
@@ -230,50 +214,29 @@ def _lattice_times(ts, h, lo, hi):
                              ts[np.clip(idx, 0, n - 1)]))
 
 
-def _fd_derivative(w, lead, ts, step, span):
-    """d/dt of a function at the times ts by central differences with the given
-    step, second-order one-sided where a central stencil would leave the span.
-
-    ts as for _fd_stencil. w holds the function on a window of the lattice of
-    ts, w[lead + i] at ts[i], and at every point the stencil reads:
-    a central row is (w[i + r] - w[i - r]) / (2 step), two slices of the
-    window; the rows at either end of the span take [-3, 4, -1]."""
-    r, fwd, bwd, below, above = _fd_stencil(ts, step, span)
-    n = ts.size
-    if lead < below or w.shape[0] < lead + n + above:
-        raise ValueError(f"a window of {w.shape[0]} points with the first time at {lead} "
-                         "does not hold every point of the stencil")
-    a, b, end = lead + fwd, lead + n - bwd, lead + n   # window indices: central rows a..b-1
-    out = np.empty((n,) + w.shape[1:], dtype=complex)
-    out[:fwd] = -3.0 * w[lead:a] + 4.0 * w[lead + r:a + r] - w[lead + 2 * r:a + 2 * r]
-    np.subtract(w[a + r:b + r], w[a - r:b - r], out=out[fwd:n - bwd])
-    out[n - bwd:] = 3.0 * w[b:end] - 4.0 * w[b - r:end - r] + w[b - 2 * r:end - 2 * r]
-    out /= 2.0 * step
-    return out
-
-
 class OmegaSchedule:
-    """omega(t), omega(t)^-1 and d/dt omega(t) derived from a metric schedule.
+    """omega(t), omega(t)^-1 and d/dt omega(t) derived from a metric schedule,
+    on the half-step grid of one TimeGrid.
 
     omega is the principal square root of theta(t) unless analytic forms
     are supplied: analytic = (omega, omega_dot, omega_inv), each a function
     of a 1-D array of times that returns a stack. omega_dot or omega_inv may
-    be None: the derivative is then a central difference of omega with step
-    fd_step, and the inverse the gated inverse of omega. Each method takes a
-    1-D array of times and returns a stack, like the schedules; the central
-    difference needs times spaced evenly by a divisor of fd_step.
+    be None: the derivative is then a central difference of omega with the
+    grid's step, taken on a block of the grid (on_block), and the inverse the
+    gated inverse of omega. Each method takes a 1-D array of times and
+    returns a stack, like the schedules.
     """
 
-    def __init__(self, theta_schedule: OperatorSchedule, fd_step: float,
+    def __init__(self, theta_schedule: OperatorSchedule, grid: TimeGrid,
                  analytic=None, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS,
                  cond_max=linalg.COND_MAX):
         self.theta = theta_schedule
-        self.span = theta_schedule.span
-        self.fd_step = float(fd_step)
+        self.grid = grid
         self._omega_fn, self._omega_dot_fn, self._omega_inv_fn = analytic or (None,) * 3
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
         self._cond_max = cond_max
+        self._seam = (0, None)   # (j, roots): omega at the half-grid indices j, j + 1, ...
 
     def omega(self, ts: np.ndarray) -> np.ndarray:
         if self._omega_fn is not None:
@@ -287,26 +250,65 @@ class OmegaSchedule:
         w = self.omega(ts) if omega is None else omega
         return linalg.inverse(w, self._cond_max, t=ts)
 
-    def _reach(self, ts: np.ndarray) -> tuple[int, int]:
-        """How many lattice points before ts[0] and after ts[-1] omega_dot(ts)
-        reads omega at: none when omega_dot is analytic."""
-        if self._omega_dot_fn is not None:
-            return 0, 0
-        return _fd_stencil(ts, self.fd_step, self.span)[3:]
-
     def omega_dot(self, ts: np.ndarray, window=None, lead=0) -> np.ndarray:
         """d/dt omega at the times ts.
 
-        A central difference reads omega on a window of the lattice of ts:
-        window[lead + i] at ts[i], and every point that _reach(ts) counts
-        around them. Without a window, omega is taken here on that window in
-        one call, past either end of ts at times continued by its spacing."""
+        The central difference, second-order one-sided where a central
+        stencil would leave the span, is taken at half-grid times ts only. It
+        reads omega on a window of the half grid, window[lead + i] at ts[i],
+        that holds every point of its stencil, as on_block builds it: the
+        central rows, omega at t + dt less omega at t - dt over 2 dt, are two
+        slices of the window; the rows at either end of the span take
+        [-3, 4, -1]."""
         if self._omega_dot_fn is not None:
             return self._omega_dot_fn(ts)
-        if window is None:
-            self.theta.check_span(ts)
-            below, above = self._reach(ts)
-            h = ts[1] - ts[0] if ts.size > 1 else self.fd_step
-            window = self.omega(_lattice_times(ts, h, -below, ts.size + above))
-            lead = below
-        return _fd_derivative(window, lead, ts, self.fd_step, self.span)
+        self.theta.check_span(ts)
+        step, w, n, r = self.grid.spacing, window, ts.size, _R
+        fwd, bwd, below, above = _fd_stencil(ts, step, self.theta.span)
+        if w is None or lead < below or w.shape[0] < lead + n + above:
+            raise ValueError("a central difference of omega needs omega on a window that "
+                             "holds every point of its stencil (see on_block)")
+        a, b, end = lead + fwd, lead + n - bwd, lead + n   # window indices: central rows a..b-1
+        out = np.empty((n,) + w.shape[1:], dtype=complex)
+        out[:fwd] = -3.0 * w[lead:a] + 4.0 * w[lead + r:a + r] - w[lead + 2 * r:a + 2 * r]
+        np.subtract(w[a + r:b + r], w[a - r:b - r], out=out[fwd:n - bwd])
+        out[n - bwd:] = 3.0 * w[b:end] - 4.0 * w[b - r:end - r] + w[b - 2 * r:end - 2 * r]
+        out /= 2.0 * step
+        return out
+
+    def on_block(self, blk: GridBlock) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, omega_dot) on the half grid of blk, a block of this schedule's grid.
+
+        omega is taken on a window: blk's half-grid points and those its
+        omega_dot stencil reads beyond them, at the grid's own half-times
+        (continued by the half step past the grid's ends). The roots kept
+        around the last node of the block before (the seam) serve a window
+        that starts among them, as the next block of a walk does, and only
+        the points they lack are taken, in one call; any other block takes
+        its whole window. So a walk takes each point once, and no answer
+        depends on the blocks asked for before. A stencil that would read
+        omega outside the span (on two steps over it) raises ValidationError.
+        """
+        if blk.grid != self.grid:
+            raise ValueError("the block is not a block of this schedule's grid")
+        ts = blk.half_times()
+        below, above = ((0, 0) if self._omega_dot_fn is not None
+                        else _fd_stencil(ts, self.grid.spacing, self.theta.span)[2:])
+        lo, hi = 2 * blk.first - below, 2 * blk.last + 1 + above   # half-grid indices
+        j, roots = self._seam
+        kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None
+        hts = self.grid.half_times()
+        times = _lattice_times(hts, hts[1] - hts[0], lo if kept is None else lo + len(kept), hi)
+        if lo < 0 or hi > hts.size:   # the stencil reads past the grid's ends
+            try:
+                self.theta.check_span(times)
+            except OutOfRange as e:
+                raise ValidationError(
+                    f"{self.grid.steps} steps are too few for the central difference of "
+                    f"omega: its one-sided rows read omega at {e}; take at least 3 steps"
+                ) from None
+        new = self.omega(times)
+        window = new if kept is None else np.concatenate((kept, new))
+        keep = max(lo, 2 * blk.last - 2 * max(below, above))
+        self._seam = (keep, window[keep - lo:].copy())
+        return window[below:below + ts.size], self.omega_dot(ts, window, below)

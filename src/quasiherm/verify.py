@@ -101,7 +101,7 @@ def _end_state(s: Scenario, steps: int, probe: str) -> np.ndarray:
         raise ValueError(f"unknown probe {probe!r}")
     s2 = s.with_steps(steps)
     os = s2.omega_schedule()
-    end = seam = None
+    end = None
     walk, stack = ((ur_from_corrected_generator, "gen") if probe == "ur_corr"
                    else (integrate_u, "h"))
     for blk in grid_blocks(s2.grid, s2.dim):
@@ -109,7 +109,7 @@ def _end_state(s: Scenario, steps: int, probe: str) -> np.ndarray:
             m = s2.h(blk.half_times())
             admit_h(s2, m, blk)
         else:   # only the walked stack outlives the admission, not all six
-            ops, _, seam = validate_scenario(s2, os, blk, seam=seam)
+            ops, _ = validate_scenario(s2, os, blk)
             m = getattr(ops, stack)
             del ops
         end = walk(m, blk, s2.hbar, end)[-1]

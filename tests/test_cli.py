@@ -455,6 +455,29 @@ def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, label
 
 
+def test_a_finite_difference_omega_dot_needs_three_steps(tmp_path, capsys):
+    """On two steps over the span of a sampled metric, the one-sided rows of the
+    central difference of omega would read it half a step outside the span: a
+    run and the ur_corr probe refuse the grid alike, naming the step count, and
+    three steps run."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_same_output().GATE_FILES["two-step-sampled-metric"]))
+    out = str(tmp_path / "x.csv")
+    code = cli.main(["run", "--scenario", str(path), "--steps", "2", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("error: 2 steps are too few for the central difference of omega: its "
+                   "one-sided rows read omega at t=-0.25 outside schedule span [0, 1]; "
+                   "take at least 3 steps\n")
+    with pytest.raises(ValidationError) as exc:
+        verify.convergence_order(cli.load_scenario(str(path)).with_steps(2), "ur_corr")
+    assert f"error: {exc.value}\n" == err
+    code = cli.main(["run", "--scenario", str(path), "--steps", "3", "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert len(_csv_values(out)) == 2   # the two interior nodes
+
+
 def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     big = [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]
@@ -486,9 +509,10 @@ def test_run_passes_every_verdict_without_runtime_warnings(tmp_path, capsys, sce
     assert code == 0
 
 
-# gate files whose first refusal in a run is a gate on theta, which the u probe
-# of a pair scenario never reads
-THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "theta-overflows")
+# gate files whose first refusal in a run is a gate on the metric, which the u
+# probe of a pair scenario never reads
+THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "theta-overflows",
+                 "two-step-sampled-metric")
 
 
 def test_convergence_order_refuses_every_gate_file_with_the_run_message(tmp_path, capsys):

@@ -82,7 +82,7 @@ def node_series(s):
     """u, U_R from its definition, U_naive and U_corr at every node of s's grid,
     walked as one block with the public primitives."""
     whole = GridBlock(s.grid, 0, s.grid.steps)
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)[0]
+    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
     u = integrate_u(ops.h, s.grid, s.hbar)
     return (u, ur_from_definition(u, ops.omega_inv[::2], ops.omega[0]),
             ur_from_naive_generator(ops.h_big, s.grid, s.hbar),
@@ -444,6 +444,22 @@ def test_block_layout_does_not_change_the_result(monkeypatch, sampled_pair_text,
     _columns_equal(evolve(s), res)
     assert eigh[0] == 2 * s.grid.steps + 1
     assert verify.convergence_order(s.with_steps(100), "ur_corr") == order
+
+
+def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
+    """One omega schedule walks blocks 0, 1 and 2, then is asked for block 0
+    again and for block 2 after block 0: each answer has the bits of a fresh
+    schedule's, whatever roots the block before left it."""
+    s = scenario_io.parse_scenario(sampled_pair_text)
+    blocks = dynamics.grid_blocks(s.grid, s.dim)
+    assert len(blocks) == 3
+    os = s.omega_schedule()
+    for k in (0, 1, 2, 0, 2):
+        got, fresh = os.on_block(blocks[k]), s.omega_schedule().on_block(blocks[k])
+        for a, b in zip(got, fresh):
+            assert np.array_equal(a, b), k
+    with pytest.raises(ValueError, match="not a block of this schedule's grid"):
+        os.on_block(GridBlock(s.with_steps(100).grid, 0, 10))
 
 
 def test_direct_mode_takes_one_residual_per_node(monkeypatch):

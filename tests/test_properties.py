@@ -1,11 +1,13 @@
 """Hypothesis-driven invariants for the linear-algebra, space and dynamics layers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quasiherm import dynamics, linalg, schedules, spaces
+from quasiherm.errors import ValidationError
 from quasiherm.schedules import TimeGrid
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -145,26 +147,43 @@ def weighted_fd(w, lead, ts, step, span):
 
 
 entry = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+REACH = 4   # the most half-grid points a stencil reads past either end of a block
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([0.125, 0.1, 1.0 / 3.0]),
-       st.sampled_from(["start", "end", "both", "neither"]), st.integers(0, 2),
-       st.integers(1, 3), st.data())
-def test_fd_slices_equal_the_weighted_stencil(n, r, h, cut, pad, dim, data):
-    """The slice form of _fd_derivative equals the weighted three-point form
-    entry for entry (a zero may differ in sign) on any window, one-sided rows
-    included, for spans that cut the rows at either end or at neither; the
-    reach of _fd_stencil is exactly what the stencil reads."""
-    ts = 1.0 + h * np.arange(n)
-    step = r * h if n > 1 else h   # one time counts as spaced by the step
-    lo = ts[0] if cut in ("start", "both") else ts[0] - 5.0 * step
-    hi = ts[-1] if cut in ("end", "both") else ts[-1] + 5.0 * step
-    below, above = schedules._fd_stencil(ts, step, (lo, hi))[3:]
-    size = pad + below + n + above + pad
+@given(st.integers(2, 12), st.sampled_from([0.125, 0.1, 1.0 / 3.0]),
+       st.sampled_from(["start", "end", "both", "neither"]), st.integers(1, 3), st.data())
+def test_fd_slices_equal_the_weighted_stencil(steps, dt, cut, dim, data):
+    """The slice form of the central difference that OmegaSchedule.on_block
+    takes equals the weighted three-point form entry for entry (a zero may
+    differ in sign) on any block of any grid, one-sided rows included, for
+    spans that cut the rows at either end or at neither; the window it takes
+    omega on is exactly what the stencil reads."""
+    grid = TimeGrid(1.0, 1.0 + steps * dt, steps)
+    hts = grid.half_times()
+    lo = grid.t_start if cut in ("start", "both") else grid.t_start - 5.0 * dt
+    hi = grid.t_end if cut in ("end", "both") else grid.t_end + 5.0 * dt
+    first = data.draw(st.integers(0, steps - 1))
+    blk = schedules.GridBlock(grid, first, data.draw(st.integers(first + 1, steps)))
+    size = REACH + hts.size + REACH   # omega at every half-grid time and REACH past either end
     w = (data.draw(arrays(np.float64, (size, dim, dim), elements=entry))
          + 1j * data.draw(arrays(np.float64, (size, dim, dim), elements=entry)))
-    got = schedules._fd_derivative(w, pad + below, ts, step, (lo, hi))
-    ref, read = weighted_fd(w, pad + below, ts, step, (lo, hi))
-    assert (read.min(), read.max()) == (pad, size - 1 - pad)
+    taken = []
+
+    def omega(ts):   # w at the half-grid indices of ts
+        idx = REACH + np.rint((ts - hts[0]) / (hts[1] - hts[0])).astype(int)
+        taken.append(idx)
+        return w[idx]
+
+    theta = schedules.OperatorSchedule(dim, (lo, hi), None, None)
+    os = schedules.OmegaSchedule(theta, grid, analytic=(omega, None, None))
+    if steps == 2 and cut == "both":   # the one-sided rows would read past the span
+        with pytest.raises(ValidationError, match="2 steps are too few"):
+            os.on_block(blk)
+        return
+    got_w, got = os.on_block(blk)
+    ref, read = weighted_fd(w, REACH + 2 * blk.first, blk.half_times(), grid.spacing,
+                            (lo, hi))
+    assert [(idx.min(), idx.max()) for idx in taken] == [(read.min(), read.max())]
+    assert np.array_equal(got_w, w[REACH + 2 * blk.first:REACH + 2 * blk.last + 1])
     assert np.array_equal(got, ref)

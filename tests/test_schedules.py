@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from quasiherm import dynamics
 from quasiherm.dynamics import grid_blocks
 from quasiherm.errors import NotPositiveDefinite, OutOfRange
-from quasiherm.schedules import OmegaSchedule, OperatorSchedule, TimeGrid
+from quasiherm.schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
 
 
 def diag_stack(ts, a, b):
@@ -23,6 +24,17 @@ def growing_theta(span=(0.0, 1.0)):
         2, span,
         lambda ts: diag_stack(ts, 1.0, 1.0 + ts * ts),
         lambda ts: diag_stack(ts, 0.0, 2.0 * ts))
+
+
+FINE = TimeGrid(0.0, 1.0, 1000)   # dt = 1e-3
+
+
+def fine_dot(os, t):
+    """os.omega_dot at the node t of FINE, from the one-step block that starts
+    there (the last step at t = 1)."""
+    node = int(round(t * FINE.steps))
+    first = min(node, FINE.steps - 1)
+    return os.on_block(GridBlock(FINE, first, first + 1))[1][2 * (node - first)]
 
 
 def test_grid_basics():
@@ -73,7 +85,7 @@ def test_out_of_range():
 
 def test_evaluators_refuse_a_bare_time():
     s = growing_theta()
-    os = OmegaSchedule(s, fd_step=0.1)
+    os = OmegaSchedule(s, TimeGrid(0.0, 1.0, 10))
     for evaluate in (s, s.derivative, os.omega, os.omega_inv, os.omega_dot):
         for t in (0.5, np.float64(0.5), np.array([[0.5]])):
             with pytest.raises(ValueError, match="1-D array of times"):
@@ -154,34 +166,34 @@ def test_sampled_needs_four_uniform_snapshots():
 
 
 def test_omega_schedule_hand_values():
-    os = OmegaSchedule(growing_theta(), fd_step=1e-3)
+    os = OmegaSchedule(growing_theta(), FINE)
     assert np.allclose(os.omega(at(1.0))[0], np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)
     assert np.allclose(os.omega_inv(at(1.0))[0], np.diag([1.0, 1.0 / np.sqrt(2.0)]),
                        atol=1e-12)
     # d/dt sqrt(1+t^2) = t / sqrt(1+t^2); finite-difference route
-    assert np.allclose(os.omega_dot(at(1.0))[0], np.diag([0.0, 1.0 / np.sqrt(2.0)]),
-                       atol=1e-6)
+    assert np.allclose(fine_dot(os, 1.0), np.diag([0.0, 1.0 / np.sqrt(2.0)]), atol=1e-6)
 
 
 def test_omega_schedule_analytic_derivative():
     omega = lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts))  # noqa: E731
     omega_dot = lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts))  # noqa: E731
     exact = np.diag([0.0, 1.0 / np.sqrt(2.0)])
-    os = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, omega_dot, None))
+    os = OmegaSchedule(growing_theta(), FINE, analytic=(omega, omega_dot, None))
     assert np.allclose(os.omega_dot(at(1.0))[0], exact, atol=1e-15)
+    assert np.array_equal(fine_dot(os, 1.0), os.omega_dot(at(1.0))[0])
     # no analytic inverse: the gated inverse of the analytic omega
     assert np.allclose(os.omega_inv(at(1.0))[0], np.diag([1.0, 1.0 / np.sqrt(2.0)]),
                        atol=1e-15)
     # no analytic derivative: the finite difference of the analytic omega
-    fd = OmegaSchedule(growing_theta(), fd_step=1e-3, analytic=(omega, None, None))
-    assert not np.array_equal(fd.omega_dot(at(1.0)), os.omega_dot(at(1.0)))
-    assert np.allclose(fd.omega_dot(at(1.0))[0], exact, atol=1e-6)
+    fd = OmegaSchedule(growing_theta(), FINE, analytic=(omega, None, None))
+    assert not np.array_equal(fine_dot(fd, 1.0), os.omega_dot(at(1.0))[0])
+    assert np.allclose(fine_dot(fd, 1.0), exact, atol=1e-6)
 
 
 def test_omega_constant_metric_zero_derivative():
     theta = OperatorSchedule.constant_matrix(np.diag([1.0, 4.0]), (0, 1))
-    os = OmegaSchedule(theta, fd_step=1e-3)
-    assert np.allclose(os.omega_dot(at(0.5))[0], np.zeros((2, 2)), atol=1e-12)
+    os = OmegaSchedule(theta, FINE)
+    assert np.allclose(fine_dot(os, 0.5), np.zeros((2, 2)), atol=1e-12)
 
 
 def test_omega_reports_failing_time():
@@ -189,7 +201,7 @@ def test_omega_reports_failing_time():
         2, (0.0, 1.0),
         lambda ts: diag_stack(ts, 1.0, ts - 0.5),
         lambda ts: diag_stack(ts, 0.0, 1.0))
-    os = OmegaSchedule(theta, fd_step=1e-3)
+    os = OmegaSchedule(theta, FINE)
     with pytest.raises(NotPositiveDefinite) as exc:
         os.omega(at(0.4))
     assert exc.value.t == pytest.approx(0.4)
@@ -197,7 +209,9 @@ def test_omega_reports_failing_time():
 
 # --- stacked evaluation agrees with one time at a time ---
 
-HALF_GRID = TimeGrid(0.0, 1.0, 10).half_times()
+GRID = TimeGrid(0.0, 1.0, 10)
+HALF_GRID = GRID.half_times()
+WHOLE = GridBlock(GRID, 0, GRID.steps)
 
 
 def hermite_reference(ts, mats, t):
@@ -268,7 +282,7 @@ def test_closed_forms_called_once_per_stack():
         counted(lambda ts: diag_stack(ts, 0.0, 2.0 * ts)))
     theta(HALF_GRID)
     theta.derivative(HALF_GRID)
-    os = OmegaSchedule(theta, fd_step=0.1, analytic=(
+    os = OmegaSchedule(theta, GRID, analytic=(
         counted(lambda ts: diag_stack(ts, 1.0, np.sqrt(1.0 + ts * ts))),
         counted(lambda ts: diag_stack(ts, 0.0, ts / np.sqrt(1.0 + ts * ts))),
         counted(lambda ts: diag_stack(ts, 1.0, 1.0 / np.sqrt(1.0 + ts * ts)))))
@@ -300,35 +314,30 @@ def test_stacked_span_check_names_first_bad_time():
 
 
 def test_stacked_omega_matches_scalar_and_reference():
-    os = OmegaSchedule(growing_theta(), fd_step=0.1)
-    w, wi = os.omega(HALF_GRID), os.omega_inv(HALF_GRID)
-    wd = os.omega_dot(HALF_GRID)
+    os = OmegaSchedule(growing_theta(), GRID)
+    w, wd = os.on_block(WHOLE)
+    wi = os.omega_inv(HALF_GRID)
+    assert np.array_equal(w, os.omega(HALF_GRID))
     for k, t in enumerate(HALF_GRID):
         assert np.allclose(w[k], os.omega(at(t))[0], rtol=0, atol=1e-15)
         assert np.allclose(wi[k], os.omega_inv(at(t))[0], rtol=0, atol=1e-15)
         # the first two and last two points take the one-sided rule
         ref = fd_reference(lambda x: os.omega(at(x))[0], t, 0.1, 0.0, 1.0)
         assert np.allclose(wd[k], ref, rtol=0, atol=1e-13)
-        assert np.allclose(os.omega_dot(at(t))[0], ref, rtol=0, atol=1e-15)
+        # a one-step block of a fresh schedule roots only its own window, at the
+        # grid's half-times: the same bits
+        node = min(k // 2, GRID.steps - 1)
+        one = OmegaSchedule(growing_theta(), GRID).on_block(GridBlock(GRID, node, node + 1))
+        assert np.array_equal(one[1][k - 2 * node], wd[k])
     assert np.array_equal(os.omega_inv(HALF_GRID, omega=w), wi)
     assert np.array_equal(os.omega_dot(HALF_GRID, w), wd)   # the window is the grid
 
 
 def test_omega_dot_on_a_block_matches_whole_grid():
-    os = OmegaSchedule(growing_theta(), fd_step=0.1)
-    whole = os.omega_dot(HALF_GRID)
-    for first, last in ((0, 5), (3, 9), (14, 21)):
-        part = HALF_GRID[first:last]
-        got = os.omega_dot(part)
-        assert np.allclose(got, whole[first:last], rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 4),      # spacing 1/3 against 0.1
-                                   np.array([0.0, 0.05, 0.15, 0.2])])   # not uniform
-def test_omega_dot_refuses_times_off_the_stencil_lattice(times):
-    os = OmegaSchedule(growing_theta(), fd_step=0.1)
-    with pytest.raises(ValueError, match="not a multiple of the spacing"):
-        os.omega_dot(times)
+    whole = OmegaSchedule(growing_theta(), GRID).on_block(WHOLE)[1]
+    for first, last in ((0, 2), (1, 5), (7, 10)):
+        got = OmegaSchedule(growing_theta(), GRID).on_block(GridBlock(GRID, first, last))[1]
+        assert np.allclose(got, whole[2 * first:2 * last + 1], rtol=0, atol=1e-13)
 
 
 def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
@@ -337,20 +346,26 @@ def test_omega_dot_one_sided_ends_exact_on_quadratic_root():
         2, (0.0, 1.0),
         lambda ts: diag_stack(ts, 1.0, (1.0 + ts) ** 4),
         lambda ts: diag_stack(ts, 0.0, 4.0 * (1.0 + ts) ** 3))
-    os = OmegaSchedule(theta, fd_step=0.1)
-    wd = os.omega_dot(HALF_GRID)
+    wd = OmegaSchedule(theta, GRID).on_block(WHOLE)[1]
     for k in (0, 1, HALF_GRID.size - 2, HALF_GRID.size - 1):
         assert np.allclose(wd[k], np.diag([0.0, 2.0 * (1.0 + HALF_GRID[k])]), atol=1e-12)
 
 
-def test_grid_blocks_cover_grid():
+def test_grid_blocks_cover_grid(monkeypatch):
     g = TimeGrid(0.0, 1.0, 10)
-    blocks = g.blocks(4)
-    assert [(b.first, b.last) for b in blocks] == [(0, 3), (3, 6), (6, 10)]
+    # 4 steps a block at d = 8, where the walk's chunk is one step
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 4 * 2 * 8 * 8)
+    blocks = grid_blocks(g, 8)
+    assert [(b.first, b.last) for b in blocks] == [(0, 4), (4, 8), (8, 10)]
     assert np.array_equal(np.concatenate([b.half_times()[:-1] for b in blocks]
                                          + [g.half_times()[-1:]]), g.half_times())
     assert np.array_equal(g.half_times()[::2], g.times())
-    assert [(b.first, b.last) for b in g.blocks(100)] == [(0, 10)]
+    assert [(b.first, b.last) for b in grid_blocks(g, 2)] == [(0, 10)]
+    # at d = 2, 100 steps a block are cut down to a multiple of the chunk
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 100 * 2 * 2 * 2)
+    chunk = dynamics.SCAN_CHUNK
+    assert [(b.first, b.last) for b in grid_blocks(TimeGrid(0.0, 1.0, 200), 2)] == [
+        (0, 3 * chunk), (3 * chunk, 6 * chunk), (6 * chunk, 200)]
 
 
 def test_grid_times_are_built_once(monkeypatch):

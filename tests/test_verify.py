@@ -157,9 +157,9 @@ def test_corrected_tolerance_follows_how_omega_dot_is_taken(sampled_pair_text, w
 
 
 def _node_grid_motion(s):
-    """The maximum ||omega^-1 omega_dot|| over all nodes, from one node-grid evaluation."""
+    """The maximum ||omega^-1 omega_dot|| over all nodes, from one whole-grid evaluation."""
     os, ts = s.omega_schedule(), s.grid.times()
-    rate = os.omega_inv(ts) @ os.omega_dot(ts)
+    rate = os.omega_inv(ts) @ os.on_block(_whole(s))[1][::2]
     return float(np.linalg.norm(rate, axis=(-2, -1)).max())
 
 
@@ -183,9 +183,8 @@ def _two_pass_columns(res):
     u, ur, theta, theta_recon, h_big_series, gen_series = (
         np.empty(shape, dtype=complex) for _ in range(6))
     u[0] = np.eye(s.dim)
-    seam = None
     for blk in dynamics.grid_blocks(grid, s.dim):
-        ops, seam = dynamics.half_grid_operators(s, os, blk, seam)
+        ops = dynamics.half_grid_operators(s, os, blk)
         nodes = slice(blk.first, blk.last + 1)
         if blk.first == 0:
             omega0 = ops.omega[0]
@@ -223,7 +222,7 @@ def _whole(s):
 def _whole_grid_gaps(s, ur):
     """||U_naive - U_R|| and ||U_corr - U_R|| at every node, U_naive and U_corr
     walked over the whole grid as one block."""
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))[0]
+    ops = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))
     return [linalg.fro_norms(walk(gen, s.grid, s.hbar) - ur)
             for walk, gen in ((dynamics.ur_from_naive_generator, ops.h_big),
                               (dynamics.ur_from_corrected_generator, ops.gen))]
@@ -337,7 +336,7 @@ def _observable_defect(s):
     / ||theta G||_F: G is not theta-quasi-Hermitian, and misses it by -i hbar theta_dot."""
     ts = s.grid.half_times()
     theta, theta_dot = s.theta(ts), s.theta.derivative(ts)
-    gen = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))[0].gen
+    gen = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s)).gen
     tg = theta @ gen
     defect = tg - linalg.dagger(gen) @ theta + 1j * s.hbar * theta_dot
     return float((np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(tg, axis=(1, 2))).max())
