@@ -24,11 +24,13 @@ directory of its own:
   whose metric or propagator would overflow, and a sampled metric on two
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit);
+* ``quasiherm run`` on three sampled pair files whose omega_dot rows at the
+  grid's ends once hung on rounding or on the metric's span (EDGE_FILES);
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
 * ``verify.convergence_order`` with both probes on the four builtins at 250
-  steps, on the benchmark's convergence-d8 files and on every gate file: each
-  probe's order printed with ``%.17g``, or the text of the exception that
-  stopped it.
+  steps, on the benchmark's convergence-d8 files, the EDGE_FILES and every
+  gate file: each probe's order printed with ``%.17g``, or the text of the
+  exception that stopped it.
 
 For ``run`` the CSV bytes, standard output, standard error and exit code are
 compared; for the other commands all but the CSV. The path of each side's
@@ -107,11 +109,31 @@ GATE_FILES = {
     "spread-spectrum": {"dimension": 2, "time": {"end": 60.0, "steps": 20}, "model": {
         "kind": "pair", "h": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], "theta": _EYE}},
     # a sampled, moving metric on two steps: the one-sided rows of the central
-    # difference of omega would read it half a step outside the span
+    # difference of omega would read past the grid's other end
     "two-step-sampled-metric": {"dimension": 2, "time": {"steps": 2}, "model": {
         "kind": "pair", "h": _SIGMA_X,
         "theta": {"times": [0.0, 1 / 3, 2 / 3, 1.0], "snapshots": [
             [[[1 + k / 3, 0], [0, 0]], [[0, 0], [1, 0]]] for k in range(4)]}}},
+}
+
+
+def _moving_pair(start, end, steps, snapshots_span=None):
+    """A d = 2 pair file: h = sigma_x and theta(t) = diag(1, 1 + t^2) + 0.1 t sigma_x
+    on 9 snapshots over snapshots_span (the grid's span by default)."""
+    times = np.linspace(*(snapshots_span or (start, end)), 9)
+    return {"dimension": 2, "time": {"start": start, "end": end, "steps": steps}, "model": {
+        "kind": "pair", "h": _SIGMA_X, "theta": {"times": times.tolist(), "snapshots": [
+            [[[1, 0], [0.1 * t, 0]], [[0.1 * t, 0], [1 + t * t, 0]]] for t in times]}}}
+
+
+# name -> scenario file that the gates admit, each run and converged as it is:
+# on the first two grids, a span test in floating point once gave node 1 (the
+# first) or node N - 1 (the second) a one-sided omega_dot row; on the third the
+# metric's span is wider than the grid's
+EDGE_FILES = {
+    "moving-pair-0.5-0.8": _moving_pair(0.5, 0.8, 200),
+    "moving-pair-0-5": _moving_pair(0.0, 5.0, 200),
+    "moving-pair-wide-metric": _moving_pair(0.0, 1.0, 300, (-0.2, 1.2)),
 }
 # gate file -> the flags it is run with besides none
 GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}
@@ -139,6 +161,12 @@ def write_inputs(inputs: str) -> list[tuple[str, list[str]]]:
                 cases.append((f"run {label}", ["run", "--scenario", entry["path"]]))
                 if workload == "convergence-d8":
                     cases.append((f"convergence {label}", ["convergence", entry["path"]]))
+    for name, doc in EDGE_FILES.items():
+        path = os.path.join(inputs, name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        cases += [(f"run {name}", ["run", "--scenario", path]),
+                  (f"convergence {name}", ["convergence", path])]
     gates = gate_cases(inputs)
     gates += [(f"run {name} {' '.join(flags)}",
                ["run", "--scenario", os.path.join(inputs, name + ".json"), *flags])

@@ -321,10 +321,15 @@ class Scenario:
             raise ValidationError(f"bad time: {e}") from e
         return replace(self, grid=grid)
 
+    @property
+    def fd_omega_dot(self) -> bool:
+        """Whether omega_dot is a central difference of omega, not a closed form."""
+        return self.omega_analytic is None or self.omega_analytic[1] is None
+
     def with_fd_omega_dot(self) -> "Scenario":
         """This scenario with omega_dot taken by central differences of omega."""
         w = self.omega_analytic
-        return self if w is None else replace(self, omega_analytic=(w[0], None, w[2]))
+        return self if self.fd_omega_dot else replace(self, omega_analytic=(w[0], None, w[2]))
 
 
 @contextmanager

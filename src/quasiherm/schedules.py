@@ -12,10 +12,11 @@ and omega^-1, and the sampled interpolant are each called once for all the
 times. The integrators evaluate each operator once per point of the
 half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
 steps at a time (GridBlock). The central difference of omega reads it on a
-window of that grid: a block's own points and up to four beyond either end.
-OmegaSchedule.on_block roots each point of the window once, at its own
-half-time, and keeps the roots that the next block reads back (the seam);
-the central rows are two slices of the window.
+window of that grid: a block's own points and four more on either side,
+clipped to the grid. OmegaSchedule.on_block roots each point of the window
+once, at its own half-time, and keeps the roots that the next block reads
+back (the seam); the central rows are two slices of the window, and only the
+first two and last two points of the grid take the one-sided rule.
 """
 
 from __future__ import annotations
@@ -186,34 +187,6 @@ class OperatorSchedule:
         return self._deriv(ts)
 
 
-def _fd_stencil(ts, step, span):
-    """(fwd, bwd, below, above) of the central difference with the given step at
-    the half-grid times ts, spaced by step / 2: how many of the first and of
-    the last times take the one-sided rule because a central stencil would
-    leave the span, and how many half-grid points before ts[0] and after
-    ts[-1] the stencil reads."""
-    n, r = ts.size, _R
-    lo, hi = span
-    fwd = int(np.count_nonzero(ts - step < lo))
-    bwd = int(np.count_nonzero(ts[fwd:] + step > hi))
-    mid = fwd + bwd < n   # central rows read i -+ r, one-sided rows i +- r and i +- 2r
-    below = max(0, r - fwd if mid else 0, 2 * r + bwd - n if bwd else 0)
-    above = max(0, r - bwd if mid else 0, 2 * r + fwd - n if fwd else 0)
-    return fwd, bwd, below, above
-
-
-def _lattice_times(ts, h, lo, hi):
-    """The times at the lattice indices lo..hi-1 of the uniform times ts,
-    continued past either end by the spacing h."""
-    n = ts.size
-    if 0 <= lo and hi <= n:
-        return ts[lo:hi]
-    idx = np.arange(lo, hi)
-    return np.where(idx < 0, ts[0] + idx * h,
-                    np.where(idx >= n, ts[-1] + (idx - (n - 1)) * h,
-                             ts[np.clip(idx, 0, n - 1)]))
-
-
 class OmegaSchedule:
     """omega(t), omega(t)^-1 and d/dt omega(t) derived from a metric schedule,
     on the half-step grid of one TimeGrid.
@@ -221,10 +194,10 @@ class OmegaSchedule:
     omega is the principal square root of theta(t) unless analytic forms
     are supplied: analytic = (omega, omega_dot, omega_inv), each a function
     of a 1-D array of times that returns a stack. omega_dot or omega_inv may
-    be None: the derivative is then a central difference of omega with the
-    grid's step, taken on a block of the grid (on_block), and the inverse the
-    gated inverse of omega. Each method takes a 1-D array of times and
-    returns a stack, like the schedules.
+    be None: the derivative is then a central difference of omega on the
+    grid's own half-times, taken on a block of the grid (on_block), and the
+    inverse the gated inverse of omega. Each method takes a 1-D array of
+    times and returns a stack, like the schedules.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, grid: TimeGrid,
@@ -253,62 +226,56 @@ class OmegaSchedule:
     def omega_dot(self, ts: np.ndarray, window=None, lead=0) -> np.ndarray:
         """d/dt omega at the times ts.
 
-        The central difference, second-order one-sided where a central
-        stencil would leave the span, is taken at half-grid times ts only. It
-        reads omega on a window of the half grid, window[lead + i] at ts[i],
-        that holds every point of its stencil, as on_block builds it: the
-        central rows, omega at t + dt less omega at t - dt over 2 dt, are two
-        slices of the window; the rows at either end of the span take
-        [-3, 4, -1]."""
+        The central difference, omega at t + dt less omega at t - dt over
+        2 dt, is taken at consecutive half-grid times ts only, from omega on
+        a window, window[lead + i] at ts[i], that holds the 2r = 4 points of
+        the grid on either side of ts, as on_block builds it; the central
+        rows are two slices of it. The first two and last two points of the
+        half grid, found by index, take the one-sided rule [-3, 4, -1].
+        Fewer than 3 steps raise ValidationError."""
         if self._omega_dot_fn is not None:
             return self._omega_dot_fn(ts)
         self.theta.check_span(ts)
-        step, w, n, r = self.grid.spacing, window, ts.size, _R
-        fwd, bwd, below, above = _fd_stencil(ts, step, self.theta.span)
-        if w is None or lead < below or w.shape[0] < lead + n + above:
-            raise ValueError("a central difference of omega needs omega on a window that "
-                             "holds every point of its stencil (see on_block)")
+        hts, w, n, r = self.grid.half_times(), window, ts.size, _R
+        if self.grid.steps < 3:
+            raise ValidationError(f"{self.grid.steps} steps are too few for the central "
+                                  "difference of omega: take at least 3 steps")
+        k = int(np.searchsorted(hts, ts[0]))   # ts[i] is the half-grid point k + i
+        if (w is None or not np.array_equal(hts[k:k + n], ts) or lead < min(k, 2 * r)
+                or w.shape[0] < lead + n + min(hts.size - k - n, 2 * r)):
+            raise ValueError("a central difference of omega needs consecutive half-grid "
+                             "times and omega on a window around them (see on_block)")
+        fwd = min(n, max(0, r - k))                         # the points 0 and 1
+        bwd = min(n - fwd, max(0, k + n - (hts.size - r)))  # the points 2N - 1 and 2N
         a, b, end = lead + fwd, lead + n - bwd, lead + n   # window indices: central rows a..b-1
         out = np.empty((n,) + w.shape[1:], dtype=complex)
         out[:fwd] = -3.0 * w[lead:a] + 4.0 * w[lead + r:a + r] - w[lead + 2 * r:a + 2 * r]
         np.subtract(w[a + r:b + r], w[a - r:b - r], out=out[fwd:n - bwd])
         out[n - bwd:] = 3.0 * w[b:end] - 4.0 * w[b - r:end - r] + w[b - 2 * r:end - 2 * r]
-        out /= 2.0 * step
+        out /= 2.0 * self.grid.spacing
         return out
 
     def on_block(self, blk: GridBlock) -> tuple[np.ndarray, np.ndarray]:
         """(omega, omega_dot) on the half grid of blk, a block of this schedule's grid.
 
-        omega is taken on a window: blk's half-grid points and those its
-        omega_dot stencil reads beyond them, at the grid's own half-times
-        (continued by the half step past the grid's ends). The roots kept
-        around the last node of the block before (the seam) serve a window
-        that starts among them, as the next block of a walk does, and only
-        the points they lack are taken, in one call; any other block takes
-        its whole window. So a walk takes each point once, and no answer
-        depends on the blocks asked for before. A stencil that would read
-        omega outside the span (on two steps over it) raises ValidationError.
+        omega is taken on a window of the grid's half-times: blk's points
+        and, for a central difference, the 2r = 4 points of the grid on
+        either side. The roots kept around the last node of the block before
+        (the seam) serve a window that starts among them, as the next block
+        of a walk does, and only the points they lack are taken, in one
+        call; any other block takes its whole window. So a walk takes each
+        point once, and no answer depends on the blocks asked for before.
         """
         if blk.grid != self.grid:
             raise ValueError("the block is not a block of this schedule's grid")
-        ts = blk.half_times()
-        below, above = ((0, 0) if self._omega_dot_fn is not None
-                        else _fd_stencil(ts, self.grid.spacing, self.theta.span)[2:])
-        lo, hi = 2 * blk.first - below, 2 * blk.last + 1 + above   # half-grid indices
+        hts = self.grid.half_times()
+        reach = 0 if self._omega_dot_fn is not None else 2 * _R
+        lo, hi = max(0, 2 * blk.first - reach), min(hts.size, 2 * blk.last + 1 + reach)
         j, roots = self._seam
         kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None
-        hts = self.grid.half_times()
-        times = _lattice_times(hts, hts[1] - hts[0], lo if kept is None else lo + len(kept), hi)
-        if lo < 0 or hi > hts.size:   # the stencil reads past the grid's ends
-            try:
-                self.theta.check_span(times)
-            except OutOfRange as e:
-                raise ValidationError(
-                    f"{self.grid.steps} steps are too few for the central difference of "
-                    f"omega: its one-sided rows read omega at {e}; take at least 3 steps"
-                ) from None
-        new = self.omega(times)
+        new = self.omega(hts[lo if kept is None else lo + len(kept):hi])
         window = new if kept is None else np.concatenate((kept, new))
-        keep = max(lo, 2 * blk.last - 2 * max(below, above))
+        keep = max(lo, 2 * blk.last - reach)
         self._seam = (keep, window[keep - lo:].copy())
-        return window[below:below + ts.size], self.omega_dot(ts, window, below)
+        ts, lead = blk.half_times(), 2 * blk.first - lo
+        return window[lead:lead + ts.size], self.omega_dot(ts, window, lead)

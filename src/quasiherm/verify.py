@@ -71,8 +71,7 @@ def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
     max_metric, max_qh, max_corr, max_naive = (
         float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
 
-    analytic = s.omega_analytic is not None and s.omega_analytic[1] is not None
-    corr_key = "corrected_analytic" if analytic else "corrected_fd"   # how omega_dot is taken
+    corr_key = "corrected_fd" if s.fd_omega_dot else "corrected_analytic"
 
     out = [
         Verdict("NORM_CONSERVED", drift <= s.tol("norm_drift"), drift, s.tol("norm_drift")),

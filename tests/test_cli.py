@@ -456,18 +456,16 @@ def test_every_gate_file_of_same_output_ends_in_exit_3(tmp_path, capsys):
 
 
 def test_a_finite_difference_omega_dot_needs_three_steps(tmp_path, capsys):
-    """On two steps over the span of a sampled metric, the one-sided rows of the
-    central difference of omega would read it half a step outside the span: a
-    run and the ur_corr probe refuse the grid alike, naming the step count, and
-    three steps run."""
+    """On two steps, the one-sided rows of the central difference of omega would
+    read past the grid's other end: a run and the ur_corr probe refuse the grid
+    alike, naming the step count, and three steps run."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_same_output().GATE_FILES["two-step-sampled-metric"]))
     out = str(tmp_path / "x.csv")
     code = cli.main(["run", "--scenario", str(path), "--steps", "2", "--out", out])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == ("error: 2 steps are too few for the central difference of omega: its "
-                   "one-sided rows read omega at t=-0.25 outside schedule span [0, 1]; "
+    assert err == ("error: 2 steps are too few for the central difference of omega: "
                    "take at least 3 steps\n")
     with pytest.raises(ValidationError) as exc:
         verify.convergence_order(cli.load_scenario(str(path)).with_steps(2), "ur_corr")
@@ -476,6 +474,28 @@ def test_a_finite_difference_omega_dot_needs_three_steps(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")
     assert len(_csv_values(out)) == 2   # the two interior nodes
+
+
+@pytest.mark.parametrize("name, t, res_corrected", [
+    ("moving-pair-0.5-0.8", 0.5015, 1.17449e-6), ("moving-pair-0-5", 4.975, 1.065006e-4)])
+def test_omega_dot_rows_are_chosen_by_half_grid_index(tmp_path, name, t, res_corrected):
+    """Only the first two and last two half-grid points take the one-sided rule:
+    at the points 2 and 2N - 2 omega_dot is the central difference bit for bit,
+    on grids where comparing t -+ dt with the span in floating point put node 1
+    or node N - 1 on a one-sided row and doubled its error."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_same_output().EDGE_FILES[name]))
+    s = cli.load_scenario(str(path))
+    n = s.grid.steps
+    w, w_dot = s.omega_schedule().on_block(dynamics.GridBlock(s.grid, 0, n))
+    for i in (2, 2 * n - 2):
+        assert np.array_equal(w_dot[i], (w[i + 2] - w[i - 2]) / (2.0 * s.grid.spacing)), i
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) in (0, 1)
+    rows = _csv_values(out)
+    row = rows[np.flatnonzero(np.isclose(rows[:, 0], t, rtol=0, atol=1e-12))[0]]
+    assert row[cli.CSV_COLUMNS.index("res_corrected")] == pytest.approx(res_corrected,
+                                                                         rel=1e-5)
 
 
 def test_run_with_a_huge_constant_metric_reconstructs_it(tmp_path, capsys):

@@ -124,66 +124,68 @@ def test_integrate_u_matches_a_per_step_rk4_walk(dim, n, constant, seed):
     assert np.abs(u - per_step_rk4(-1j * h, grid, u0)).max() <= 1e-13
 
 
-def weighted_fd(w, lead, ts, step, span):
-    """The three-point weighted form of the finite difference: per row, stencil
-    offsets and weights [1, -1, 0] (central), [-3, 4, -1] (forward) or
-    [3, -4, 1] (backward), gathered from the window w, w[lead + i] at ts[i].
-    Returns the derivative and the window indices of weight other than 0."""
-    n = ts.size
-    h = ts[1] - ts[0] if n > 1 else step
-    r = int(round(step / h))
-    lo, hi = span
-    fwd = ts - step < lo
-    bwd = ~fwd & (ts + step > hi)
+def weighted_fd(w, lead, first, n, points, step):
+    """The three-point weighted form of the finite difference at the n half-grid
+    points first, first + 1, ... of a half grid of the given number of points,
+    gathered from the window w, w[lead + i] at point first + i: per row, stencil
+    offsets and weights [1, -1, 0] (central), [-3, 4, -1] (forward, at points 0
+    and 1) or [3, -4, 1] (backward, at the last two points). Returns the
+    derivative and the window indices of weight other than 0."""
+    i = first + np.arange(n)
+    fwd, bwd = i < 2, i >= points - 2
     offsets = np.where(fwd[:, None], [0, 1, 2],
                        np.where(bwd[:, None], [0, -1, -2], [1, -1, -1]))
     weights = np.where(fwd[:, None], [-3.0, 4.0, -1.0],
                        np.where(bwd[:, None], [3.0, -4.0, 1.0], [1.0, -1.0, 0.0]))
     wt = weights[:, :, None, None]
-    idx = lead + np.arange(n)[:, None] + r * offsets
+    idx = lead + np.arange(n)[:, None] + 2 * offsets   # dt is two half-grid spacings
     f = w[idx]
     return ((wt[:, 0] * f[:, 0] + wt[:, 1] * f[:, 1] + wt[:, 2] * f[:, 2]) / (2.0 * step),
             idx[weights != 0.0])
 
 
 entry = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-REACH = 4   # the most half-grid points a stencil reads past either end of a block
+REACH = 4   # the half-grid points a block's window holds past either end, inside the grid
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(2, 12), st.sampled_from([0.125, 0.1, 1.0 / 3.0]),
-       st.sampled_from(["start", "end", "both", "neither"]), st.integers(1, 3), st.data())
-def test_fd_slices_equal_the_weighted_stencil(steps, dt, cut, dim, data):
+@given(st.integers(2, 12), st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.integers(1, 3),
+       st.data())
+def test_fd_slices_equal_the_weighted_stencil(steps, start, length, dim, data):
     """The slice form of the central difference that OmegaSchedule.on_block
     takes equals the weighted three-point form entry for entry (a zero may
-    differ in sign) on any block of any grid, one-sided rows included, for
-    spans that cut the rows at either end or at neither; the window it takes
-    omega on is exactly what the stencil reads."""
-    grid = TimeGrid(1.0, 1.0 + steps * dt, steps)
+    differ in sign) on any block of any grid, the one-sided rows at the first
+    two and last two half-grid points included. omega is taken once, on the
+    block's points and REACH more either side clipped to the grid, at the
+    grid's own half-times; a metric span wider than the grid changes no bit."""
+    grid = TimeGrid(start, start + length, steps)
     hts = grid.half_times()
-    lo = grid.t_start if cut in ("start", "both") else grid.t_start - 5.0 * dt
-    hi = grid.t_end if cut in ("end", "both") else grid.t_end + 5.0 * dt
     first = data.draw(st.integers(0, steps - 1))
     blk = schedules.GridBlock(grid, first, data.draw(st.integers(first + 1, steps)))
-    size = REACH + hts.size + REACH   # omega at every half-grid time and REACH past either end
-    w = (data.draw(arrays(np.float64, (size, dim, dim), elements=entry))
-         + 1j * data.draw(arrays(np.float64, (size, dim, dim), elements=entry)))
+    w = (data.draw(arrays(np.float64, (hts.size, dim, dim), elements=entry))
+         + 1j * data.draw(arrays(np.float64, (hts.size, dim, dim), elements=entry)))
     taken = []
 
-    def omega(ts):   # w at the half-grid indices of ts
-        idx = REACH + np.rint((ts - hts[0]) / (hts[1] - hts[0])).astype(int)
+    def omega(ts):   # w at the half-grid points ts, which must be the grid's own times
+        idx = np.searchsorted(hts, ts)
+        assert np.array_equal(hts[np.minimum(idx, hts.size - 1)], ts)
         taken.append(idx)
         return w[idx]
 
-    theta = schedules.OperatorSchedule(dim, (lo, hi), None, None)
-    os = schedules.OmegaSchedule(theta, grid, analytic=(omega, None, None))
-    if steps == 2 and cut == "both":   # the one-sided rows would read past the span
-        with pytest.raises(ValidationError, match="2 steps are too few"):
-            os.on_block(blk)
-        return
-    got_w, got = os.on_block(blk)
-    ref, read = weighted_fd(w, REACH + 2 * blk.first, blk.half_times(), grid.spacing,
-                            (lo, hi))
-    assert [(idx.min(), idx.max()) for idx in taken] == [(read.min(), read.max())]
-    assert np.array_equal(got_w, w[REACH + 2 * blk.first:REACH + 2 * blk.last + 1])
-    assert np.array_equal(got, ref)
+    answers = []
+    for span in ((grid.t_start, grid.t_end), (grid.t_start - length, grid.t_end + length)):
+        theta = schedules.OperatorSchedule(dim, span, None, None)
+        os = schedules.OmegaSchedule(theta, grid, analytic=(omega, None, None))
+        if steps == 2:   # the one-sided rows would read past the grid's other end
+            with pytest.raises(ValidationError, match="2 steps are too few"):
+                os.on_block(blk)
+            return
+        answers.append(os.on_block(blk))
+    lo, hi = max(0, 2 * blk.first - REACH), min(hts.size - 1, 2 * blk.last + REACH)
+    assert [(idx.min(), idx.max()) for idx in taken] == [(lo, hi)] * 2
+    ref, read = weighted_fd(w[lo:hi + 1], 2 * blk.first - lo, 2 * blk.first,
+                            blk.half_times().size, hts.size, grid.spacing)
+    assert read.min() >= 0 and read.max() <= hi - lo
+    for got_w, got in answers:
+        assert np.array_equal(got_w, w[2 * blk.first:2 * blk.last + 1])
+        assert np.array_equal(got, ref)

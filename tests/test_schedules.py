@@ -85,11 +85,20 @@ def test_out_of_range():
 
 def test_evaluators_refuse_a_bare_time():
     s = growing_theta()
-    os = OmegaSchedule(s, TimeGrid(0.0, 1.0, 10))
+    grid = TimeGrid(0.0, 1.0, 10)
+    os = OmegaSchedule(s, grid)
     for evaluate in (s, s.derivative, os.omega, os.omega_inv, os.omega_dot):
         for t in (0.5, np.float64(0.5), np.array([[0.5]])):
             with pytest.raises(ValueError, match="1-D array of times"):
                 evaluate(t)
+    # the central difference reads omega on a window around half-grid times
+    hts = grid.half_times()
+    w = os.omega(hts)
+    for ts, window, lead in ((hts, None, 0), (hts[4:9], w[1:13], 3), (hts[4:9], w[:12], 4),
+                             (hts[4:9] + 1e-3, w, 4)):
+        with pytest.raises(ValueError, match="window around them"):
+            os.omega_dot(ts, window, lead)
+    assert np.array_equal(os.omega_dot(hts[4:9], w[:13], 4), os.omega_dot(hts[4:9], w, 4))
 
 
 def quad_snapshots(times):

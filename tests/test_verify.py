@@ -150,6 +150,7 @@ def _scenario(sampled_pair_text, which, fd_omega_dot):
 def test_corrected_tolerance_follows_how_omega_dot_is_taken(sampled_pair_text, which,
                                                             fd_omega_dot, key):
     s = _scenario(sampled_pair_text, which, fd_omega_dot)
+    assert s.fd_omega_dot == (key == "corrected_fd")
     if which == "sampled pair":   # omega is not analytic: omega_dot is a central difference
         assert s.with_fd_omega_dot() is s
     v = {v.name: v for v in verdicts(run_diagnostics(s), s)}["CORRECTED_GENERATOR_OK"]
