@@ -23,9 +23,11 @@ directory of its own:
   (two of them for spectra that a column bound on ||h||_2 would miss), runs
   whose metric or propagator would overflow, and a sampled metric on two
   steps, too few for the central difference of omega (also run with
-  ``--steps 3``, which the gates admit);
+  ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
+  integer) or negative, and a ``dimension`` that is not theta's;
 * ``quasiherm run`` on three sampled pair files whose omega_dot rows at the
-  grid's ends once hung on rounding or on the metric's span (EDGE_FILES);
+  grid's ends once hung on rounding or on the metric's span, and on a d = 3
+  pair file without ``initial_state`` (EDGE_FILES);
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
 * ``verify.convergence_order`` with both probes on the four builtins at 250
   steps, on the benchmark's convergence-d8 files, the EDGE_FILES and every
@@ -114,6 +116,11 @@ GATE_FILES = {
         "kind": "pair", "h": _SIGMA_X,
         "theta": {"times": [0.0, 1 / 3, 2 / 3, 1.0], "snapshots": [
             [[[1 + k / 3, 0], [0, 0]], [[0, 0], [1, 0]]] for k in range(4)]}}},
+    # tolerances are refused as given: a JSON integer 0 is named as 0, not 0.0
+    "tolerance-integer-zero": {"model": _BUILTIN, "tolerances": {"qh": 0}},
+    "negative-naive-floor": {"model": _BUILTIN, "tolerances": {"naive_floor": -1e-3}},
+    "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,
+                                                      "theta": _EYE}},
 }
 
 
@@ -129,11 +136,18 @@ def _moving_pair(start, end, steps, snapshots_span=None):
 # name -> scenario file that the gates admit, each run and converged as it is:
 # on the first two grids, a span test in floating point once gave node 1 (the
 # first) or node N - 1 (the second) a one-sided omega_dot row; on the third the
-# metric's span is wider than the grid's
+# metric's span is wider than the grid's. The fourth, a d = 3 pair, gives no
+# initial_state, so it starts from e0 of theta's size.
 EDGE_FILES = {
     "moving-pair-0.5-0.8": _moving_pair(0.5, 0.8, 200),
     "moving-pair-0-5": _moving_pair(0.0, 5.0, 200),
     "moving-pair-wide-metric": _moving_pair(0.0, 1.0, 300, (-0.2, 1.2)),
+    "pair-3d-default-state": {"dimension": 3, "time": {"steps": 200}, "model": {
+        "kind": "pair", "h": [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [1, 0]],
+                              [[0, 0], [1, 0], [0, 0]]],
+        "theta": {"times": [0.0, 0.25, 0.5, 0.75, 1.0], "snapshots": [
+            [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1 + t, 0], [0, 0]],
+             [[0, 0], [0, 0], [1 + t * t, 0]]] for t in (0.0, 0.25, 0.5, 0.75, 1.0)]}}},
 }
 # gate file -> the flags it is run with besides none
 GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}

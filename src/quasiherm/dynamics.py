@@ -20,18 +20,24 @@ not over every step; products of maps are kept as their difference from
 I (delta form), so their rounding stays relative to the step, not to the
 propagator. Above SCAN_MAX_DIM the walk goes step by step.
 
-evolve walks the grid a block of steps at a time, keeps no node series and
-forms every per-node column of the report, among them the residuals of the
-central difference of U_R against H (positive as dt -> 0 whenever the
-metric moves) and against G (shrinking like dt^2). It admits each block as
-it goes, as convergence_order does: validate_scenario gates the metric, in
-direct mode the quasi-Hermiticity of H at the nodes, and then the
-Hermiticity of h and the stability of the RK4 step (gate_h). A refusal
-names the first failing time of the half-step grid that is actually run.
+A Scenario checks itself when built, in code as from a file: its dim is
+theta's, its initial state defaults to e0, its schedules cover the grid and
+its tolerances are known keys with finite positive values. evolve walks the
+grid a block of steps at a time, keeps no node series and forms every
+per-node column of the report, among them the residuals of the central
+difference of U_R against H (positive as dt -> 0 whenever the metric moves)
+and against G (shrinking like dt^2); end_state walks the blocks of one
+probe (u or U_corr) to the grid's end. Both admit each block as they go:
+validate_scenario gates the metric, in direct mode the quasi-Hermiticity of
+H at the nodes, and then the Hermiticity of h and the stability of the RK4
+step (gate_h). A refusal names the first failing time of the half-step grid
+that is actually run.
 """
 
 from __future__ import annotations
 
+import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -255,17 +261,16 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock) -> Ope
 
 @dataclass
 class Scenario:
-    """Full problem description for one run.
+    """Full problem description for one run, checked when it is built.
 
     Exactly one of h (pair mode: Hermitian generator given) or h_big
     (direct mode: quasi-Hermitian generator given) is set; the other is
-    derived through the metric root.
+    derived through the metric root. dim is theta's size.
     """
     name: str
-    dim: int
     grid: TimeGrid
     theta: OperatorSchedule
-    initial_state: np.ndarray
+    initial_state: np.ndarray | None = None   # None: e0
     h: OperatorSchedule | None = None        # pair mode
     h_big: OperatorSchedule | None = None    # direct mode
     hbar: float = 1.0
@@ -278,10 +283,18 @@ class Scenario:
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValidationError(f"hbar must be a finite positive number, got {self.hbar:g}")
-        for key in self.tolerances:
-            if key not in DEFAULT_TOLERANCES:
-                raise ValidationError(f"bad tolerances.{key}: not a known tolerance "
-                                      f"(known: {', '.join(DEFAULT_TOLERANCES)})")
+        for key, value in self.tolerances.items():   # as given: a JSON 0 reads 0, not 0.0
+            try:
+                if key not in DEFAULT_TOLERANCES:
+                    raise ValueError("not a known tolerance "
+                                     f"(known: {', '.join(DEFAULT_TOLERANCES)})")
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError(f"expected a number, got {json.dumps(value, default=repr)}")
+                if not (np.isfinite(float(value)) and value > 0):   # Overflow: a huge int
+                    raise ValueError(f"expected a finite positive number, got {value!r}")
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValidationError(f"bad tolerances.{key}: {e}") from None
+        self.tolerances = {key: float(value) for key, value in self.tolerances.items()}
         ends = np.array([self.grid.t_start, self.grid.t_end])
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
             if sched is None:
@@ -293,13 +306,18 @@ class Scenario:
                 sched.check_span(ends)
             except OutOfRange as e:
                 raise ValidationError(f"{what} does not cover the grid: {e}") from None
-        v = np.asarray(self.initial_state, dtype=complex)
+        v = np.asarray(np.eye(self.dim)[0] if self.initial_state is None
+                       else self.initial_state, dtype=complex)
         if v.shape != (self.dim,):
             raise ValidationError(f"initial_state has shape {v.shape}, "
                                   f"dimension is {self.dim}")
         if not v.any():
             raise ValidationError("initial_state is the zero vector")
         self.initial_state = v
+
+    @property
+    def dim(self) -> int:
+        return self.theta.dim
 
     @property
     def kind(self) -> str:
@@ -355,7 +373,7 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
 
     The metric is gated through theta and through omega = sqrt(theta), its
     inverse and its derivative; in direct mode a quasi-Hermiticity residual of
-    H above eps_res is refused at its node; then h goes through admit_h. Each
+    H above eps_res is refused at its node; then h goes through _admit_h. Each
     raises ValidationError naming the first failing t. The residual is formed
     in direct mode, or when qh is given: an array that receives it node by node.
     """
@@ -373,11 +391,11 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
                 f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
         if qh is not None:
             qh[:] = res
-    admit_h(s, ops.h, blk)
+    _admit_h(s, ops.h, blk)
     return ops, theta
 
 
-def admit_h(s: Scenario, h: np.ndarray, blk) -> None:
+def _admit_h(s: Scenario, h: np.ndarray, blk) -> None:
     """gate_h of s's h over blk, a failed gate raised as a ValidationError."""
     with _gate("pair-mode generator" if s.kind == "pair"
                else "Hermitian equivalent of the direct-mode generator"):
@@ -445,3 +463,23 @@ def evolve(s: Scenario) -> EvolutionResult:
 
     return EvolutionResult(s, norms, defect, res_naive, res_corrected, res_metric,
                            omega_motion, qh, gap_naive, gap_corrected)
+
+
+def end_state(s: Scenario, probe: str) -> np.ndarray:
+    """The probe's propagator, u or U_corr, at the end of s's grid, each block
+    admitted as evolve admits it; a pair's u probe reads h alone, no metric root."""
+    if probe not in ("u", "ur_corr"):
+        raise ValueError(f"unknown probe {probe!r}")
+    os, end = s.omega_schedule(), None
+    walk, stack = ((ur_from_corrected_generator, "gen") if probe == "ur_corr"
+                   else (integrate_u, "h"))
+    for blk in grid_blocks(s.grid, s.dim):
+        if probe == "u" and s.kind == "pair":
+            m = s.h(blk.half_times())
+            _admit_h(s, m, blk)
+        else:   # only the walked stack outlives the admission, not all six
+            ops, _ = validate_scenario(s, os, blk)
+            m = getattr(ops, stack)
+            del ops
+        end = walk(m, blk, s.hbar, end)[-1]
+    return end

@@ -97,8 +97,7 @@ def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
         ) from None
     theta, omega_analytic = metric(span)
     return Scenario(
-        name=name, dim=2, grid=TimeGrid(span[0], span[1], steps), theta=theta,
-        h=OperatorSchedule.constant_matrix(SIGMA_X, span),
-        initial_state=[1.0, 0.0] if initial_state is None else initial_state, hbar=hbar,
-        tolerances=dict(tolerances or {}), omega_analytic=omega_analytic,
+        name=name, grid=TimeGrid(span[0], span[1], steps), theta=theta,
+        h=OperatorSchedule.constant_matrix(SIGMA_X, span), initial_state=initial_state, hbar=hbar,
+        tolerances=tolerances or {}, omega_analytic=omega_analytic,
         u_oracle=u_oracle_sigma_x)

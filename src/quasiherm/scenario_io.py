@@ -15,14 +15,17 @@ Schema (all matrices are row-major nests of [re, im] pairs):
 
 A <schedule> is either a constant matrix or a sampled schedule
 {"times": [...], "snapshots": [<matrix>, ...]}.
+
+parse_scenario converts JSON numbers and matrices and checks "dimension"
+against theta, whose size is Scenario.dim; the Scenario checks the rest as
+for one built in code: an absent initial_state is e0, and the tolerances,
+passed on as given, must be known keys with finite positive values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 from . import linalg, models
 from .dynamics import Scenario
@@ -68,13 +71,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _tolerance(value) -> float:
-    """A tolerance from a scenario file: a finite positive JSON number."""
-    if not (math.isfinite(_number(value)) and value > 0):
-        raise ValueError(f"expected a finite positive number, got {value!r}")
-    return float(value)
-
-
 def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
     if isinstance(obj, dict):
         return _convert(f"sampled schedule for {what}", lambda o: OperatorSchedule.sampled(
@@ -85,7 +81,7 @@ def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
 
 def parse_scenario(text: str) -> Scenario:
     """The Scenario a file describes, checked for structure only: types, grid,
-    dimensions, span coverage and initial_state. dynamics.evolve admits it."""
+    dimensions, span coverage, initial_state and tolerances. Walking admits it."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -103,31 +99,24 @@ def parse_scenario(text: str) -> Scenario:
     steps = _convert("time.steps", _integer, time.get("steps", models.DEFAULT_STEPS))
     grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
     hbar = _convert("hbar", lambda v: float(_number(v)), obj.get("hbar", 1.0))
-    tolerances = {key: _convert(f"tolerances.{key}", _tolerance, value)
-                  for key, value in _section(obj, "tolerances").items()}
+    tolerances = _section(obj, "tolerances")   # Scenario checks keys and values
     initial = obj.get("initial_state")
     initial_state = (None if initial is None
                      else _convert("initial_state", linalg.vector_from_pairs, initial))
 
     if kind == "builtin":
-        name = model.get("name", "")
-        s = models.make_builtin(name, steps=steps, span=span, hbar=hbar,
-                                initial_state=initial_state, tolerances=tolerances)
-    elif kind in ("pair", "direct"):
-        dim = _convert("dimension", _integer, obj.get("dimension", 0))
-        if dim < 1:
-            raise ValidationError("missing or invalid dimension")
-        theta = _parse_schedule(model.get("theta"), span, "theta")
-        if initial_state is None:   # the first basis vector; Scenario checks dim
-            initial_state = np.zeros(theta.dim, dtype=complex)
-            initial_state[0] = 1.0
-        common = dict(name=obj.get("name", "custom"), dim=dim, grid=grid,
-                      theta=theta, initial_state=initial_state, hbar=hbar,
-                      tolerances=tolerances)
-        if kind == "pair":
-            s = Scenario(h=_parse_schedule(model.get("h"), span, "h"), **common)
-        else:
-            s = Scenario(h_big=_parse_schedule(model.get("H"), span, "H"), **common)
-    else:
+        return models.make_builtin(model.get("name", ""), steps=steps, span=span, hbar=hbar,
+                                   initial_state=initial_state, tolerances=tolerances)
+    if kind not in ("pair", "direct"):
         raise ValidationError(f"unknown model kind {kind!r}")
-    return s
+    dim = _convert("dimension", _integer, obj.get("dimension", 0))
+    if dim < 1:
+        raise ValidationError("missing or invalid dimension")
+    theta = _parse_schedule(model.get("theta"), span, "theta")
+    what, field = ("h", "h") if kind == "pair" else ("H", "h_big")
+    gen = _parse_schedule(model.get(what), span, what)
+    if theta.dim != dim:
+        raise ValidationError(f"theta is {theta.dim}x{theta.dim}, dimension is {dim}")
+    return Scenario(name=obj.get("name", "custom"), grid=grid, theta=theta,
+                    initial_state=initial_state, hbar=hbar, tolerances=tolerances,
+                    **{field: gen})

@@ -263,8 +263,9 @@ class OmegaSchedule:
         either side. The roots kept around the last node of the block before
         (the seam) serve a window that starts among them, as the next block
         of a walk does, and only the points they lack are taken, in one
-        call; any other block takes its whole window. So a walk takes each
-        point once, and no answer depends on the blocks asked for before.
+        call (none if they lack none); any other block takes its whole
+        window. So a walk takes each point once, and no answer depends on
+        the blocks asked for before.
         """
         if blk.grid != self.grid:
             raise ValueError("the block is not a block of this schedule's grid")
@@ -273,7 +274,8 @@ class OmegaSchedule:
         lo, hi = max(0, 2 * blk.first - reach), min(hts.size, 2 * blk.last + 1 + reach)
         j, roots = self._seam
         kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None
-        new = self.omega(hts[lo if kept is None else lo + len(kept):hi])
+        n = 0 if kept is None else len(kept)
+        new = self.omega(hts[lo + n:hi]) if lo + n < hi else kept[:0]   # no call for no point
         window = new if kept is None else np.concatenate((kept, new))
         keep = max(lo, 2 * blk.last - reach)
         self._seam = (keep, window[keep - lo:].copy())

@@ -1,7 +1,8 @@
 """Diagnostics columns, pass/fail verdicts and convergence-order checks.
 
 evolve forms every per-node column; this module cuts them to the interior
-nodes and judges them. convergence_order admits its walks as evolve does.
+nodes and judges them. convergence_order reads the end states of
+dynamics.end_state, which admits its walks as evolve does.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .dynamics import (EvolutionResult, Scenario, admit_h, evolve, grid_blocks,
-                       integrate_u, ur_from_corrected_generator, validate_scenario)
+from .dynamics import EvolutionResult, Scenario, end_state, evolve
 from .errors import NotMeasurable, ValidationError
 
 
@@ -72,47 +72,16 @@ def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
         float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
 
     corr_key = "corrected_fd" if s.fd_omega_dot else "corrected_analytic"
-
-    out = [
-        Verdict("NORM_CONSERVED", drift <= s.tol("norm_drift"), drift, s.tol("norm_drift")),
-        Verdict("METRIC_RECONSTRUCTED", max_metric <= s.tol("metric_recon"),
-                max_metric, s.tol("metric_recon")),
-        Verdict("QH_HOLDS", max_qh <= s.tol("qh"), max_qh, s.tol("qh")),
-        Verdict("CORRECTED_GENERATOR_OK", max_corr <= s.tol(corr_key),
-                max_corr, s.tol(corr_key)),
-    ]
-    # a nan motion is not evidence of a static metric: it takes the moving branch
-    if not max_omega_motion(d) < s.tol("omega_motion"):
-        out.append(Verdict("NAIVE_FAILS_IFF_METRIC_MOVES",
-                           max_naive >= s.tol("naive_floor"),
-                           max_naive, s.tol("naive_floor"), sense=">="))
-    else:
-        out.append(Verdict("NAIVE_FAILS_IFF_METRIC_MOVES",
-                           max_naive <= s.tol("naive_quiet"),
-                           max_naive, s.tol("naive_quiet")))
-    return out
-
-
-def _end_state(s: Scenario, steps: int, probe: str) -> np.ndarray:
-    """The probe's propagator at the end of s's span over steps steps, each block
-    admitted as evolve admits it; a pair's u probe reads h alone, no metric root."""
-    if probe not in ("u", "ur_corr"):
-        raise ValueError(f"unknown probe {probe!r}")
-    s2 = s.with_steps(steps)
-    os = s2.omega_schedule()
-    end = None
-    walk, stack = ((ur_from_corrected_generator, "gen") if probe == "ur_corr"
-                   else (integrate_u, "h"))
-    for blk in grid_blocks(s2.grid, s2.dim):
-        if probe == "u" and s2.kind == "pair":
-            m = s2.h(blk.half_times())
-            admit_h(s2, m, blk)
-        else:   # only the walked stack outlives the admission, not all six
-            ops, _ = validate_scenario(s2, os, blk)
-            m = getattr(ops, stack)
-            del ops
-        end = walk(m, blk, s2.hbar, end)[-1]
-    return end
+    out = [Verdict(name, x <= s.tol(k), x, s.tol(k)) for name, x, k in (
+        ("NORM_CONSERVED", drift, "norm_drift"),
+        ("METRIC_RECONSTRUCTED", max_metric, "metric_recon"),
+        ("QH_HOLDS", max_qh, "qh"),
+        ("CORRECTED_GENERATOR_OK", max_corr, corr_key))]
+    moving = not max_omega_motion(d) < s.tol("omega_motion")   # a nan motion counts as moving
+    key = "naive_floor" if moving else "naive_quiet"
+    passed = max_naive >= s.tol(key) if moving else max_naive <= s.tol(key)
+    return out + [Verdict("NAIVE_FAILS_IFF_METRIC_MOVES", passed, max_naive, s.tol(key),
+                          ">=" if moving else "<=")]
 
 
 def _oracle_end(s: Scenario, probe: str) -> np.ndarray:
@@ -135,13 +104,13 @@ def convergence_order(s: Scenario, probe: str = "u") -> float:
     """
     s = s.with_fd_omega_dot() if probe == "ur_corr" else s
     n = s.grid.steps
-    end_n = _end_state(s, n, probe)   # first: a refusal names the grid that was asked for
-    end_2n = _end_state(s, 2 * n, probe)
+    end_n = end_state(s.with_steps(n), probe)   # first: a refusal names the grid asked for
+    end_2n = end_state(s.with_steps(2 * n), probe)
     if s.u_oracle is not None:
         ref = _oracle_end(s, probe)
         err_n, err_2n = linalg.fro_norm(end_n - ref), linalg.fro_norm(end_2n - ref)
     else:
-        ref = _end_state(s, 4 * n, probe)
+        ref = end_state(s.with_steps(4 * n), probe)
         err_n, err_2n = linalg.fro_norm(end_n - end_2n), linalg.fro_norm(end_2n - ref)
     floor = 1e-13 * max(1.0, linalg.fro_norm(ref))
     if err_n < floor or err_2n < floor:

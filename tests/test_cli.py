@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import json
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasiherm import cli, dynamics, linalg, scenario_io, spaces, verify
+from quasiherm import cli, dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.errors import ParseError, QuasihermError, ValidationError
+from quasiherm.schedules import OperatorSchedule, TimeGrid
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -326,6 +328,66 @@ def test_run_malformed_file_names_field_exit_3(tmp_path, capsys, field, doc):
     code = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, text, why", [
+    ("naive_floor", -1.0, "-1.0", "expected a finite positive number, got -1.0"),
+    ("corrected_analytic", math.inf, "1e309", "expected a finite positive number, got inf"),
+    ("qh", math.nan, "NaN", "expected a finite positive number, got nan"),
+    ("eps_pos", 0.0, "0.0", "expected a finite positive number, got 0.0"),
+    ("qh", 0, "0", "expected a finite positive number, got 0"),   # the value as given
+    ("norm_drift", "1e-8", '"1e-8"', 'expected a number, got "1e-8"'),
+], ids=["negative", "inf", "nan", "zero", "integer-zero", "string"])
+def test_a_bad_tolerance_is_refused_in_code_as_in_a_file(tmp_path, capsys, key, value,
+                                                         text, why):
+    """A tolerance is a verdict's threshold: a naive_floor of -1 or a
+    corrected_analytic of inf would pass its verdict whatever the residuals.
+    A scenario built in code is refused with the text a file gets."""
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(make_builtin("growing-metric-2d"), tolerances={key: value})
+    assert str(exc.value) == f"bad tolerances.{key}: {why}"
+    path = tmp_path / "scenario.json"
+    path.write_text('{"model": {"kind": "builtin", "name": "growing-metric-2d"}, '
+                    f'"tolerances": {{"{key}": {text}}}}}')
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"dimension": 3, "model": PAIR_2D}, "theta is 2x2, dimension is 3"),
+    ({"dimension": 2, "model": dict(PAIR_2D, h=[[[1, 0], [0, 0], [0, 0]],
+                                                [[0, 0], [1, 0], [0, 0]],
+                                                [[0, 0], [0, 0], [1, 0]]])},
+     "h is 3x3, dimension is 2"),
+], ids=["theta", "h"])
+def test_a_dimension_that_disagrees_is_refused_naming_both_sizes(tmp_path, capsys, doc, err):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def _pairs(m):
+    """A real matrix as the nest of [re, im] pairs a scenario file holds."""
+    return [[[float(x), 0.0] for x in row] for row in m]
+
+
+def test_a_scenario_without_initial_state_starts_from_e0_of_thetas_size(tmp_path):
+    """Built in code as read from a file: no initial_state is e0, and the
+    dimension is theta's."""
+    theta = np.diag([1.0, 2.0, 3.0])
+    s = dynamics.Scenario(name="e0", grid=TimeGrid(0.0, 1.0, 50),
+                          theta=OperatorSchedule.constant_matrix(theta, (0.0, 1.0)),
+                          h=OperatorSchedule.constant_matrix(np.ones((3, 3)), (0.0, 1.0)))
+    assert s.dim == 3
+    assert s.initial_state.dtype == complex and np.array_equal(s.initial_state, [1, 0, 0])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"dimension": 3, "time": {"steps": 50}, "model": {
+        "kind": "pair", "h": _pairs(np.ones((3, 3))), "theta": _pairs(theta)}}))
+    read = cli.load_scenario(str(path))
+    assert np.array_equal(read.initial_state, s.initial_state)
+    assert np.array_equal(verify.run_diagnostics(read).norm_phys,
+                          verify.run_diagnostics(s).norm_phys)
 
 
 @pytest.mark.parametrize("doc, err", [

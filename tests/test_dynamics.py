@@ -67,7 +67,7 @@ def test_ur_definition_identity_metric():
     s = make_builtin("growing-metric-2d", steps=100)
     grid = s.grid
     os_ident = dynamics.Scenario(
-        name="ident", dim=2, grid=grid,
+        name="ident", grid=grid,
         theta=OperatorSchedule.constant_matrix(np.eye(2), (0, 1)),
         h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
         initial_state=np.array([1.0, 0.0]),
@@ -99,7 +99,7 @@ def test_ur_definition_hand_values():
 def test_ur_definition_constant_diag_metric():
     grid = TimeGrid(0.0, 1.0, 200)
     theta = OperatorSchedule.constant_matrix(np.diag([1.0, 4.0]), (0, 1))
-    s = dynamics.Scenario(name="c", dim=2, grid=grid, theta=theta,
+    s = dynamics.Scenario(name="c", grid=grid, theta=theta,
                           h=OperatorSchedule.constant_matrix(SIGMA_X, (0, 1)),
                           initial_state=np.array([1.0, 0.0]))
     u, ur, _, _ = node_series(s)
@@ -175,7 +175,7 @@ def test_direct_mode_accepts_quasi_hermitian():
     grid = TimeGrid(0.0, 1.0, 100)
     h_big = np.array([[0.0, np.sqrt(2)], [1.0 / np.sqrt(2), 0.0]])
     s = dynamics.Scenario(
-        name="direct", dim=2, grid=grid,
+        name="direct", grid=grid,
         theta=OperatorSchedule.constant_matrix(np.diag([1.0, 2.0]), (0, 1)),
         h_big=OperatorSchedule.constant_matrix(h_big, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
@@ -186,7 +186,7 @@ def test_direct_mode_accepts_quasi_hermitian():
 def test_direct_mode_rejects_violation():
     grid = TimeGrid(0.0, 1.0, 10)
     s = dynamics.Scenario(
-        name="bad", dim=2, grid=grid,
+        name="bad", grid=grid,
         theta=OperatorSchedule.constant_matrix(np.eye(2), (0, 1)),
         h_big=OperatorSchedule.constant_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1)),
         initial_state=np.array([1.0, 0.0]))
@@ -331,7 +331,7 @@ def test_metric_from_ur_reports_node_time():
 def test_validate_names_first_non_positive_metric_time():
     grid = TimeGrid(0.0, 1.0, 10)
     s = dynamics.Scenario(
-        name="sinking", dim=2, grid=grid,
+        name="sinking", grid=grid,
         theta=OperatorSchedule(
             2, (0.0, 1.0),
             lambda ts: np.stack([np.diag([1.0, 0.35 - t]) for t in ts]).astype(complex),
@@ -368,7 +368,7 @@ def _unadmitted(kind, theta=None, gen=None):
     grid = TimeGrid(0.0, 1.0, 10)
     eye = OperatorSchedule.constant_matrix(np.eye(2), (0, 1))
     gen = gen or OperatorSchedule.constant_matrix(SIGMA_X, (0, 1))
-    return dynamics.Scenario(name=kind, dim=2, grid=grid, theta=theta or eye,
+    return dynamics.Scenario(name=kind, grid=grid, theta=theta or eye,
                              initial_state=np.array([1.0, 0.0]), **{kind: gen})
 
 
@@ -462,6 +462,21 @@ def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
         os.on_block(GridBlock(s.with_steps(100).grid, 0, 10))
 
 
+def test_end_state_is_the_last_node_of_the_walk_of_the_whole_grid(sampled_pair_text):
+    """end_state walks the blocks that evolve walks (three here), and a block's
+    walk continues the whole grid's bit for bit: each probe's end state is the
+    last node of one walk over the whole grid."""
+    s = scenario_io.parse_scenario(sampled_pair_text).with_fd_omega_dot()
+    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+    whole = GridBlock(s.grid, 0, s.grid.steps)
+    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
+    assert np.array_equal(dynamics.end_state(s, "u"), integrate_u(ops.h, whole, s.hbar)[-1])
+    assert np.array_equal(dynamics.end_state(s, "ur_corr"),
+                          ur_from_corrected_generator(ops.gen, whole, s.hbar)[-1])
+    with pytest.raises(ValueError, match="unknown probe 'ur_naive'"):
+        dynamics.end_state(s, "ur_naive")
+
+
 def test_direct_mode_takes_one_residual_per_node(monkeypatch):
     count = [0]
     orig = spaces.quasi_hermiticity_defect
@@ -474,7 +489,7 @@ def test_direct_mode_takes_one_residual_per_node(monkeypatch):
         if getattr(mod, "quasi_hermiticity_defect", None) is orig:
             monkeypatch.setattr(mod, "quasi_hermiticity_defect", counted)
     s = dynamics.Scenario(
-        name="direct", dim=2, grid=TimeGrid(0.0, 1.0, 100),
+        name="direct", grid=TimeGrid(0.0, 1.0, 100),
         theta=OperatorSchedule.constant_matrix(np.diag([1.0, 2.0]), (0, 1)),
         h_big=OperatorSchedule.constant_matrix(
             np.array([[0.0, np.sqrt(2)], [1.0 / np.sqrt(2), 0.0]]), (0, 1)),

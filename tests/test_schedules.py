@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiherm import dynamics
+from quasiherm import dynamics, linalg
 from quasiherm.dynamics import grid_blocks
 from quasiherm.errors import NotPositiveDefinite, OutOfRange
 from quasiherm.schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
@@ -390,3 +390,27 @@ def test_grid_times_are_built_once(monkeypatch):
         b.half_times()
     assert len(calls) == 1
     assert not g.half_times().flags.writeable and not g.times().flags.writeable
+
+
+@pytest.mark.parametrize("steps", [7, 200])
+def test_a_walk_in_one_step_blocks_takes_no_empty_root_call(monkeypatch, steps):
+    """Near the grid's end the seam already holds a one-step block's whole
+    window: on_block then takes no root at all, rather than a principal_sqrt
+    call on 0 matrices. Every half-grid point is still rooted once.
+    theta(t) = diag(1, 1 + t^2) + 0.1 t sigma_x on 9 snapshots over [0.5, 0.8]."""
+    times = np.linspace(0.5, 0.8, 9)
+    theta = OperatorSchedule.sampled(times, [
+        np.array([[1.0, 0.1 * t], [0.1 * t, 1.0 + t * t]]) for t in times])
+    sizes, sqrt = [], linalg.principal_sqrt
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return sqrt(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "principal_sqrt", counted)
+    grid = TimeGrid(0.5, 0.8, steps)
+    os = OmegaSchedule(theta, grid)
+    for k in range(steps):
+        os.on_block(GridBlock(grid, k, k + 1))
+    assert 0 not in sizes
+    assert sum(sizes) == 2 * steps + 1

@@ -128,7 +128,7 @@ def test_convergence_order_not_measurable_for_zero_generator(oracle):
     """With h = 0 every end state is exactly I: against the oracle, or between
     the three grids, both differences are zero."""
     s = dynamics.Scenario(
-        name="zero", dim=2, grid=TimeGrid(0.0, 1.0, 50),
+        name="zero", grid=TimeGrid(0.0, 1.0, 50),
         theta=OperatorSchedule.constant_matrix(np.eye(2), (0, 1)),
         h=OperatorSchedule.constant_matrix(np.zeros((2, 2)), (0, 1)),
         initial_state=np.array([1.0, 0.0]),
@@ -300,7 +300,7 @@ def _rotating_frame(d, steps, seed=0):
         return (_expm_stack(k, -1j / hb, t) @ _expm_stack(h0 - k, -1j / hb, t))[0]
 
     return dynamics.Scenario(
-        name=f"rotating-frame-{d}d", dim=d, grid=TimeGrid(*span, steps),
+        name=f"rotating-frame-{d}d", grid=TimeGrid(*span, steps),
         theta=OperatorSchedule(d, span, lambda ts: _expm_stack(sm, 2.0, ts),
                                lambda ts: 2.0 * sm @ _expm_stack(sm, 2.0, ts)),
         h=OperatorSchedule(d, span, h, h_dot), initial_state=np.eye(d)[0], hbar=hbar,
