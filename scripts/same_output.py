@@ -24,10 +24,13 @@ directory of its own:
   whose metric or propagator would overflow, and a sampled metric on two
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
-  integer) or negative, and a ``dimension`` that is not theta's;
+  integer) or negative, a ``dimension`` that is not theta's, and a metric
+  refused both at a half-time that only the finest grid of convergence_order
+  has and, later, on every grid;
 * ``quasiherm run`` on three sampled pair files whose omega_dot rows at the
-  grid's ends once hung on rounding or on the metric's span, and on a d = 3
-  pair file without ``initial_state`` (EDGE_FILES);
+  grid's ends once hung on rounding or on the metric's span, on a d = 3
+  pair file without ``initial_state`` and on a d = 6 pair file whose finest
+  convergence grid is walked in several blocks (EDGE_FILES);
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
 * ``verify.convergence_order`` with both probes on the four builtins at 250
   steps, on the benchmark's convergence-d8 files, the EDGE_FILES and every
@@ -124,6 +127,28 @@ GATE_FILES = {
 }
 
 
+def metric_dips_off_the_coarse_grids(steps):
+    """A d = 2 pair file of `steps` steps whose metric diag(1, q(t)) is refused on
+    two spans. q is the quadratic 10 (t - t*)^2 - eps up to t = 0.5, which its
+    cubic Hermite interpolant reproduces: it dips below zero only around
+    t* = 5 / (8 steps), a half-time of the grid of 4 steps steps that the grids
+    of steps and 2 steps steps lack, and is positive at every other point of
+    those grids. From t = 0.75 on q is -1, so every grid is refused near
+    t = 0.59. convergence_order must name that refusal of the grid of steps
+    steps, not the earlier one of the finest grid."""
+    h_f = 1.0 / (8 * steps)   # the half-step of the grid of 4 steps steps
+    t_star, eps = 5 * h_f, 5.0 * h_f * h_f
+    times = np.linspace(0.0, 1.0, 9)
+    q = [10.0 * (t - t_star) ** 2 - eps if t <= 0.5 else -1.0 for t in times]
+    return {"dimension": 2, "time": {"steps": steps}, "model": {
+        "kind": "pair", "h": _SIGMA_X, "theta": {"times": times.tolist(), "snapshots": [
+            [[[1, 0], [0, 0]], [[0, 0], [v, 0]]] for v in q]}}}
+
+
+# at d = 2 the grid of 4 x 2100 steps is walked in two blocks, the dip in the first
+GATE_FILES["metric-dips-off-the-coarse-grids"] = metric_dips_off_the_coarse_grids(2100)
+
+
 def _moving_pair(start, end, steps, snapshots_span=None):
     """A d = 2 pair file: h = sigma_x and theta(t) = diag(1, 1 + t^2) + 0.1 t sigma_x
     on 9 snapshots over snapshots_span (the grid's span by default)."""
@@ -133,11 +158,36 @@ def _moving_pair(start, end, steps, snapshots_span=None):
             [[[1, 0], [0.1 * t, 0]], [[0.1 * t, 0], [1 + t * t, 0]]] for t in times]}}}
 
 
+def _sampled_pair(dim, steps, seed):
+    """A pair file: h(t) = h0 + t a and theta(t) = Om(t)^dagger Om(t), Om(t) =
+    3 I + Om0 + t Om1, random (seeded) and sampled on 9 snapshots over [0, 1]."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(scale):
+        return scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+    h0, a = gaussian(1.0), gaussian(0.1)
+    om0, om1 = 3.0 * np.eye(dim) + gaussian(0.2), gaussian(0.2)
+    times = np.linspace(0.0, 1.0, 9)
+    oms = [om0 + t * om1 for t in times]
+    return {"dimension": dim, "time": {"steps": steps}, "model": {"kind": "pair",
+        "h": {"times": times.tolist(),
+              "snapshots": [pairs(h0 + h0.conj().T + t * (a + a.conj().T)) for t in times]},
+        "theta": {"times": times.tolist(),
+                  "snapshots": [pairs(om.conj().T @ om) for om in oms]}}}
+
+
 # name -> scenario file that the gates admit, each run and converged as it is:
 # on the first two grids, a span test in floating point once gave node 1 (the
 # first) or node N - 1 (the second) a one-sided omega_dot row; on the third the
 # metric's span is wider than the grid's. The fourth, a d = 3 pair, gives no
-# initial_state, so it starts from e0 of theta's size.
+# initial_state, so it starts from e0 of theta's size. The fifth, a d = 6 pair,
+# is converged on grids of 200, 400 and 800 steps that all take the scan walk;
+# the one walk of the 800-step grid is cut into blocks of 384 steps, so the
+# coarser two grids' scans stay chunk-aligned only if those cuts are.
 EDGE_FILES = {
     "moving-pair-0.5-0.8": _moving_pair(0.5, 0.8, 200),
     "moving-pair-0-5": _moving_pair(0.0, 5.0, 200),
@@ -148,6 +198,7 @@ EDGE_FILES = {
         "theta": {"times": [0.0, 0.25, 0.5, 0.75, 1.0], "snapshots": [
             [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1 + t, 0], [0, 0]],
              [[0, 0], [0, 0], [1 + t * t, 0]]] for t in (0.0, 0.25, 0.5, 0.75, 1.0)]}}},
+    "pair-6d-cut-finest-grid": _sampled_pair(6, 200, 6),
 }
 # gate file -> the flags it is run with besides none
 GATE_FLAGS = {"direct-mode-violation": ["--steps", "300"]}

@@ -1,6 +1,6 @@
 """Numerical toolkit for quantum evolution with time-dependent metric operators."""
 
-from .dynamics import (EvolutionResult, Scenario, end_state, evolve, integrate_u,
+from .dynamics import (EvolutionResult, Scenario, end_states, evolve, integrate_u,
                        metric_from_ur, ur_from_corrected_generator,
                        ur_from_definition, ur_from_naive_generator)
 from .linalg import (HermitianEigen, eig_hermitian, fro_norm, hermitize,

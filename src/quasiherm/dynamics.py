@@ -14,11 +14,12 @@ decides which metric roots each block takes. The integrators take
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
-once. For d <= SCAN_MAX_DIM the maps are then composed by a chunked scan,
-whose Python loops run over the steps of one chunk and over the chunks,
-not over every step; products of maps are kept as their difference from
-I (delta form), so their rounding stays relative to the step, not to the
-propagator. Above SCAN_MAX_DIM the walk goes step by step.
+once. For d <= SCAN_MAX_DIM, on grids of at least SCAN_MIN_STEPS steps, the
+maps are then composed by a chunked scan, whose Python loops run over the
+steps of one chunk and over the chunks, not over every step; products of
+maps are kept as their difference from I (delta form), so their rounding
+stays relative to the step, not to the propagator. Otherwise the walk goes
+step by step.
 
 A Scenario checks itself when built, in code as from a file: its dim is
 theta's, its initial state defaults to e0, its schedules cover the grid and
@@ -26,12 +27,17 @@ its tolerances are known keys with finite positive values. evolve walks the
 grid a block of steps at a time, keeps no node series and forms every
 per-node column of the report, among them the residuals of the central
 difference of U_R against H (positive as dt -> 0 whenever the metric moves)
-and against G (shrinking like dt^2); end_state walks the blocks of one
-probe (u or U_corr) to the grid's end. Both admit each block as they go:
-validate_scenario gates the metric, in direct mode the quasi-Hermiticity of
-H at the nodes, and then the Hermiticity of h and the stability of the RK4
-step (gate_h). A refusal names the first failing time of the half-step grid
-that is actually run.
+and against G (shrinking like dt^2); it refuses an initial state of no
+measurable physical norm once the first block is admitted, before any walk.
+end_states walks one probe (u or U_corr) to the end of the grids of N, 2N,
+... steps in one walk of the finest grid's blocks, whose stacks every coarser
+grid reads at its own half-times, every 2nd or 4th point. Both admit each
+block as they go: validate_scenario gates the metric, in direct mode the
+quasi-Hermiticity of H at the nodes, and then _admit_h the Hermiticity of h
+and the stability of each walked grid's RK4 step (gate_h). A refusal names
+the first failing time of the half-step grid that is actually run; when
+the one walk of end_states is refused, the grids are walked one at a time,
+coarsest first, so the refusal names the coarsest grid that fails.
 """
 
 from __future__ import annotations
@@ -69,23 +75,29 @@ SCAN_CHUNK = 32     # steps per chunk of the scan walk (_rk4_series)
 # Above this d a block (BLOCK_ENTRIES / (2 d^2) steps) holds too few chunks for
 # the scan to repay its SCAN_CHUNK batched iterations: the walk goes step by step.
 SCAN_MAX_DIM = 6
+# Nor does a grid of fewer steps repay them (at d = 2 to 6 the scan was 13-50%
+# slower than the plain loop on 64-128 steps, and 9-25% faster from 192 on).
+SCAN_MIN_STEPS = 5 * SCAN_CHUNK
 
 
-def _chunk(dim: int) -> int:
-    """Steps per chunk of the walk of dim x dim step maps; 1 is the plain loop."""
-    return SCAN_CHUNK if dim <= SCAN_MAX_DIM else 1
+def _chunk(dim: int, grid) -> int:
+    """Steps per chunk of the walk of dim x dim step maps over grid, a TimeGrid
+    or one of its blocks; 1 is the plain loop. Chosen by the whole grid, never
+    by a block, so a run's bits do not depend on how it is cut."""
+    steps = (grid.grid if isinstance(grid, GridBlock) else grid).steps
+    return SCAN_CHUNK if dim <= SCAN_MAX_DIM and steps >= SCAN_MIN_STEPS else 1
 
 
-def grid_blocks(grid: TimeGrid, dim: int) -> list[GridBlock]:
+def grid_blocks(grid: TimeGrid, dim: int, unit: int | None = None) -> list[GridBlock]:
     """The blocks the integrators walk grid in, sized for dim x dim operators:
     as few as hold at most BLOCK_ENTRIES / (2 d^2) steps each (but never less
-    than one chunk), of equal size but the last.
+    than one unit), of equal size but the last.
 
-    Every cut falls on a multiple of the walk's chunk, where a block's walk
-    continues the walk of the whole grid bit for bit, so the bits of a run do
-    not depend on the block size.
+    Every cut falls on a multiple of unit, by default the walk's chunk, where a
+    block's walk continues the walk of the whole grid bit for bit, so the bits
+    of a run do not depend on the block size.
     """
-    c = _chunk(dim)
+    c = _chunk(dim, grid) if unit is None else unit
     most = max(c, BLOCK_ENTRIES // (2 * dim * dim) // c * c)
     count = -(-grid.steps // most)
     size = -(-grid.steps // (count * c)) * c   # whole chunks, at most `most`
@@ -139,7 +151,7 @@ def _rk4_series(m: np.ndarray, grid, u0=None) -> np.ndarray:
         m1 = m2 = m4 = m[:1]
     else:
         m1, m2, m4 = m[:-1:2], m[1::2], m[2::2]
-    c = _chunk(dim)
+    c = _chunk(dim, grid)
     scanned = grid.steps - grid.steps % c if c > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):   # metric_from_ur refuses inf and nan
         m2a = m2 @ (eye + (0.5 * dt) * m1)
@@ -241,12 +253,15 @@ class Operators(NamedTuple):
     rate: np.ndarray       # omega^-1 omega_dot, the correction term of G over -i hbar
 
 
-def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock) -> Operators:
-    """The operator stacks on blk's half grid, each operator evaluated once per
-    time; omega and omega_dot come from os.on_block (os the omega schedule of
-    blk's grid, which roots each point of a walk once)."""
+def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
+                        strides=(1,)) -> list[Operators]:
+    """The operator stacks on every stride-th point of blk's half grid, one
+    Operators per stride. Each operator is evaluated once per time: a stride's
+    h, H, omega and omega^-1 are views of the stacks on every point. omega and
+    each stride's own omega_dot come from os.on_block (os the omega schedule
+    of blk's grid, which roots each point of a walk once)."""
     ts = blk.half_times()
-    w, w_dot = os.on_block(blk)
+    w, *w_dots = os.on_block(blk, strides)
     wi = os.omega_inv(ts, omega=w)
     if s.h is not None:
         h = s.h(ts)
@@ -254,9 +269,12 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock) -> Ope
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    rate = wi @ w_dot
-    gen = h_big - 1j * s.hbar * rate
-    return Operators(h, h_big, gen, w, wi, rate)
+    out = []
+    for k in strides:
+        rate = wi[::k] @ w_dots.pop(0)
+        out.append(Operators(h[::k], h_big[::k], h_big[::k] - 1j * s.hbar * rate,
+                             w[::k], wi[::k], rate))
+    return out
 
 
 @dataclass
@@ -326,11 +344,25 @@ class Scenario:
     def tol(self, key: str) -> float:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
-    def omega_schedule(self) -> OmegaSchedule:
+    def initial_norm(self, theta0: np.ndarray) -> float:
+        """<phi0|theta0|phi0>, theta0 the metric at t0; refused (ValidationError)
+        unless it is a positive finite number to measure a drift against."""
+        phi0 = self.initial_state
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm0 = float((phi0.conj() @ theta0 @ phi0).real)
+        if not 0.0 < norm0 < np.inf:   # underflows, or overflows to inf or nan
+            size = "small" if norm0 <= 0.0 else "large"
+            raise ValidationError(f"initial_state has physical norm {norm0:g}, "
+                                  f"too {size} to measure a drift against")
+        return norm0
+
+    def omega_schedule(self, coarsest: int = 1) -> OmegaSchedule:
+        """The omega schedule of a walk of this grid that asks for omega_dot at
+        strides up to coarsest (OmegaSchedule.on_block)."""
         return OmegaSchedule(
             self.theta, self.grid, analytic=self.omega_analytic,
             eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
-            cond_max=self.tol("cond_max"))
+            cond_max=self.tol("cond_max"), coarsest=coarsest)
 
     def with_steps(self, steps: int) -> "Scenario":
         try:
@@ -366,23 +398,25 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected: {e}") from e
 
 
-def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
-                      qh: np.ndarray | None = None) -> tuple[Operators, np.ndarray]:
-    """Admit one block of s's grid: its operator stacks on the half grid and
-    theta at its nodes.
+def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None = None,
+                      strides=(1,)) -> tuple[list[Operators], np.ndarray]:
+    """Admit the metric over one block of s's grid: its operator stacks on the
+    half grid, one Operators per stride (half_grid_operators; strides[0] is 1),
+    and theta at its nodes.
 
     The metric is gated through theta and through omega = sqrt(theta), its
     inverse and its derivative; in direct mode a quasi-Hermiticity residual of
-    H above eps_res is refused at its node; then h goes through _admit_h. Each
-    raises ValidationError naming the first failing t. The residual is formed
-    in direct mode, or when qh is given: an array that receives it node by node.
+    H above eps_res is refused at its node. Each raises ValidationError naming
+    the first failing t. h is left to _admit_h, once for each grid walked. The
+    residual is formed in direct mode, or when qh is given: an array that
+    receives it node by node.
     """
     ts = blk.times()
     with _gate("metric"):
         theta = linalg.as_matrices(s.theta(ts), t=ts)
-        ops = half_grid_operators(s, os, blk)
+        ops = half_grid_operators(s, os, blk, strides)
     if s.kind == "direct" or qh is not None:
-        res = spaces.quasi_hermiticity_defect(ops.h_big[::2], theta)
+        res = spaces.quasi_hermiticity_defect(ops[0].h_big[::2], theta)
         bad = res > s.tol("eps_res")
         if s.kind == "direct" and bad.any():
             k = int(np.argmax(bad))
@@ -391,15 +425,19 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk,
                 f"(residual {res[k]:.6g} > {s.tol('eps_res'):g})")
         if qh is not None:
             qh[:] = res
-    _admit_h(s, ops.h, blk)
     return ops, theta
 
 
-def _admit_h(s: Scenario, h: np.ndarray, blk) -> None:
-    """gate_h of s's h over blk, a failed gate raised as a ValidationError."""
+def _admit_h(s: Scenario, h: np.ndarray, blk, cuts=()) -> None:
+    """gate_h of s's h over blk, a failed gate raised as a ValidationError. blk
+    is gated piece by piece between the steps of cuts inside it, so that where
+    a walk cut at those steps sees a block of constant h, so does the gate."""
+    edges = [blk.first, *(c for c in cuts if blk.first < c < blk.last), blk.last]
     with _gate("pair-mode generator" if s.kind == "pair"
                else "Hermitian equivalent of the direct-mode generator"):
-        gate_h(h, blk, s.hbar, s.tol("eps_herm"))
+        for a, b in zip(edges, edges[1:]):
+            gate_h(h[2 * (a - blk.first):2 * (b - blk.first) + 1], GridBlock(blk.grid, a, b),
+                   s.hbar, s.tol("eps_herm"))
 
 
 @dataclass
@@ -434,9 +472,11 @@ def evolve(s: Scenario) -> EvolutionResult:
 
     for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        ops, theta = validate_scenario(s, os, blk, qh[nodes])
-        if blk.first == 0:
+        [ops], theta = validate_scenario(s, os, blk, qh[nodes])
+        _admit_h(s, ops.h, blk)
+        if blk.first == 0:   # admitted: refuse a bad initial norm before any walk
             omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
+            s.initial_norm(theta0)
         omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
         # only the node values of omega were needed: free the stacks
         ops = ops._replace(omega=None, rate=None)
@@ -465,21 +505,58 @@ def evolve(s: Scenario) -> EvolutionResult:
                            omega_motion, qh, gap_naive, gap_corrected)
 
 
-def end_state(s: Scenario, probe: str) -> np.ndarray:
-    """The probe's propagator, u or U_corr, at the end of s's grid, each block
-    admitted as evolve admits it; a pair's u probe reads h alone, no metric root."""
+def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
+    """The probe's propagator, u or U_corr, at the end of the grids of N 2^j
+    steps for j < levels, N being s's steps, coarsest first; a pair's u probe
+    reads h alone, no metric root.
+
+    One walk of the finest grid's blocks serves every grid. Each block is
+    admitted as evolve admits it, and its stacks are formed, each metric point
+    rooted, once: grid j reads them at every 2^(levels-1-j)-th half-grid
+    point, which are its own half-times bit for bit, with its own omega_dot
+    (OmegaSchedule.omega_dot at that stride) and its own gate_h. Blocks are cut
+    where every grid's walk stays chunk-aligned, so each end state has the bits
+    of a walk of its grid alone. The pass takes every gate those walks take, so
+    it refuses whenever one of them would; the grids are then walked one at a
+    time, coarsest first, and the first of those walks that refuses is raised.
+    """
     if probe not in ("u", "ur_corr"):
         raise ValueError(f"unknown probe {probe!r}")
-    os, end = s.omega_schedule(), None
-    walk, stack = ((ur_from_corrected_generator, "gen") if probe == "ur_corr"
-                   else (integrate_u, "h"))
-    for blk in grid_blocks(s.grid, s.dim):
+    try:
+        return _nested_end_states(s, probe, levels)
+    except QuasihermError:
+        if levels == 1:
+            raise
+    return [_nested_end_states(s.with_steps(s.grid.steps << j), probe, 1)[0]
+            for j in range(levels)]
+
+
+def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]:
+    """end_states' one walk of the finest grid. linspace(a, b, 2n + 1) is
+    linspace(a, b, 2kn + 1)[::k] bit for bit for k a power of 2, so the grid of
+    n steps reads its own half-times at the finest grid's points."""
+    fine = s.with_steps(s.grid.steps << (levels - 1))
+    strides = [1 << j for j in range(levels)]   # finest first
+    grids = [fine.grid] + [s.with_steps(fine.grid.steps >> j).grid for j in range(1, levels)]
+    cuts = [[b.first for b in grid_blocks(g, s.dim)] for g in grids]   # a walk of g alone
+    unit = max(k * _chunk(s.dim, g) for g, k in zip(grids, strides))
+    os, ends = fine.omega_schedule(coarsest=strides[-1]), [None] * levels
+    walk = ur_from_corrected_generator if probe == "ur_corr" else integrate_u
+    for blk in grid_blocks(fine.grid, s.dim, unit):
         if probe == "u" and s.kind == "pair":
-            m = s.h(blk.half_times())
-            _admit_h(s, m, blk)
-        else:   # only the walked stack outlives the admission, not all six
-            ops, _ = validate_scenario(s, os, blk)
-            m = getattr(ops, stack)
+            h = s.h(blk.half_times())
+            stacks = [h[::k] for k in strides]
+        else:   # only the walked stacks outlive the admission
+            ops, _ = validate_scenario(s, os, blk, strides=strides)
+            h = ops[0].h
+            stacks = [o.gen if probe == "ur_corr" else o.h for o in ops]
             del ops
-        end = walk(m, blk, s.hbar, end)[-1]
-    return end
+        level_blocks = [GridBlock(g, blk.first // k, blk.last // k)
+                        for g, k in zip(grids, strides)]
+        for lb, k, c in zip(level_blocks, strides, cuts):
+            _admit_h(s, h[::k], lb, c)
+        del h
+        for j, lb in enumerate(level_blocks):
+            ends[j] = walk(stacks[j], lb, s.hbar, ends[j])[-1]
+            stacks[j] = None   # no walked stack outlives its walk
+    return ends[::-1]

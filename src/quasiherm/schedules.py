@@ -13,10 +13,14 @@ times. The integrators evaluate each operator once per point of the
 half-step grid t0, t0 + dt/2, ..., t1 (TimeGrid.half_times), a block of
 steps at a time (GridBlock). The central difference of omega reads it on a
 window of that grid: a block's own points and four more on either side,
-clipped to the grid. OmegaSchedule.on_block roots each point of the window
-once, at its own half-time, and keeps the roots that the next block reads
-back (the seam); the central rows are two slices of the window, and only the
-first two and last two points of the grid take the one-sided rule.
+clipped to the grid. A walk that also serves the coarser grids of every 2nd
+or 4th point (stride 2 or 4) widens the window to 4 x stride points a side, and
+omega_dot takes each grid's difference at its own spacing from every
+stride-th point of the same window. OmegaSchedule.on_block roots each point
+of the window once, at its own half-time, and keeps the roots that the next
+block reads back (the seam); the central rows are two slices of the window,
+and only the first two and last two points of each grid's half grid take
+the one-sided rule.
 """
 
 from __future__ import annotations
@@ -202,9 +206,10 @@ class OmegaSchedule:
 
     def __init__(self, theta_schedule: OperatorSchedule, grid: TimeGrid,
                  analytic=None, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS,
-                 cond_max=linalg.COND_MAX):
+                 cond_max=linalg.COND_MAX, coarsest=1):
         self.theta = theta_schedule
         self.grid = grid
+        self._coarsest = coarsest   # the widest stride omega_dot is asked for (on_block)
         self._omega_fn, self._omega_dot_fn, self._omega_inv_fn = analytic or (None,) * 3
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
@@ -223,26 +228,31 @@ class OmegaSchedule:
         w = self.omega(ts) if omega is None else omega
         return linalg.inverse(w, self._cond_max, t=ts)
 
-    def omega_dot(self, ts: np.ndarray, window=None, lead=0) -> np.ndarray:
-        """d/dt omega at the times ts.
+    def omega_dot(self, ts: np.ndarray, window=None, lead=0, stride=1) -> np.ndarray:
+        """d/dt omega at the times ts, on the grid of every stride-th point of
+        this grid's half grid (the grid of steps / stride steps).
 
         The central difference, omega at t + dt less omega at t - dt over
-        2 dt, is taken at consecutive half-grid times ts only, from omega on
-        a window, window[lead + i] at ts[i], that holds the 2r = 4 points of
-        the grid on either side of ts, as on_block builds it; the central
-        rows are two slices of it. The first two and last two points of the
-        half grid, found by index, take the one-sided rule [-3, 4, -1].
-        Fewer than 3 steps raise ValidationError."""
+        2 dt, is taken at consecutive half-grid times ts of that grid only,
+        from omega on a window, window[lead + stride * i] at ts[i], that holds
+        the 2r = 4 points of that grid on either side of ts, as on_block
+        builds it; the central rows are two slices of it. The first two and
+        last two points of that half grid, found by index, take the one-sided
+        rule [-3, 4, -1]. Fewer than 3 steps raise ValidationError."""
         if self._omega_dot_fn is not None:
             return self._omega_dot_fn(ts)
         self.theta.check_span(ts)
-        hts, w, n, r = self.grid.half_times(), window, ts.size, _R
-        if self.grid.steps < 3:
-            raise ValidationError(f"{self.grid.steps} steps are too few for the central "
+        g, n, r = self.grid, ts.size, _R
+        steps = g.steps // stride
+        if steps < 3:
+            raise ValidationError(f"{steps} steps are too few for the central "
                                   "difference of omega: take at least 3 steps")
-        k = int(np.searchsorted(hts, ts[0]))   # ts[i] is the half-grid point k + i
-        if (w is None or not np.array_equal(hts[k:k + n], ts) or lead < min(k, 2 * r)
-                or w.shape[0] < lead + n + min(hts.size - k - n, 2 * r)):
+        hts = g.half_times()[::stride]
+        k = int(np.searchsorted(hts, ts[0]))   # ts[i] is the point k + i of hts
+        w = None if window is None else window[lead % stride::stride]
+        lead //= stride
+        if (g.steps % stride or w is None or not np.array_equal(hts[k:k + n], ts)
+                or lead < min(k, 2 * r) or w.shape[0] < lead + n + min(hts.size - k - n, 2 * r)):
             raise ValueError("a central difference of omega needs consecutive half-grid "
                              "times and omega on a window around them (see on_block)")
         fwd = min(n, max(0, r - k))                         # the points 0 and 1
@@ -252,25 +262,27 @@ class OmegaSchedule:
         out[:fwd] = -3.0 * w[lead:a] + 4.0 * w[lead + r:a + r] - w[lead + 2 * r:a + 2 * r]
         np.subtract(w[a + r:b + r], w[a - r:b - r], out=out[fwd:n - bwd])
         out[n - bwd:] = 3.0 * w[b:end] - 4.0 * w[b - r:end - r] + w[b - 2 * r:end - 2 * r]
-        out /= 2.0 * self.grid.spacing
+        out /= 2.0 * ((g.t_end - g.t_start) / steps)   # that grid's spacing, as TimeGrid's
         return out
 
-    def on_block(self, blk: GridBlock) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, omega_dot) on the half grid of blk, a block of this schedule's grid.
+    def on_block(self, blk: GridBlock, strides=(1,)) -> tuple[np.ndarray, ...]:
+        """(omega, omega_dot, ...) on the half grid of blk, a block of this
+        schedule's grid: omega_dot once per stride, on every stride-th point
+        (omega_dot's stride).
 
         omega is taken on a window of the grid's half-times: blk's points
-        and, for a central difference, the 2r = 4 points of the grid on
-        either side. The roots kept around the last node of the block before
-        (the seam) serve a window that starts among them, as the next block
-        of a walk does, and only the points they lack are taken, in one
-        call (none if they lack none); any other block takes its whole
-        window. So a walk takes each point once, and no answer depends on
-        the blocks asked for before.
+        and, for a central difference, the 2r = 4 points of the grid of the
+        coarsest stride on either side, 4 * coarsest of this grid's. The roots
+        kept around the last node of the block before (the seam) serve a
+        window that starts among them, as the next block of a walk does, and
+        only the points they lack are taken, in one call (none if they lack
+        none); any other block takes its whole window. So a walk takes each
+        point once, and no answer depends on the blocks asked for before.
         """
         if blk.grid != self.grid:
             raise ValueError("the block is not a block of this schedule's grid")
         hts = self.grid.half_times()
-        reach = 0 if self._omega_dot_fn is not None else 2 * _R
+        reach = 0 if self._omega_dot_fn is not None else 2 * _R * self._coarsest
         lo, hi = max(0, 2 * blk.first - reach), min(hts.size, 2 * blk.last + 1 + reach)
         j, roots = self._seam
         kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None
@@ -280,4 +292,5 @@ class OmegaSchedule:
         keep = max(lo, 2 * blk.last - reach)
         self._seam = (keep, window[keep - lo:].copy())
         ts, lead = blk.half_times(), 2 * blk.first - lo
-        return window[lead:lead + ts.size], self.omega_dot(ts, window, lead)
+        return (window[lead:lead + ts.size],
+                *(self.omega_dot(ts[::k], window, lead, k) for k in strides))

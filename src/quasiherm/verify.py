@@ -1,8 +1,9 @@
 """Diagnostics columns, pass/fail verdicts and convergence-order checks.
 
 evolve forms every per-node column; this module cuts them to the interior
-nodes and judges them. convergence_order reads the end states of
-dynamics.end_state, which admits its walks as evolve does.
+nodes and judges them. convergence_order reads the end states of the N, 2N
+and (without an oracle) 4N grids from dynamics.end_states, one walk of the
+finest grid that admits its blocks as evolve does.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .dynamics import EvolutionResult, Scenario, end_state, evolve
-from .errors import NotMeasurable, ValidationError
+from .dynamics import EvolutionResult, Scenario, end_states, evolve
+from .errors import NotMeasurable
 
 
 class Diagnostics(NamedTuple):
@@ -59,14 +60,7 @@ def max_omega_motion(d: Diagnostics) -> float:
 def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
     """Judge each column by its largest entry; a nan anywhere in a column is
     its maximum, so the verdict that reads it fails with observed = nan."""
-    phi0 = s.initial_state
-    theta0 = s.theta(s.grid.times()[:1])[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm0 = float((phi0.conj() @ theta0 @ phi0).real)
-    if not 0.0 < norm0 < np.inf:   # <phi0|theta|phi0> underflows, or overflows to inf or nan
-        size = "small" if norm0 <= 0.0 else "large"
-        raise ValidationError(f"initial_state has physical norm {norm0:g}, "
-                              f"too {size} to measure a drift against")
+    norm0 = s.initial_norm(s.theta(s.grid.times()[:1])[0])   # evolve refused a bad one
     drift = float(np.abs(d.norm_phys / norm0 - 1.0).max())
     max_metric, max_qh, max_corr, max_naive = (
         float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
@@ -103,15 +97,14 @@ def convergence_order(s: Scenario, probe: str = "u") -> float:
     central differences (s.with_fd_omega_dot()), whose error dominates: ~2.
     """
     s = s.with_fd_omega_dot() if probe == "ur_corr" else s
-    n = s.grid.steps
-    end_n = end_state(s.with_steps(n), probe)   # first: a refusal names the grid asked for
-    end_2n = end_state(s.with_steps(2 * n), probe)
-    if s.u_oracle is not None:
+    oracle = s.u_oracle is not None
+    ends = end_states(s, probe, 2 if oracle else 3)   # a refusal names the N grid first
+    if oracle:
         ref = _oracle_end(s, probe)
-        err_n, err_2n = linalg.fro_norm(end_n - ref), linalg.fro_norm(end_2n - ref)
+        err_n, err_2n = (linalg.fro_norm(e - ref) for e in ends)
     else:
-        ref = end_state(s.with_steps(4 * n), probe)
-        err_n, err_2n = linalg.fro_norm(end_n - end_2n), linalg.fro_norm(end_2n - ref)
+        ref = ends[2]
+        err_n, err_2n = linalg.fro_norm(ends[0] - ends[1]), linalg.fro_norm(ends[1] - ref)
     floor = 1e-13 * max(1.0, linalg.fro_norm(ref))
     if err_n < floor or err_2n < floor:
         raise NotMeasurable(

@@ -594,7 +594,7 @@ def test_run_passes_every_verdict_without_runtime_warnings(tmp_path, capsys, sce
 # gate files whose first refusal in a run is a gate on the metric, which the u
 # probe of a pair scenario never reads
 THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "theta-overflows",
-                 "two-step-sampled-metric")
+                 "two-step-sampled-metric", "metric-dips-off-the-coarse-grids")
 
 
 def test_convergence_order_refuses_every_gate_file_with_the_run_message(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import quasiherm
 from quasiherm import dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.dynamics import (evolve, gate_h, integrate_u, metric_from_ur,
                                 ur_from_corrected_generator,
@@ -82,7 +85,7 @@ def node_series(s):
     """u, U_R from its definition, U_naive and U_corr at every node of s's grid,
     walked as one block with the public primitives."""
     whole = GridBlock(s.grid, 0, s.grid.steps)
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
+    [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
     u = integrate_u(ops.h, s.grid, s.hbar)
     return (u, ur_from_definition(u, ops.omega_inv[::2], ops.omega[0]),
             ur_from_naive_generator(ops.h_big, s.grid, s.hbar),
@@ -275,10 +278,49 @@ def test_blocks_continue_the_whole_grid_run():
             assert np.array_equal(part, whole[a:a + part.shape[0]]), a
 
 
+def test_the_walk_is_chosen_by_the_whole_grid_never_by_a_block():
+    """A grid of fewer than SCAN_MIN_STEPS steps walks step by step, so blocks
+    cut anywhere continue its walk bit for bit; a block of a longer grid takes
+    that grid's scan, however few steps the block has."""
+    short, long = (TimeGrid(0.0, 1.0, n) for n in (dynamics.SCAN_MIN_STEPS - 1,
+                                                   dynamics.SCAN_MIN_STEPS))
+    assert dynamics._chunk(2, short) == 1
+    assert dynamics._chunk(2, long) == dynamics.SCAN_CHUNK
+    assert dynamics._chunk(2, GridBlock(long, 0, 40)) == dynamics.SCAN_CHUNK
+    assert dynamics._chunk(dynamics.SCAN_MAX_DIM + 1, long) == 1
+    for h in (lambda t: SIGMA_X * (1.0 + t), _big_h(3)):
+        whole, parts = _walk_in_blocks(h, short, [25, 50, 75])
+        for a, part in zip([0, 25, 50, 75], parts):
+            assert np.array_equal(part, whole[a:a + part.shape[0]]), a
+
+
+def test_evolve_refuses_a_bad_initial_norm_before_it_walks(monkeypatch):
+    """<phi0|theta(t0)|phi0> is checked once theta(t0) is admitted, before the
+    first block is walked; so it is named before a metric that fails later."""
+    # not positive definite from t = 0.75 on, in the third of four blocks
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 25 * 2 * 2 * 2)
+    late = _closed(lambda ts: _diag_stack(ts, 1.0, 1.0 - 4.0 * np.maximum(ts - 0.5, 0.0)))
+    late = dataclasses.replace(_unadmitted("h", theta=late), grid=TimeGrid(0.0, 1.0, 100))
+    assert len(dynamics.grid_blocks(late.grid, late.dim)) == 4
+    with pytest.raises(ValidationError, match=r"^metric rejected: .* at t=0\.75 "):
+        evolve(late)
+    walked = []
+    monkeypatch.setattr(dynamics, "integrate_u", lambda *a, **k: walked.append(1))
+    s = make_builtin("growing-metric-2d", steps=200000,
+                     initial_state=np.array([1e-177, 0.0]))
+    with pytest.raises(ValidationError, match=r"^initial_state has physical norm 0, "
+                       "too small to measure a drift against$"):
+        evolve(s)
+    assert not walked
+    with pytest.raises(ValidationError, match="^initial_state has physical norm inf, too large"):
+        evolve(dataclasses.replace(late, initial_state=np.array([1e300, 0.0])))
+    assert not walked
+
+
 def test_blocks_cut_off_the_chunks_stay_within_rounding_of_the_whole_run():
     """A cut inside a chunk regroups the scan's products: the block walks agree
     with the whole-grid walk to rounding, the bound of the one-pass columns."""
-    grid = TimeGrid(0.0, 1.0, 100)
+    grid = TimeGrid(0.0, 1.0, 200)   # enough steps for the scan (SCAN_MIN_STEPS)
     for h in (lambda t: SIGMA_X * (1.0 + t), lambda t: SIGMA_X, _big_h(3)):
         whole, parts = _walk_in_blocks(h, grid, [25, 50, 75])
         for a, part in zip([0, 25, 50, 75], parts):
@@ -421,7 +463,7 @@ def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
     assert eigh[0] == 2 * s.grid.steps + 1
     eigh[0] = 0
     verify.convergence_order(s.with_steps(100), "ur_corr")   # grids of 100, 200 and 400 steps
-    assert eigh[0] == sum(2 * n + 1 for n in (100, 200, 400))
+    assert eigh[0] == 2 * 400 + 1   # the finest grid's points serve the coarser two
 
 
 def _columns_equal(a, b):
@@ -463,18 +505,88 @@ def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
 
 
 def test_end_state_is_the_last_node_of_the_walk_of_the_whole_grid(sampled_pair_text):
-    """end_state walks the blocks that evolve walks (three here), and a block's
-    walk continues the whole grid's bit for bit: each probe's end state is the
-    last node of one walk over the whole grid."""
+    """end_states with one level walks the blocks that evolve walks (three
+    here), and a block's walk continues the whole grid's bit for bit: each
+    probe's end state is the last node of one walk over the whole grid."""
     s = scenario_io.parse_scenario(sampled_pair_text).with_fd_omega_dot()
     assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
     whole = GridBlock(s.grid, 0, s.grid.steps)
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
-    assert np.array_equal(dynamics.end_state(s, "u"), integrate_u(ops.h, whole, s.hbar)[-1])
-    assert np.array_equal(dynamics.end_state(s, "ur_corr"),
+    [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
+    assert np.array_equal(dynamics.end_states(s, "u")[0],
+                          integrate_u(ops.h, whole, s.hbar)[-1])
+    assert np.array_equal(dynamics.end_states(s, "ur_corr")[0],
                           ur_from_corrected_generator(ops.gen, whole, s.hbar)[-1])
     with pytest.raises(ValueError, match="unknown probe 'ur_naive'"):
-        dynamics.end_state(s, "ur_naive")
+        dynamics.end_states(s, "ur_naive")
+    assert quasiherm.end_states is dynamics.end_states
+
+
+def _walked_alone(s, probe):
+    """The probe's end state from one walk of s's whole grid as one block."""
+    whole = GridBlock(s.grid, 0, s.grid.steps)
+    [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
+    if probe == "u":
+        return integrate_u(ops.h, whole, s.hbar)[-1]
+    return ur_from_corrected_generator(ops.gen, whole, s.hbar)[-1]
+
+
+def _pair_2d(steps):
+    """A d = 2 pair file text: h(t) = sigma_x + t sigma_z and theta(t) =
+    diag(1, 1 + t^2) + 0.1 t sigma_x, both sampled on 9 snapshots."""
+    times = np.linspace(0.0, 1.0, 9)
+    return json.dumps({"dimension": 2, "time": {"steps": steps}, "model": {"kind": "pair",
+        "h": {"times": times.tolist(), "snapshots": [
+            [[[t, 0], [1, 0]], [[1, 0], [-t, 0]]] for t in times]},
+        "theta": {"times": times.tolist(), "snapshots": [
+            [[[1, 0], [0.1 * t, 0]], [[0.1 * t, 0], [1 + t * t, 0]]] for t in times]}}})
+
+
+def _direct_2d(steps):
+    """A d = 2 direct scenario under a moving metric: theta(t) = diag(1, (1 + t)^2)
+    and H(t) = omega^-1 (sigma_x + t sigma_z) omega, in closed form."""
+    def theta(ts):
+        return np.stack([np.diag([1.0, (1.0 + t) ** 2]) for t in ts])
+
+    def h_big(ts):
+        return np.stack([np.array([[t, 1.0 + t], [1.0 / (1.0 + t), -t]]) for t in ts])
+    return dynamics.Scenario(name="direct", grid=TimeGrid(0.0, 1.0, steps),
+                             theta=OperatorSchedule(2, (0.0, 1.0), theta, theta),
+                             h_big=OperatorSchedule(2, (0.0, 1.0), h_big, h_big))
+
+
+NESTED = {   # name: (scenario of N steps, BLOCK_ENTRIES or None for the default)
+    "d=8": (lambda text: scenario_io.parse_scenario(text).with_steps(100), None),
+    "d=8, small blocks": (lambda text: scenario_io.parse_scenario(text).with_steps(100),
+                          40 * 2 * 8 * 8),
+    "d=2 pair, scan cuts": (lambda text: scenario_io.parse_scenario(_pair_2d(200)), 512),
+    "d=2 pair, N stepwise": (lambda text: scenario_io.parse_scenario(_pair_2d(100)), 512),
+    "d=2 direct, scan cuts": (lambda text: _direct_2d(200), 512),
+}
+
+
+@pytest.mark.parametrize("probe", ["u", "ur_corr"])
+@pytest.mark.parametrize("case", list(NESTED))
+def test_end_states_equal_each_grid_walked_alone(monkeypatch, sampled_pair_text, case, probe):
+    """One walk of the 4N grid gives the end states of the N, 2N and 4N grids
+    with the bits of a walk of each grid alone, in pair and direct mode, with
+    blocks cut where the coarser grids' scans must stay chunk-aligned (d = 2)
+    and in every step (d = 8). At N = 100 the N grid walks step by step and
+    the finer two by the scan."""
+    make, entries = NESTED[case]
+    s = make(sampled_pair_text).with_fd_omega_dot()
+    if entries is not None:
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", entries)
+    n = s.grid.steps
+    assert len(dynamics.grid_blocks(s.with_steps(4 * n).grid, s.dim)) > 1
+    if s.dim == 2:
+        assert dynamics._chunk(2, s.with_steps(2 * n).grid) == dynamics.SCAN_CHUNK
+        assert dynamics._chunk(2, s.grid) == (dynamics.SCAN_CHUNK if n >= 160 else 1)
+    ends = dynamics.end_states(s, probe, 3)
+    assert len(ends) == 3
+    for k, end in zip((1, 2, 4), ends):
+        alone = s.with_steps(k * n)
+        assert np.array_equal(end, _walked_alone(alone, probe)), k
+        assert np.array_equal(end, dynamics.end_states(alone, probe)[0]), k
 
 
 def test_direct_mode_takes_one_residual_per_node(monkeypatch):
@@ -503,20 +615,30 @@ def test_direct_mode_takes_one_residual_per_node(monkeypatch):
 
 
 def test_every_walked_block_passes_the_h_gate_once(monkeypatch, sampled_pair_text):
-    """evolve and both convergence probes gate each block's h, and only once."""
+    """evolve gates each block's h, and only once. Both convergence probes gate
+    every step of each of their three grids once, in pieces that never cross a
+    cut of that grid's own blocks."""
     seen = []
     gate = dynamics.gate_h
     monkeypatch.setattr(dynamics, "gate_h", lambda h, blk, *rest: (
-        seen.append((blk.grid.steps, blk.first)), gate(h, blk, *rest))[1])
+        seen.append((blk.grid.steps, blk.first, blk.last)), gate(h, blk, *rest))[1])
     s = scenario_io.parse_scenario(sampled_pair_text)   # 600 steps, three blocks
     evolve(s)
-    assert seen == [(600, b.first) for b in dynamics.grid_blocks(s.grid, s.dim)]
-    for probe in ("u", "ur_corr"):
+    assert seen == [(600, b.first, b.last) for b in dynamics.grid_blocks(s.grid, s.dim)]
+    # by default the one walk's blocks fall on the grids' own cuts; with 40
+    # steps a block, its blocks of the 100-step grid cross that grid's cuts
+    for entries, probe in itertools.product((dynamics.BLOCK_ENTRIES, 40 * 2 * 8 * 8),
+                                            ("u", "ur_corr")):
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", entries)
         seen.clear()
         verify.convergence_order(s.with_steps(100), probe)
-        walked = [(n, b.first) for n in (100, 200, 400)
-                  for b in dynamics.grid_blocks(s.with_steps(n).grid, s.dim)]
-        assert seen == walked, probe
+        for n in (100, 200, 400):
+            pieces = sorted((a, b) for m, a, b in seen if m == n)
+            assert [a for a, _ in pieces] == [0] + [b for _, b in pieces[:-1]], (probe, n)
+            assert pieces[-1][1] == n
+            cuts = [b.first for b in dynamics.grid_blocks(s.with_steps(n).grid, s.dim)]
+            assert not any(a < c < b for a, b in pieces for c in cuts), (probe, n)
+        assert len(seen) == len({(m, a) for m, a, _ in seen}) > 3, probe
 
 
 @pytest.mark.parametrize("k", [-3, 7])

@@ -189,3 +189,16 @@ def test_fd_slices_equal_the_weighted_stencil(steps, start, length, dim, data):
     for got_w, got in answers:
         assert np.array_equal(got_w, w[2 * blk.first:2 * blk.last + 1])
         assert np.array_equal(got, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(3, 5000))
+def test_coarser_grids_are_strided_points_of_the_finest_bit_for_bit(start, length, n):
+    """end_states reads the grids of N and 2N steps at every 4th and 2nd
+    half-time of the 4N grid: they must be those grids' own half-times."""
+    end = start + length
+    if not end > start:
+        return
+    fine = TimeGrid(start, end, 4 * n).half_times()
+    for k, m in ((2, 2 * n), (4, n)):
+        assert np.array_equal(TimeGrid(start, end, m).half_times(), fine[::k]), k

@@ -414,3 +414,26 @@ def test_a_walk_in_one_step_blocks_takes_no_empty_root_call(monkeypatch, steps):
         os.on_block(GridBlock(grid, k, k + 1))
     assert 0 not in sizes
     assert sum(sizes) == 2 * steps + 1
+
+
+def test_a_strided_omega_dot_is_the_coarser_grids_own():
+    """A schedule of the grid of 4N steps, walked in blocks of 8 steps, serves
+    the grids of 2N and N steps at every 2nd and 4th half-grid point: their
+    omega_dot has the bits of each grid's own schedule, its one-sided rows
+    included, and the walk roots each of its 8N + 1 points once."""
+    n, calls = 10, []
+    fine, grids = TimeGrid(0.0, 1.0, 4 * n), [TimeGrid(0.0, 1.0, m) for m in (4 * n, 2 * n, n)]
+    os = OmegaSchedule(growing_theta(), fine, coarsest=4)
+    omega = os.omega
+    os.omega = lambda ts: (calls.append(ts.size), omega(ts))[1]
+    dots = [[], [], []]
+    for first in range(0, 4 * n, 8):
+        _, *got = os.on_block(GridBlock(fine, first, first + 8), (1, 2, 4))
+        for d, g in zip(dots, got):   # a block's last point is the next one's first
+            d.append(g if first + 8 == 4 * n else g[:-1])
+    assert sum(calls) == 8 * n + 1
+    for d, g, k in zip(dots, grids, (1, 2, 4)):
+        own = OmegaSchedule(growing_theta(), g).on_block(GridBlock(g, 0, g.steps))[1]
+        assert np.array_equal(np.concatenate(d), own), k
+    with pytest.raises(ValueError, match="a central difference of omega needs"):
+        OmegaSchedule(growing_theta(), fine).on_block(GridBlock(fine, 8, 16), (4,))

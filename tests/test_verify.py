@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quasiherm import builtin_names, dynamics, linalg, make_builtin, scenario_io, verify
-from quasiherm.dynamics import DEFAULT_TOLERANCES
-from quasiherm.errors import NotMeasurable
+from quasiherm.dynamics import DEFAULT_TOLERANCES, evolve
+from quasiherm.errors import NotMeasurable, ValidationError
 from quasiherm.models import SIGMA_X
 from quasiherm.schedules import GridBlock, OperatorSchedule, TimeGrid
 from quasiherm.verify import convergence_order, run_diagnostics, verdicts
@@ -137,6 +140,51 @@ def test_convergence_order_not_measurable_for_zero_generator(oracle):
         convergence_order(s, "u")
 
 
+@pytest.mark.parametrize("entries", [None, 40 * 2 * 8 * 8], ids=["default blocks", "small blocks"])
+def test_an_oracle_free_ur_corr_probe_roots_each_point_of_the_finest_half_grid_once(
+        monkeypatch, sampled_pair_text, entries):
+    """The N and 2N half grids are every 4th and 2nd point of the 4N one, so one
+    oracle-free ur_corr probe hands 8N + 1 metric matrices to principal_sqrt,
+    not (2N + 1) + (4N + 1) + (8N + 1)."""
+    if entries is not None:
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", entries)
+    s = scenario_io.parse_scenario(sampled_pair_text).with_steps(100)
+    assert len(dynamics.grid_blocks(s.with_steps(400).grid, s.dim)) > 1
+    rooted, root = [], linalg.principal_sqrt
+    monkeypatch.setattr(linalg, "principal_sqrt", lambda a, *rest, **kw: (
+        rooted.append(len(a)), root(a, *rest, **kw))[1])
+    convergence_order(s, "ur_corr")
+    assert sum(rooted) == 8 * 100 + 1
+
+
+def _same_output():
+    spec = importlib.util.spec_from_file_location(
+        "same_output", Path(__file__).resolve().parents[1] / "scripts" / "same_output.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_refusal_names_the_coarsest_grid_that_refuses(monkeypatch):
+    """The metric of this file is refused first at a half-time that only the
+    4N grid has, in the first block of its one walk, and later, in another
+    block, on every grid. The one walk meets the 4N-only point first, but the
+    refusal is the N grid's, as if the grids were walked one at a time."""
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 128 * 2 * 2 * 2)   # 128 steps a block
+    doc = _same_output().metric_dips_off_the_coarse_grids(100)
+    s = scenario_io.parse_scenario(json.dumps(doc)).with_fd_omega_dot()
+    assert len(dynamics.grid_blocks(s.with_steps(400).grid, s.dim, 64)) == 4
+    with pytest.raises(ValidationError) as finest:
+        dynamics.end_states(s.with_steps(400), "ur_corr")
+    assert "at t=0.00625 " in str(finest.value)   # 5 / (8 N): first block, 4N grid only
+    with pytest.raises(ValidationError) as coarsest:
+        evolve(s)
+    assert "at t=0.59 " in str(coarsest.value)
+    with pytest.raises(ValidationError) as got:
+        convergence_order(s, "ur_corr")
+    assert str(got.value) == str(coarsest.value)
+
+
 def _scenario(sampled_pair_text, which, fd_omega_dot):
     s = (scenario_io.parse_scenario(sampled_pair_text) if which == "sampled pair"
          else make_builtin(which, steps=300))
@@ -185,7 +233,7 @@ def _two_pass_columns(res):
         np.empty(shape, dtype=complex) for _ in range(6))
     u[0] = np.eye(s.dim)
     for blk in dynamics.grid_blocks(grid, s.dim):
-        ops = dynamics.half_grid_operators(s, os, blk)
+        [ops] = dynamics.half_grid_operators(s, os, blk)
         nodes = slice(blk.first, blk.last + 1)
         if blk.first == 0:
             omega0 = ops.omega[0]
@@ -223,7 +271,7 @@ def _whole(s):
 def _whole_grid_gaps(s, ur):
     """||U_naive - U_R|| and ||U_corr - U_R|| at every node, U_naive and U_corr
     walked over the whole grid as one block."""
-    ops = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))
+    [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))
     return [linalg.fro_norms(walk(gen, s.grid, s.hbar) - ur)
             for walk, gen in ((dynamics.ur_from_naive_generator, ops.h_big),
                               (dynamics.ur_from_corrected_generator, ops.gen))]
@@ -337,7 +385,8 @@ def _observable_defect(s):
     / ||theta G||_F: G is not theta-quasi-Hermitian, and misses it by -i hbar theta_dot."""
     ts = s.grid.half_times()
     theta, theta_dot = s.theta(ts), s.theta.derivative(ts)
-    gen = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s)).gen
+    [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), _whole(s))
+    gen = ops.gen
     tg = theta @ gen
     defect = tg - linalg.dagger(gen) @ theta + 1j * s.hbar * theta_dot
     return float((np.linalg.norm(defect, axis=(1, 2)) / np.linalg.norm(tg, axis=(1, 2))).max())
