@@ -109,7 +109,7 @@ def cmd_demo(scenario: Scenario) -> int:
           f"{'norm drift':>12s}")
     n = len(d.t)
     shown = sorted({*range(0, n, max(1, n // 10)), n - 1})   # about ten nodes and the last
-    drift = np.abs(d.norm_phys / d.norm_phys[0] - 1.0)
+    drift = verify.norm_drift(d, scenario)
     for k in shown:
         print(f"{d.t[k]:8.4f}  {d.res_naive[k]:16.6e}  {d.res_corrected[k]:20.6e}  "
               f"{drift[k]:12.3e}")

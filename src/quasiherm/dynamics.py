@@ -22,8 +22,9 @@ stays relative to the step, not to the propagator. Otherwise the walk goes
 step by step.
 
 A Scenario checks itself when built, in code as from a file: its dim is
-theta's, its initial state defaults to e0, its schedules cover the grid and
-its tolerances are known keys with finite positive values. evolve walks the
+theta's, its initial state defaults to e0, its schedules cover the grid, its
+hbar is a finite positive real number (kept as a float) and its tolerances
+are known keys with finite positive values. evolve walks the
 grid a block of steps at a time, keeps no node series and forms every
 per-node column of the report, among them the residuals of the central
 difference of U_R against H (positive as dt -> 0 whenever the metric moves)
@@ -97,11 +98,16 @@ def grid_blocks(grid: TimeGrid, dim: int, unit: int | None = None) -> list[GridB
     block's walk continues the walk of the whole grid bit for bit, so the bits
     of a run do not depend on the block size.
     """
+    size = _block_size(grid, dim, unit)
+    return [GridBlock(grid, a, min(a + size, grid.steps)) for a in range(0, grid.steps, size)]
+
+
+def _block_size(grid: TimeGrid, dim: int, unit: int | None = None) -> int:
+    """The steps of every block of grid_blocks(grid, dim, unit) but the last."""
     c = _chunk(dim, grid) if unit is None else unit
     most = max(c, BLOCK_ENTRIES // (2 * dim * dim) // c * c)
     count = -(-grid.steps // most)
-    size = -(-grid.steps // (count * c)) * c   # whole chunks, at most `most`
-    return [GridBlock(grid, a, min(a + size, grid.steps)) for a in range(0, grid.steps, size)]
+    return -(-grid.steps // (count * c)) * c   # whole chunks, at most `most`
 
 
 def _constant(m: np.ndarray) -> bool:   # every matrix of m is m[0]; a varying m exits early
@@ -263,18 +269,16 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
     ts = blk.half_times()
     w, *w_dots = os.on_block(blk, strides)
     wi = os.omega_inv(ts, omega=w)
+    rates = [wi[::k] @ w_dot for k, w_dot in zip(strides, w_dots)]
+    del w_dots   # each is read once: free them before h and H are formed
     if s.h is not None:
         h = s.h(ts)
         h_big = wi @ h @ w
     else:
         h_big = s.h_big(ts)
         h = w @ h_big @ wi
-    out = []
-    for k in strides:
-        rate = wi[::k] @ w_dots.pop(0)
-        out.append(Operators(h[::k], h_big[::k], h_big[::k] - 1j * s.hbar * rate,
-                             w[::k], wi[::k], rate))
-    return out
+    return [Operators(h[::k], h_big[::k], h_big[::k] - 1j * s.hbar * rate, w[::k], wi[::k], rate)
+            for k, rate in zip(strides, rates)]
 
 
 @dataclass
@@ -299,6 +303,13 @@ class Scenario:
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
+        if isinstance(self.hbar, bool) or not isinstance(self.hbar, numbers.Real):
+            raise ValidationError("hbar must be a finite positive number, got "
+                                  + json.dumps(self.hbar, default=repr))
+        try:
+            self.hbar = float(self.hbar)
+        except OverflowError:   # an int too large for a double
+            self.hbar = np.inf
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValidationError(f"hbar must be a finite positive number, got {self.hbar:g}")
         for key, value in self.tolerances.items():   # as given: a JSON 0 reads 0, not 0.0
@@ -356,13 +367,11 @@ class Scenario:
                                   f"too {size} to measure a drift against")
         return norm0
 
-    def omega_schedule(self, coarsest: int = 1) -> OmegaSchedule:
-        """The omega schedule of a walk of this grid that asks for omega_dot at
-        strides up to coarsest (OmegaSchedule.on_block)."""
-        return OmegaSchedule(
-            self.theta, self.grid, analytic=self.omega_analytic,
-            eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
-            cond_max=self.tol("cond_max"), coarsest=coarsest)
+    def omega_schedule(self) -> OmegaSchedule:
+        """The omega schedule of a walk of this grid (OmegaSchedule.on_block)."""
+        return OmegaSchedule(self.theta, self.grid, analytic=self.omega_analytic,
+                             eps_herm=self.tol("eps_herm"), eps_pos=self.tol("eps_pos"),
+                             cond_max=self.tol("cond_max"))
 
     def with_steps(self, steps: int) -> "Scenario":
         try:
@@ -428,11 +437,12 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None
     return ops, theta
 
 
-def _admit_h(s: Scenario, h: np.ndarray, blk, cuts=()) -> None:
-    """gate_h of s's h over blk, a failed gate raised as a ValidationError. blk
-    is gated piece by piece between the steps of cuts inside it, so that where
-    a walk cut at those steps sees a block of constant h, so does the gate."""
-    edges = [blk.first, *(c for c in cuts if blk.first < c < blk.last), blk.last]
+def _admit_h(s: Scenario, h: np.ndarray, blk) -> None:
+    """gate_h of s's h over blk, a failed gate raised as a ValidationError, piece
+    by piece between the cuts of grid_blocks(blk.grid, s.dim) inside blk: where
+    a walk of that grid alone sees a block of constant h, so does the gate."""
+    size = _block_size(blk.grid, s.dim)
+    edges = [blk.first, *range(blk.first // size * size + size, blk.last, size), blk.last]
     with _gate("pair-mode generator" if s.kind == "pair"
                else "Hermitian equivalent of the direct-mode generator"):
         for a, b in zip(edges, edges[1:]):
@@ -514,7 +524,7 @@ def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
     admitted as evolve admits it, and its stacks are formed, each metric point
     rooted, once: grid j reads them at every 2^(levels-1-j)-th half-grid
     point, which are its own half-times bit for bit, with its own omega_dot
-    (OmegaSchedule.omega_dot at that stride) and its own gate_h. Blocks are cut
+    (OmegaSchedule.on_block at that stride) and its own gate_h. Blocks are cut
     where every grid's walk stays chunk-aligned, so each end state has the bits
     of a walk of its grid alone. The pass takes every gate those walks take, so
     it refuses whenever one of them would; the grids are then walked one at a
@@ -527,8 +537,7 @@ def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
     except QuasihermError:
         if levels == 1:
             raise
-    return [_nested_end_states(s.with_steps(s.grid.steps << j), probe, 1)[0]
-            for j in range(levels)]
+    return [end_states(s.with_steps(s.grid.steps << j), probe)[0] for j in range(levels)]
 
 
 def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]:
@@ -538,9 +547,8 @@ def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]
     fine = s.with_steps(s.grid.steps << (levels - 1))
     strides = [1 << j for j in range(levels)]   # finest first
     grids = [fine.grid] + [s.with_steps(fine.grid.steps >> j).grid for j in range(1, levels)]
-    cuts = [[b.first for b in grid_blocks(g, s.dim)] for g in grids]   # a walk of g alone
     unit = max(k * _chunk(s.dim, g) for g, k in zip(grids, strides))
-    os, ends = fine.omega_schedule(coarsest=strides[-1]), [None] * levels
+    os, ends = fine.omega_schedule(), [None] * levels
     walk = ur_from_corrected_generator if probe == "ur_corr" else integrate_u
     for blk in grid_blocks(fine.grid, s.dim, unit):
         if probe == "u" and s.kind == "pair":
@@ -553,8 +561,8 @@ def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]
             del ops
         level_blocks = [GridBlock(g, blk.first // k, blk.last // k)
                         for g, k in zip(grids, strides)]
-        for lb, k, c in zip(level_blocks, strides, cuts):
-            _admit_h(s, h[::k], lb, c)
+        for lb, k in zip(level_blocks, strides):
+            _admit_h(s, h[::k], lb)
         del h
         for j, lb in enumerate(level_blocks):
             ends[j] = walk(stacks[j], lb, s.hbar, ends[j])[-1]

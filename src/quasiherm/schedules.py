@@ -206,10 +206,9 @@ class OmegaSchedule:
 
     def __init__(self, theta_schedule: OperatorSchedule, grid: TimeGrid,
                  analytic=None, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS,
-                 cond_max=linalg.COND_MAX, coarsest=1):
+                 cond_max=linalg.COND_MAX):
         self.theta = theta_schedule
         self.grid = grid
-        self._coarsest = coarsest   # the widest stride omega_dot is asked for (on_block)
         self._omega_fn, self._omega_dot_fn, self._omega_inv_fn = analytic or (None,) * 3
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
@@ -272,7 +271,7 @@ class OmegaSchedule:
 
         omega is taken on a window of the grid's half-times: blk's points
         and, for a central difference, the 2r = 4 points of the grid of the
-        coarsest stride on either side, 4 * coarsest of this grid's. The roots
+        widest stride on either side, 4 * max(strides) of this grid's. The roots
         kept around the last node of the block before (the seam) serve a
         window that starts among them, as the next block of a walk does, and
         only the points they lack are taken, in one call (none if they lack
@@ -282,7 +281,7 @@ class OmegaSchedule:
         if blk.grid != self.grid:
             raise ValueError("the block is not a block of this schedule's grid")
         hts = self.grid.half_times()
-        reach = 0 if self._omega_dot_fn is not None else 2 * _R * self._coarsest
+        reach = 0 if self._omega_dot_fn is not None else 2 * _R * max(strides)
         lo, hi = max(0, 2 * blk.first - reach), min(hts.size, 2 * blk.last + 1 + reach)
         j, roots = self._seam
         kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None

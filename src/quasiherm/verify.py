@@ -57,11 +57,16 @@ def max_omega_motion(d: Diagnostics) -> float:
     return float(d.omega_motion.max())
 
 
+def norm_drift(d: Diagnostics, s: Scenario) -> np.ndarray:
+    """|norm_phys / <phi0|theta(t0)|phi0> - 1| at each interior node of s's run d."""
+    norm0 = s.initial_norm(s.theta(s.grid.times()[:1])[0])   # evolve refused a bad one
+    return np.abs(d.norm_phys / norm0 - 1.0)
+
+
 def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
     """Judge each column by its largest entry; a nan anywhere in a column is
     its maximum, so the verdict that reads it fails with observed = nan."""
-    norm0 = s.initial_norm(s.theta(s.grid.times()[:1])[0])   # evolve refused a bad one
-    drift = float(np.abs(d.norm_phys / norm0 - 1.0).max())
+    drift = float(norm_drift(d, s).max())
     max_metric, max_qh, max_corr, max_naive = (
         float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
 

@@ -197,7 +197,7 @@ def test_run_coarse_grid_fails_verdicts(tmp_path):
     assert code == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: CORRECTED_GENERATOR_OK judges "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: CORRECTED_GENERATOR_OK judges "
                    "res_corrected on an absolute scale, which grows with hbar (8.05e-6 > 1e-6)")
 def test_run_passes_every_verdict_at_a_large_hbar(tmp_path):
     code = cli.main(["run", "--scenario", "growing-metric-2d", "--hbar", "100",
@@ -236,6 +236,23 @@ def test_demo_constant_metric(capsys):
     code = cli.main(["demo", "--scenario", "constant-metric-2d"])
     assert code == 0
     assert "Static metric" in capsys.readouterr().out
+
+
+def test_demo_norm_drift_is_the_verdicts_drift_from_t0(capsys):
+    """The demo's norm drift is measured against <phi0|theta(t0)|phi0>, as
+    NORM_CONSERVED measures it, not against the norm at the first row: at 20
+    steps every interior node is a row, the first reads the drift of one step
+    and the largest is the verdict's observed value."""
+    s = make_builtin("growing-metric-2d").with_steps(20)
+    d = verify.run_diagnostics(s)
+    norm0 = s.initial_norm(s.theta(s.grid.times()[:1])[0])
+    expect = [f"{x:.3e}" for x in np.abs(d.norm_phys / norm0 - 1.0)]
+    cli.main(["demo", "--scenario", "growing-metric-2d", "--steps", "20"])
+    rows = capsys.readouterr().out.split("\n\n")[1].splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == expect
+    assert expect[0] != "0.000e+00"
+    [norm] = [v for v in verify.verdicts(d, s) if v.name == "NORM_CONSERVED"]
+    assert max(expect, key=float) == f"{norm.observed:.3e}"
 
 
 def test_list_sorted(capsys):
@@ -351,6 +368,18 @@ def test_a_bad_tolerance_is_refused_in_code_as_in_a_file(tmp_path, capsys, key, 
                     f'"tolerances": {{"{key}": {text}}}}}')
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_hbar_in_code_is_checked_as_a_tolerance_is():
+    """A finite positive real number, not a bool, stored as a float; anything
+    else is a ValidationError (a file's hbar is refused while it is parsed)."""
+    base = make_builtin("growing-metric-2d")
+    for hbar, shown in ((True, "true"), ("1", '"1"'), (10**400, "inf"), (-1, "-1"),
+                        (math.nan, "nan")):
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(base, hbar=hbar)
+        assert str(exc.value) == f"hbar must be a finite positive number, got {shown}"
+    assert type(dataclasses.replace(base, hbar=2).hbar) is float
 
 
 @pytest.mark.parametrize("doc, err", [

@@ -653,7 +653,7 @@ def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(
     No verdict is asserted. CORRECTED_GENERATOR_OK judges res_corrected against
     an absolute tolerance, so at k = 7 it flips to FAIL on growing-metric-2d
     although the propagators are the same: the units defect of the verdicts
-    that ROADMAP item 2 addresses.
+    that ROADMAP item 3 addresses.
     """
     base = (growing_result if which == "growing-metric-2d"
             else evolve(scenario_io.parse_scenario(sampled_pair_text)))

@@ -423,7 +423,7 @@ def test_a_strided_omega_dot_is_the_coarser_grids_own():
     included, and the walk roots each of its 8N + 1 points once."""
     n, calls = 10, []
     fine, grids = TimeGrid(0.0, 1.0, 4 * n), [TimeGrid(0.0, 1.0, m) for m in (4 * n, 2 * n, n)]
-    os = OmegaSchedule(growing_theta(), fine, coarsest=4)
+    os = OmegaSchedule(growing_theta(), fine)
     omega = os.omega
     os.omega = lambda ts: (calls.append(ts.size), omega(ts))[1]
     dots = [[], [], []]
@@ -435,5 +435,3 @@ def test_a_strided_omega_dot_is_the_coarser_grids_own():
     for d, g, k in zip(dots, grids, (1, 2, 4)):
         own = OmegaSchedule(growing_theta(), g).on_block(GridBlock(g, 0, g.steps))[1]
         assert np.array_equal(np.concatenate(d), own), k
-    with pytest.raises(ValueError, match="a central difference of omega needs"):
-        OmegaSchedule(growing_theta(), fine).on_block(GridBlock(fine, 8, 16), (4,))
