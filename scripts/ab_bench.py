@@ -17,9 +17,14 @@ that goes first alternates from pair to pair, so a slow drift of the
 host's speed falls on both sides alike. Every run must report
 ``"correct": true`` and no failed operation.
 
-The output file holds, per workload and end-to-end metric, the median and
-quartiles of each side, the relative change of the medians, and in how
-many pairs the working tree was better. Progress goes to standard error.
+The output file holds, per workload and metric, the median and quartiles of
+each side, the relative change of the medians, and in how many pairs the
+working tree was better. Each end-to-end metric with a ``bound`` in
+``BENCHMARK.json`` also gets a verdict: ``regressed`` when the new median is
+worse than the base median by more than the bound, taken as a fraction of the
+base median; ``unresolved`` when the base's quartiles lie further apart than
+that, so the series cannot tell; ``ok`` otherwise. The exit code is 1 if any
+metric regressed, 0 if not. Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -84,8 +89,19 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, lower_is_better: dict) -> dict:
-    """runs[workload][side] is a list of {metric: value}, paired by index."""
+def verdict(summary: dict, bound: float, lower_is_better: bool) -> str:
+    """'unresolved', 'regressed' or 'ok' for one metric's summary against bound,
+    a fraction of the base median."""
+    base = summary["base"]
+    if base["q3"] - base["q1"] > bound * abs(base["median"]):
+        return "unresolved"
+    worse = summary["change"] if lower_is_better else -summary["change"]
+    return "regressed" if worse > bound else "ok"
+
+
+def summarize(runs: dict, lower_is_better: dict, bounds: dict) -> dict:
+    """runs[workload][side] is a list of {metric: value}, paired by index;
+    bounds maps the metrics that have a bound to it."""
     out = {}
     for workload, sides in runs.items():
         out[workload] = {}
@@ -99,6 +115,10 @@ def summarize(runs: dict, lower_is_better: dict) -> dict:
                 "change": (n["median"] - b["median"]) / b["median"],
                 "wins": sum(sign * (y - x) < 0 for x, y in zip(base, new)),
                 "pairs": len(base)}
+            if metric in bounds:
+                s = out[workload][metric]
+                s["bound"] = bounds[metric]
+                s["verdict"] = verdict(s, bounds[metric], lower_is_better.get(metric, True))
     return out
 
 
@@ -114,6 +134,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     lower_is_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
 
     runs = {w: {"base": [], "new": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
@@ -143,8 +164,9 @@ def main(argv=None) -> int:
                      "trace": 0},
         "note": ("medians and quartiles of each side over the pairs; change is "
                  "(new - base) / base of the medians; wins counts the pairs in "
-                 "which new was better"),
-        "workloads": summarize(runs, lower_is_better),
+                 "which new was better; verdict judges the change against "
+                 "bound, a fraction of the base median"),
+        "workloads": summarize(runs, lower_is_better, bounds),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
@@ -153,8 +175,10 @@ def main(argv=None) -> int:
         for metric, s in metrics.items():
             print(f"{workload:18s} {metric:12s} base {s['base']['median']:.4g} "
                   f"new {s['new']['median']:.4g} ({100 * s['change']:+.1f}%) "
-                  f"wins {s['wins']}/{s['pairs']}")
-    return 0
+                  f"wins {s['wins']}/{s['pairs']} {s.get('verdict', '')}".rstrip())
+    regressed = any(s.get("verdict") == "regressed"
+                    for metrics in record["workloads"].values() for s in metrics.values())
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ def metric_dips_off_the_coarse_grids(steps):
             [[[1, 0], [0, 0]], [[0, 0], [v, 0]]] for v in q]}}}
 
 
-# at d = 2 the grid of 4 x 2100 steps is walked in two blocks, the dip in the first
+# at d = 2 the grid of 4 x 2100 steps is walked in four blocks, the dip in the first
 GATE_FILES["metric-dips-off-the-coarse-grids"] = metric_dips_off_the_coarse_grids(2100)
 
 
@@ -186,7 +186,7 @@ def _sampled_pair(dim, steps, seed):
 # metric's span is wider than the grid's. The fourth, a d = 3 pair, gives no
 # initial_state, so it starts from e0 of theta's size. The fifth, a d = 6 pair,
 # is converged on grids of 200, 400 and 800 steps that all take the scan walk;
-# the one walk of the 800-step grid is cut into blocks of 384 steps, so the
+# the one walk of the 800-step grid is cut into blocks of 256 steps, so the
 # coarser two grids' scans stay chunk-aligned only if those cuts are.
 EDGE_FILES = {
     "moving-pair-0.5-0.8": _moving_pair(0.5, 0.8, 200),

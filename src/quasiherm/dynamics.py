@@ -32,10 +32,12 @@ and against G (shrinking like dt^2); it refuses an initial state of no
 measurable physical norm once the first block is admitted, before any walk.
 end_states walks one probe (u or U_corr) to the end of the grids of N, 2N,
 ... steps in one walk of the finest grid's blocks, whose stacks every coarser
-grid reads at its own half-times, every 2nd or 4th point. Both admit each
-block as they go: validate_scenario gates the metric, in direct mode the
-quasi-Hermiticity of H at the nodes, and then _admit_h the Hermiticity of h
-and the stability of each walked grid's RK4 step (gate_h). A refusal names
+grid reads at its own half-times, every 2nd or 4th point; grid_blocks cuts
+the grids so that each block of a coarser grid's own walk is a run of the
+finest grid's blocks. Both admit each block as they go: validate_scenario
+gates the metric, in direct mode the quasi-Hermiticity of H at the nodes, and
+then _admit_h the Hermiticity of h and the stability of each walked grid's RK4
+step (gate_h), once per block. A refusal names
 the first failing time of the half-step grid that is actually run; when
 the one walk of end_states is refused, the grids are walked one at a time,
 coarsest first, so the refusal names the coarsest grid that fails.
@@ -89,25 +91,24 @@ def _chunk(dim: int, grid) -> int:
     return SCAN_CHUNK if dim <= SCAN_MAX_DIM and steps >= SCAN_MIN_STEPS else 1
 
 
-def grid_blocks(grid: TimeGrid, dim: int, unit: int | None = None) -> list[GridBlock]:
+def grid_blocks(grid: TimeGrid, dim: int) -> list[GridBlock]:
     """The blocks the integrators walk grid in, sized for dim x dim operators:
-    as few as hold at most BLOCK_ENTRIES / (2 d^2) steps each (but never less
-    than one unit), of equal size but the last.
+    the grid's steps over the least power-of-two count of blocks that holds at
+    most BLOCK_ENTRIES / (2 d^2) steps a block, each rounded up to whole units
+    of q steps (4 SCAN_CHUNK for d <= SCAN_MAX_DIM, 4 above; one unit at least).
+    Every block has that size but the last.
 
-    Every cut falls on a multiple of unit, by default the walk's chunk, where a
-    block's walk continues the walk of the whole grid bit for bit, so the bits
-    of a run do not depend on the block size.
+    A grid of twice the steps takes twice the count and the same size (or stays
+    one block), so each block of the grids of N and 2N steps is a run of the 4N
+    grid's blocks. Every cut of all three falls on a chunk, where a block's walk
+    continues the whole grid's walk bit for bit: a run's bits do not depend on
+    the block size.
     """
-    size = _block_size(grid, dim, unit)
+    q = 4 * SCAN_CHUNK if dim <= SCAN_MAX_DIM else 4
+    most = max(q, BLOCK_ENTRIES // (2 * dim * dim) // q * q)
+    count = 1 << (-(-grid.steps // most) - 1).bit_length()   # the least 2^k >= steps / most
+    size = -(-grid.steps // (count * q)) * q
     return [GridBlock(grid, a, min(a + size, grid.steps)) for a in range(0, grid.steps, size)]
-
-
-def _block_size(grid: TimeGrid, dim: int, unit: int | None = None) -> int:
-    """The steps of every block of grid_blocks(grid, dim, unit) but the last."""
-    c = _chunk(dim, grid) if unit is None else unit
-    most = max(c, BLOCK_ENTRIES // (2 * dim * dim) // c * c)
-    count = -(-grid.steps // most)
-    return -(-grid.steps // (count * c)) * c   # whole chunks, at most `most`
 
 
 def _constant(m: np.ndarray) -> bool:   # every matrix of m is m[0]; a varying m exits early
@@ -438,16 +439,12 @@ def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None
 
 
 def _admit_h(s: Scenario, h: np.ndarray, blk) -> None:
-    """gate_h of s's h over blk, a failed gate raised as a ValidationError, piece
-    by piece between the cuts of grid_blocks(blk.grid, s.dim) inside blk: where
-    a walk of that grid alone sees a block of constant h, so does the gate."""
-    size = _block_size(blk.grid, s.dim)
-    edges = [blk.first, *range(blk.first // size * size + size, blk.last, size), blk.last]
+    """gate_h of s's h over blk, a failed gate raised as a ValidationError. blk
+    lies within one block of grid_blocks(blk.grid, s.dim), so where a walk of
+    that grid alone sees a block of constant h, so does the gate."""
     with _gate("pair-mode generator" if s.kind == "pair"
                else "Hermitian equivalent of the direct-mode generator"):
-        for a, b in zip(edges, edges[1:]):
-            gate_h(h[2 * (a - blk.first):2 * (b - blk.first) + 1], GridBlock(blk.grid, a, b),
-                   s.hbar, s.tol("eps_herm"))
+        gate_h(h, blk, s.hbar, s.tol("eps_herm"))
 
 
 @dataclass
@@ -524,16 +521,19 @@ def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
     admitted as evolve admits it, and its stacks are formed, each metric point
     rooted, once: grid j reads them at every 2^(levels-1-j)-th half-grid
     point, which are its own half-times bit for bit, with its own omega_dot
-    (OmegaSchedule.on_block at that stride) and its own gate_h. Blocks are cut
-    where every grid's walk stays chunk-aligned, so each end state has the bits
-    of a walk of its grid alone. The pass takes every gate those walks take, so
-    it refuses whenever one of them would; the grids are then walked one at a
-    time, coarsest first, and the first of those walks that refuses is raised.
+    (OmegaSchedule.on_block at that stride) and its own gate_h. Each block of
+    a coarser grid's own walk is a run of the finest grid's blocks
+    (grid_blocks), so each end state has the bits of a walk of its grid alone,
+    and the pass takes every gate those walks take: it refuses whenever one of
+    them would. The grids are then walked one at a time, coarsest first, and
+    the first of those walks that refuses is raised. A finest grid of too many
+    steps is refused before any walk.
     """
     if probe not in ("u", "ur_corr"):
         raise ValueError(f"unknown probe {probe!r}")
+    fine = s.with_steps(s.grid.steps << (levels - 1))
     try:
-        return _nested_end_states(s, probe, levels)
+        return _nested_end_states(fine, probe, levels)
     except QuasihermError:
         if levels == 1:
             raise
@@ -541,16 +541,14 @@ def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
 
 
 def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]:
-    """end_states' one walk of the finest grid. linspace(a, b, 2n + 1) is
-    linspace(a, b, 2kn + 1)[::k] bit for bit for k a power of 2, so the grid of
-    n steps reads its own half-times at the finest grid's points."""
-    fine = s.with_steps(s.grid.steps << (levels - 1))
+    """end_states' one walk of s, the finest grid's scenario. linspace(a, b,
+    2n + 1) is linspace(a, b, 2kn + 1)[::k] bit for bit for k a power of 2, so
+    the grid of n steps reads its own half-times at the finest grid's points."""
     strides = [1 << j for j in range(levels)]   # finest first
-    grids = [fine.grid] + [s.with_steps(fine.grid.steps >> j).grid for j in range(1, levels)]
-    unit = max(k * _chunk(s.dim, g) for g, k in zip(grids, strides))
-    os, ends = fine.omega_schedule(), [None] * levels
+    grids = [s.grid] + [s.with_steps(s.grid.steps >> j).grid for j in range(1, levels)]
+    os, ends = s.omega_schedule(), [None] * levels
     walk = ur_from_corrected_generator if probe == "ur_corr" else integrate_u
-    for blk in grid_blocks(fine.grid, s.dim, unit):
+    for blk in grid_blocks(s.grid, s.dim):
         if probe == "u" and s.kind == "pair":
             h = s.h(blk.half_times())
             stacks = [h[::k] for k in strides]

@@ -48,7 +48,7 @@ def _pairs(m):
 @pytest.fixture(scope="session")
 def sampled_pair_text():
     """A d=8 pair-mode scenario file: h(t) = h0 + t a and theta(t) = Om(t)† Om(t),
-    Om(t) = Om0 + t Om1, both sampled on 9 snapshots; 600 steps (three blocks)."""
+    Om(t) = Om0 + t Om1, both sampled on 9 snapshots; 600 steps (four blocks)."""
     gen = np.random.default_rng(7)
     d = 8
 

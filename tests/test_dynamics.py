@@ -298,10 +298,10 @@ def test_evolve_refuses_a_bad_initial_norm_before_it_walks(monkeypatch):
     """<phi0|theta(t0)|phi0> is checked once theta(t0) is admitted, before the
     first block is walked; so it is named before a metric that fails later."""
     # not positive definite from t = 0.75 on, in the third of four blocks
-    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 25 * 2 * 2 * 2)
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 128 * 2 * 2 * 2)   # 128 steps a block
     late = _closed(lambda ts: _diag_stack(ts, 1.0, 1.0 - 4.0 * np.maximum(ts - 0.5, 0.0)))
-    late = dataclasses.replace(_unadmitted("h", theta=late), grid=TimeGrid(0.0, 1.0, 100))
-    assert len(dynamics.grid_blocks(late.grid, late.dim)) == 4
+    late = dataclasses.replace(_unadmitted("h", theta=late), grid=TimeGrid(0.0, 1.0, 400))
+    assert [b.first for b in dynamics.grid_blocks(late.grid, late.dim)] == [0, 128, 256, 384]
     with pytest.raises(ValidationError, match=r"^metric rejected: .* at t=0\.75 "):
         evolve(late)
     walked = []
@@ -459,7 +459,7 @@ def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
     s = scenario_io.parse_scenario(sampled_pair_text)
     assert eigh[0] == 0   # parsing gates nothing: evolve takes the first metric root
     verify.verdicts(verify.run_diagnostics(s), s)
-    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 4
     assert eigh[0] == 2 * s.grid.steps + 1
     eigh[0] = 0
     verify.convergence_order(s.with_steps(100), "ur_corr")   # grids of 100, 200 and 400 steps
@@ -471,17 +471,21 @@ def _columns_equal(a, b):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True), f.name
 
 
-@pytest.mark.parametrize("factor, blocks", [(4, 1), (0.5, 5), (2 ** -8, 600)])
+@pytest.mark.parametrize("factor, blocks", [(4, 1), (0.5, 8), (2 ** -8, 151)])
 def test_block_layout_does_not_change_the_result(monkeypatch, sampled_pair_text,
                                                  factor, blocks):
     """Every half-grid point is rooted once, at its own time, whatever block
     takes it, so the blocks' size changes no bit of a run or of the ur_corr
-    order. With one step a block (2^-8), the one-sided rows of the last block
-    read up to two steps back, past its first node into the seam."""
-    s = scenario_io.parse_scenario(sampled_pair_text)
+    order. At the fewest steps a block (2^-8: 4 steps, the floor at d = 8) the
+    last block of the 601 steps has one, so its one-sided rows read up to two
+    steps back, past its first node into the seam."""
+    s = scenario_io.parse_scenario(sampled_pair_text).with_steps(601)
     res, order = evolve(s), verify.convergence_order(s.with_steps(100), "ur_corr")
     monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", int(factor * dynamics.BLOCK_ENTRIES))
-    assert len(dynamics.grid_blocks(s.grid, s.dim)) == blocks
+    layout = dynamics.grid_blocks(s.grid, s.dim)
+    assert len(layout) == blocks
+    if factor == 2 ** -8:
+        assert layout[-1].steps == 1
     eigh = _count_matrices(monkeypatch, "eigh")
     _columns_equal(evolve(s), res)
     assert eigh[0] == 2 * s.grid.steps + 1
@@ -489,14 +493,14 @@ def test_block_layout_does_not_change_the_result(monkeypatch, sampled_pair_text,
 
 
 def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
-    """One omega schedule walks blocks 0, 1 and 2, then is asked for block 0
-    again and for block 2 after block 0: each answer has the bits of a fresh
+    """One omega schedule walks blocks 0 to 3, then is asked for block 0
+    again and for block 3 after block 0: each answer has the bits of a fresh
     schedule's, whatever roots the block before left it."""
     s = scenario_io.parse_scenario(sampled_pair_text)
     blocks = dynamics.grid_blocks(s.grid, s.dim)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     os = s.omega_schedule()
-    for k in (0, 1, 2, 0, 2):
+    for k in (0, 1, 2, 3, 0, 3):
         got, fresh = os.on_block(blocks[k]), s.omega_schedule().on_block(blocks[k])
         for a, b in zip(got, fresh):
             assert np.array_equal(a, b), k
@@ -505,11 +509,11 @@ def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
 
 
 def test_end_state_is_the_last_node_of_the_walk_of_the_whole_grid(sampled_pair_text):
-    """end_states with one level walks the blocks that evolve walks (three
+    """end_states with one level walks the blocks that evolve walks (four
     here), and a block's walk continues the whole grid's bit for bit: each
     probe's end state is the last node of one walk over the whole grid."""
     s = scenario_io.parse_scenario(sampled_pair_text).with_fd_omega_dot()
-    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+    assert len(dynamics.grid_blocks(s.grid, s.dim)) == 4
     whole = GridBlock(s.grid, 0, s.grid.steps)
     [ops] = dynamics.half_grid_operators(s, s.omega_schedule(), whole)
     assert np.array_equal(dynamics.end_states(s, "u")[0],
@@ -622,11 +626,11 @@ def test_every_walked_block_passes_the_h_gate_once(monkeypatch, sampled_pair_tex
     gate = dynamics.gate_h
     monkeypatch.setattr(dynamics, "gate_h", lambda h, blk, *rest: (
         seen.append((blk.grid.steps, blk.first, blk.last)), gate(h, blk, *rest))[1])
-    s = scenario_io.parse_scenario(sampled_pair_text)   # 600 steps, three blocks
+    s = scenario_io.parse_scenario(sampled_pair_text)   # 600 steps, four blocks
     evolve(s)
     assert seen == [(600, b.first, b.last) for b in dynamics.grid_blocks(s.grid, s.dim)]
-    # by default the one walk's blocks fall on the grids' own cuts; with 40
-    # steps a block, its blocks of the 100-step grid cross that grid's cuts
+    # at the default block size and at 40 steps a block, each grid's pieces
+    # of the one walk lie within that grid's own blocks
     for entries, probe in itertools.product((dynamics.BLOCK_ENTRIES, 40 * 2 * 8 * 8),
                                             ("u", "ur_corr")):
         monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", entries)
@@ -648,7 +652,7 @@ def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(
     """(hbar, h) -> (2^k hbar, 2^k h) leaves h/hbar, and so every propagator,
     bit for bit as it was: every column but the two generator residuals is
     unchanged, and those are multiplied by exactly 2^k. The sampled pair walks
-    three blocks with a finite-difference omega_dot.
+    four blocks with a finite-difference omega_dot.
 
     No verdict is asserted. CORRECTED_GENERATOR_OK judges res_corrected against
     an absolute tolerance, so at k = 7 it flips to FAIL on growing-metric-2d

@@ -1,5 +1,7 @@
 """Hypothesis-driven invariants for the linear-algebra, space and dynamics layers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,24 @@ def test_coarser_grids_are_strided_points_of_the_finest_bit_for_bit(start, lengt
     fine = TimeGrid(start, end, 4 * n).half_times()
     for k, m in ((2, 2 * n), (4, n)):
         assert np.array_equal(TimeGrid(start, end, m).half_times(), fine[::k]), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 2500), st.integers(1 << 8, 1 << 18))
+def test_the_blocks_of_a_grid_nest_in_those_of_its_refinements(dim, n, entries):
+    """Every cut of the grids of n and 2n steps, scaled by 4 and 2, is a cut of
+    the 4n grid, so one walk of the 4n grid's blocks walks each coarser grid in
+    runs of its own blocks. Every cut is a multiple of q (4 chunks where the
+    walk may scan, 4 steps above), and no block holds more than
+    max(q, BLOCK_ENTRIES / (2 d^2)) steps."""
+    q = 4 * dynamics.SCAN_CHUNK if dim <= dynamics.SCAN_MAX_DIM else 4
+    cuts = {}
+    with mock.patch.object(dynamics, "BLOCK_ENTRIES", entries):
+        for k in (1, 2, 4):
+            blocks = dynamics.grid_blocks(TimeGrid(0.0, 1.0, k * n), dim)
+            assert [b.first for b in blocks[1:]] == [b.last for b in blocks[:-1]]
+            assert blocks[0].first == 0 and blocks[-1].last == k * n
+            assert all(b.first % q == 0 for b in blocks)
+            assert max(b.steps for b in blocks) <= max(q, entries / (2 * dim * dim))
+            cuts[k] = {4 // k * b.first for b in blocks}
+    assert cuts[1] <= cuts[4] and cuts[2] <= cuts[4]

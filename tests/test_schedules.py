@@ -370,11 +370,28 @@ def test_grid_blocks_cover_grid(monkeypatch):
                                          + [g.half_times()[-1:]]), g.half_times())
     assert np.array_equal(g.half_times()[::2], g.times())
     assert [(b.first, b.last) for b in grid_blocks(g, 2)] == [(0, 10)]
-    # at d = 2, 100 steps a block are cut down to a multiple of the chunk
+    # at d = 2, 300 steps a block are cut down to 256, a multiple of 4 chunks; 600
+    # steps over 4 blocks round up to 256 steps a block, so 3 blocks are made
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 300 * 2 * 2 * 2)
+    q = 4 * dynamics.SCAN_CHUNK
+    assert [(b.first, b.last) for b in grid_blocks(TimeGrid(0.0, 1.0, 600), 2)] == [
+        (0, 2 * q), (2 * q, 4 * q), (4 * q, 600)]
+    # and no block has fewer than 4 chunks, however few entries a block may hold
     monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 100 * 2 * 2 * 2)
-    chunk = dynamics.SCAN_CHUNK
     assert [(b.first, b.last) for b in grid_blocks(TimeGrid(0.0, 1.0, 200), 2)] == [
-        (0, 3 * chunk), (3 * chunk, 6 * chunk), (6 * chunk, 200)]
+        (0, q), (q, 200)]
+
+
+@pytest.mark.parametrize("dim, steps, layout", [
+    (2, 2000, (1, 2000, 2000)), (32, 500, (32, 16, 4)), (8, 800, (4, 200, 200))],
+    ids=["builtins-n2000", "sampled-d32-n500", "convergence-d8-finest-grid"])
+def test_the_benchmark_workloads_keep_their_block_layout(dim, steps, layout):
+    """(blocks, steps of each block but the last, steps of the last) of the grids
+    the benchmark walks: a builtin at N = 2000, the d = 32 run of 500 steps, and
+    the 4N = 800-step grid of the d = 8 convergence probes."""
+    blocks = grid_blocks(TimeGrid(0.0, 1.0, steps), dim)
+    assert (len(blocks), blocks[0].steps, blocks[-1].steps) == layout
+    assert {b.steps for b in blocks[:-1]} <= {layout[1]}
 
 
 def test_grid_times_are_built_once(monkeypatch):
@@ -384,7 +401,7 @@ def test_grid_times_are_built_once(monkeypatch):
     monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(1) or linspace(*a, **k))
     g = TimeGrid(0.0, 1.0, 40_000)
     blocks = grid_blocks(g, 32)
-    assert len(blocks) == 2500
+    assert len(blocks) == 3334   # 4096 blocks of at least 40000 / 4096 steps, rounded up to 12
     for b in blocks:
         b.times()
         b.half_times()

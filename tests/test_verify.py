@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasiherm import builtin_names, dynamics, linalg, make_builtin, scenario_io, verify
+from quasiherm import (builtin_names, dynamics, linalg, make_builtin, scenario_io, schedules,
+                       verify)
 from quasiherm.dynamics import DEFAULT_TOLERANCES, evolve
 from quasiherm.errors import NotMeasurable, ValidationError
 from quasiherm.models import SIGMA_X
@@ -173,7 +174,7 @@ def test_a_refusal_names_the_coarsest_grid_that_refuses(monkeypatch):
     monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 128 * 2 * 2 * 2)   # 128 steps a block
     doc = _same_output().metric_dips_off_the_coarse_grids(100)
     s = scenario_io.parse_scenario(json.dumps(doc)).with_fd_omega_dot()
-    assert len(dynamics.grid_blocks(s.with_steps(400).grid, s.dim, 64)) == 4
+    assert len(dynamics.grid_blocks(s.with_steps(400).grid, s.dim)) == 4
     with pytest.raises(ValidationError) as finest:
         dynamics.end_states(s.with_steps(400), "ur_corr")
     assert "at t=0.00625 " in str(finest.value)   # 5 / (8 N): first block, 4N grid only
@@ -183,6 +184,21 @@ def test_a_refusal_names_the_coarsest_grid_that_refuses(monkeypatch):
     with pytest.raises(ValidationError) as got:
         convergence_order(s, "ur_corr")
     assert str(got.value) == str(coarsest.value)
+
+
+@pytest.mark.parametrize("probe, walk", [("u", "integrate_u"),
+                                         ("ur_corr", "ur_from_corrected_generator")])
+def test_a_finest_grid_of_too_many_steps_is_refused_before_any_walk(
+        monkeypatch, sampled_pair_text, probe, walk):
+    """An oracle-free order at 300 steps needs the grid of 1200: with at most
+    1000 steps a grid, it is refused before the grids of 300 and 600 are walked."""
+    monkeypatch.setattr(schedules, "MAX_STEPS", 1000)
+    walked, orig = [], getattr(dynamics, walk)
+    monkeypatch.setattr(dynamics, walk, lambda *a, **k: walked.append(1) or orig(*a, **k))
+    s = scenario_io.parse_scenario(sampled_pair_text).with_steps(300)
+    with pytest.raises(ValidationError, match=r"^bad time: need from 2 to 1000 steps, got 1200$"):
+        convergence_order(s, probe)
+    assert not walked
 
 
 def _scenario(sampled_pair_text, which, fd_omega_dot):
@@ -303,7 +319,7 @@ def test_one_pass_columns_match_the_two_pass_rows(sampled_pair_text, which):
          "direct": _growing_direct,
          "sampled pair": lambda: scenario_io.parse_scenario(sampled_pair_text)}[which]()
     if which == "sampled pair":
-        assert len(dynamics.grid_blocks(s.grid, s.dim)) == 3
+        assert len(dynamics.grid_blocks(s.grid, s.dim)) == 4
     res = dynamics.evolve(s)
     d = verify.diagnostics_from_result(res)
     columns, ur = _two_pass_columns(res)
