@@ -24,9 +24,10 @@ directory of its own:
   whose metric or propagator would overflow, and a sampled metric on two
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
-  integer) or negative, a ``dimension`` that is not theta's, and a metric
+  integer) or negative, a ``dimension`` that is not theta's, a metric
   refused both at a half-time that only the finest grid of convergence_order
-  has and, later, on every grid;
+  has and, later, on every grid, a sampled h whose interpolant's slopes
+  overflow, and a file that is not UTF-8;
 * ``quasiherm run`` on three sampled pair files whose omega_dot rows at the
   grid's ends once hung on rounding or on the metric's span, on a d = 3
   pair file without ``initial_state`` and on a d = 6 pair file whose finest
@@ -84,7 +85,8 @@ _SIGMA_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 _EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 _BUILTIN = {"kind": "builtin", "name": "growing-metric-2d"}
 
-# name -> scenario file text; every one of them ends in exit 3
+# name -> scenario file (a JSON document, its text or its bytes); every one of
+# them ends in exit 3
 GATE_FILES = {
     "not-positive-definite": {"dimension": 2, "model": {
         "kind": "pair", "h": _SIGMA_X,
@@ -124,6 +126,13 @@ GATE_FILES = {
     "negative-naive-floor": {"model": _BUILTIN, "tolerances": {"naive_floor": -1e-3}},
     "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,
                                                       "theta": _EYE}},
+    # h snapshots alternating +-1e308 are finite, but the slopes of their
+    # interpolant overflow, so h is nan from t = 0 on
+    "h-slopes-overflow": {"dimension": 2, "time": {"steps": 100}, "model": {
+        "kind": "pair", "theta": _EYE, "h": {"times": [0.0, 0.25, 0.5, 0.75, 1.0], "snapshots": [
+            [[[0, 0], [(-1) ** k * 1e308, 0]], [[(-1) ** k * 1e308, 0], [0, 0]]]
+            for k in range(5)]}}},
+    "not-utf-8": b'\xff\xfe{"model": 1}',
 }
 
 
@@ -247,8 +256,9 @@ def gate_cases(inputs: str) -> list[tuple[str, list[str]]]:
     cases = []
     for name, doc in GATE_FILES.items():
         path = os.path.join(inputs, name + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        doc = json.dumps(doc) if isinstance(doc, dict) else doc
+        with open(path, "wb") as fh:
+            fh.write(doc.encode("utf-8") if isinstance(doc, str) else doc)
         cases.append((f"run {name}", ["run", "--scenario", path]))
         if name in GATE_FLAGS:
             flags = GATE_FLAGS[name]

@@ -1,8 +1,8 @@
 """Numerical toolkit for quantum evolution with time-dependent metric operators."""
 
-from .dynamics import (EvolutionResult, Scenario, end_states, evolve, integrate_u,
-                       metric_from_ur, ur_from_corrected_generator,
-                       ur_from_definition, ur_from_naive_generator)
+from .dynamics import (Scenario, end_states, evolve, integrate_u, metric_from_ur,
+                       ur_from_corrected_generator, ur_from_definition,
+                       ur_from_naive_generator)
 from .linalg import (HermitianEigen, eig_hermitian, fro_norm, hermitize,
                      inverse, principal_sqrt)
 from .models import BUILTINS, builtin_names, make_builtin

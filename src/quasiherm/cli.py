@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models, scenario_io, verify
 from .dynamics import Scenario
-from .errors import QuasihermError
+from .errors import ParseError, QuasihermError
 from .schedules import MAX_STEPS
 
 CSV_COLUMNS = ("t", "unitarity_defect", "norm_phys", "res_naive",
@@ -56,6 +56,10 @@ def load_scenario(spec: str, steps: int | None = None, hbar: float | None = None
             raise FileNotFoundError(
                 f"cannot read scenario {spec!r}: {e} "
                 f"(builtins: {', '.join(models.builtin_names())})") from e
+        except UnicodeDecodeError as e:   # read() decodes the whole file at once
+            raise ParseError(e.object[:e.start].count(b"\n") + 1,
+                             f"scenario {spec!r} is not UTF-8: {e.reason} "
+                             f"at byte {e.start}") from None
         s = scenario_io.parse_scenario(text)
     if steps is not None:
         s = s.with_steps(steps)
@@ -69,7 +73,7 @@ CSV_CHUNK_ROWS = 4096   # lines formatted by one call: the text held at once sta
 
 
 def rows_to_csv(d, fh) -> None:
-    """Write the CSV report of the verify.Diagnostics d to the open text file fh:
+    """Write the CSV report of the Diagnostics d to the open text file fh:
     a header, then one line per interior node, CSV_CHUNK_ROWS lines per format call."""
     fh.write(",".join(CSV_COLUMNS) + "\n")
     cols = [getattr(d, c) for c in CSV_COLUMNS]
@@ -109,10 +113,9 @@ def cmd_demo(scenario: Scenario) -> int:
           f"{'norm drift':>12s}")
     n = len(d.t)
     shown = sorted({*range(0, n, max(1, n // 10)), n - 1})   # about ten nodes and the last
-    drift = verify.norm_drift(d, scenario)
     for k in shown:
         print(f"{d.t[k]:8.4f}  {d.res_naive[k]:16.6e}  {d.res_corrected[k]:20.6e}  "
-              f"{drift[k]:12.3e}")
+              f"{d.norm_drift[k]:12.3e}")
     print()
     print(f"at t={d.t[-1]:.4f}: naive residual {d.res_naive[-1]:.4f}, "
           f"corrected residual {d.res_corrected[-1]:.3e}")

@@ -25,22 +25,25 @@ A Scenario checks itself when built, in code as from a file: its dim is
 theta's, its initial state defaults to e0, its schedules cover the grid, its
 hbar is a finite positive real number (kept as a float) and its tolerances
 are known keys with finite positive values. evolve walks the
-grid a block of steps at a time, keeps no node series and forms every
-per-node column of the report, among them the residuals of the central
-difference of U_R against H (positive as dt -> 0 whenever the metric moves)
-and against G (shrinking like dt^2); it refuses an initial state of no
-measurable physical norm once the first block is admitted, before any walk.
+grid a block of steps at a time, keeps no node series and fills the run's one
+record, Diagnostics, with every per-node column: among them the residuals of
+the central difference of U_R against H (positive as dt -> 0 whenever the
+metric moves) and against G (shrinking like dt^2), and the norm drift against
+the initial physical norm, the one evaluation of theta(t0) a run takes. It
+refuses an initial state of no measurable physical norm once the first block
+is admitted, before any walk.
 end_states walks one probe (u or U_corr) to the end of the grids of N, 2N,
 ... steps in one walk of the finest grid's blocks, whose stacks every coarser
 grid reads at its own half-times, every 2nd or 4th point; grid_blocks cuts
 the grids so that each block of a coarser grid's own walk is a run of the
 finest grid's blocks. Both admit each block as they go: validate_scenario
-gates the metric, in direct mode the quasi-Hermiticity of H at the nodes, and
-then _admit_h the Hermiticity of h and the stability of each walked grid's RK4
-step (gate_h), once per block. A refusal names
-the first failing time of the half-step grid that is actually run; when
-the one walk of end_states is refused, the grids are walked one at a time,
-coarsest first, so the refusal names the coarsest grid that fails.
+gates the metric, the given generator (h or H) on finite entries (the pair u
+probe, which roots no metric, gates h alone) and in direct mode the
+quasi-Hermiticity of H at the nodes; then _admit_h gates the Hermiticity of h
+and the stability of each walked grid's RK4 step (gate_h), once per block. A
+refusal names the first failing time of the half-step grid that is actually
+run; when the one walk of end_states is refused, the grids are walked one at
+a time, coarsest first, so the refusal names the coarsest grid that fails.
 """
 
 from __future__ import annotations
@@ -272,12 +275,11 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
     wi = os.omega_inv(ts, omega=w)
     rates = [wi[::k] @ w_dot for k, w_dot in zip(strides, w_dots)]
     del w_dots   # each is read once: free them before h and H are formed
-    if s.h is not None:
-        h = s.h(ts)
-        h_big = wi @ h @ w
+    given = _given_generator(s, ts)
+    if s.kind == "pair":
+        h, h_big = given, wi @ given @ w
     else:
-        h_big = s.h_big(ts)
-        h = w @ h_big @ wi
+        h, h_big = w @ given @ wi, given
     return [Operators(h[::k], h_big[::k], h_big[::k] - 1j * s.hbar * rate, w[::k], wi[::k], rate)
             for k, rate in zip(strides, rates)]
 
@@ -408,6 +410,13 @@ def _gate(what: str):
         raise ValidationError(f"{what} rejected: {e}") from e
 
 
+def _given_generator(s: Scenario, ts: np.ndarray) -> np.ndarray:
+    """s's given generator on the times ts, h in pair mode and H in direct mode;
+    an inf or nan entry is refused, naming the generator and the first such t."""
+    with _gate(f"{s.kind}-mode generator"):
+        return linalg.as_matrices((s.h if s.kind == "pair" else s.h_big)(ts), t=ts)
+
+
 def validate_scenario(s: Scenario, os: OmegaSchedule, blk, qh: np.ndarray | None = None,
                       strides=(1,)) -> tuple[list[Operators], np.ndarray]:
     """Admit the metric over one block of s's grid: its operator stacks on the
@@ -447,24 +456,27 @@ def _admit_h(s: Scenario, h: np.ndarray, blk) -> None:
         gate_h(h, blk, s.hbar, s.tol("eps_herm"))
 
 
-@dataclass
-class EvolutionResult:
-    """The report of one integrated scenario: one 1-D column per quantity, one
-    entry per grid node. res_naive and res_corrected are nan at both end nodes."""
-    scenario: Scenario
-    norms_phys: np.ndarray         # <U_R phi0 | theta | U_R phi0>
+class Diagnostics(NamedTuple):
+    """The report of one run: one 1-D column per quantity. evolve fills every
+    grid node (res_naive and res_corrected are nan at both ends), and
+    verify.diagnostics_from_result cuts all but omega_motion to the interior
+    nodes. The first seven are the CSV columns, in order."""
+    t: np.ndarray
     unitarity_defect: np.ndarray   # ||u^dagger u - I||_F
+    norm_phys: np.ndarray          # <U_R phi0 | theta | U_R phi0>
     res_naive: np.ndarray          # ||i hbar U_R' - H U_R||_F, U_R' a central difference
     res_corrected: np.ndarray      # ||i hbar U_R' - G U_R||_F
     res_metric: np.ndarray         # ||theta_recon - theta||_F / ||theta||_F
+    res_qh: np.ndarray             # quasi-Hermiticity residual of H against theta
+    norm_drift: np.ndarray         # |norm_phys / <phi0|theta(t0)|phi0> - 1|
     omega_motion: np.ndarray       # ||omega^-1 omega_dot||_F
-    qh_residual: np.ndarray        # quasi-Hermiticity residual of H against theta
     gap_naive: np.ndarray          # ||U_naive - U_R||_F, U_naive integrated from H
     gap_corrected: np.ndarray      # ||U_corr - U_R||_F, U_corr integrated from G
 
 
-def evolve(s: Scenario) -> EvolutionResult:
-    """Integrate s over its grid and form every per-node column in one half-grid pass.
+def evolve(s: Scenario) -> Diagnostics:
+    """Integrate s over its grid and form every column of its report, at every
+    node, in one half-grid pass.
 
     Each block is admitted as it is reached (validate_scenario), and only the
     columns outlive it: the next block starts from u, U_naive and U_corr at
@@ -472,19 +484,19 @@ def evolve(s: Scenario) -> EvolutionResult:
     failure raises ValidationError naming the first failing t of its block.
     """
     os = s.omega_schedule()
-    (norms, defect, res_naive, res_corrected, res_metric, omega_motion, qh,
-     gap_naive, gap_corrected) = (np.full(s.grid.steps + 1, np.nan) for _ in range(9))
+    d = Diagnostics(s.grid.times(), *(np.full(s.grid.steps + 1, np.nan)
+                                      for _ in Diagnostics._fields[1:]))
     u0 = naive0 = corr0 = None   # carried from the block before
     before = np.empty((0, s.dim, s.dim), dtype=complex)   # U_R at the node before it
 
     for blk in grid_blocks(s.grid, s.dim):
         nodes = slice(blk.first, blk.last + 1)
-        [ops], theta = validate_scenario(s, os, blk, qh[nodes])
+        [ops], theta = validate_scenario(s, os, blk, d.res_qh[nodes])
         _admit_h(s, ops.h, blk)
         if blk.first == 0:   # admitted: refuse a bad initial norm before any walk
             omega0, theta0 = ops.omega[0].copy(), theta[0].copy()
-            s.initial_norm(theta0)
-        omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
+            norm0 = s.initial_norm(theta0)
+        d.omega_motion[nodes] = linalg.fro_norms(ops.rate[::2])
         # only the node values of omega were needed: free the stacks
         ops = ops._replace(omega=None, rate=None)
         u = integrate_u(ops.h, blk, s.hbar, u0)
@@ -493,23 +505,23 @@ def evolve(s: Scenario) -> EvolutionResult:
         ur_corr = ur_from_corrected_generator(ops.gen, blk, s.hbar, corr0)
         theta_recon = metric_from_ur(ur, theta0, blk, s.tol("cond_max"))
         with np.errstate(over="ignore", invalid="ignore"):   # an RK4-unstable grid
-            defect[nodes] = linalg.fro_norms(linalg.dagger(u) @ u - np.eye(s.dim))
-        gap_naive[nodes] = linalg.fro_norms(ur_naive - ur)
-        gap_corrected[nodes] = linalg.fro_norms(ur_corr - ur)
+            d.unitarity_defect[nodes] = linalg.fro_norms(linalg.dagger(u) @ u - np.eye(s.dim))
+        d.gap_naive[nodes] = linalg.fro_norms(ur_naive - ur)
+        d.gap_corrected[nodes] = linalg.fro_norms(ur_corr - ur)
         states = np.einsum("kij,j->ki", ur, s.initial_state)   # reference-space kets U_R(t) phi0
-        norms[nodes] = np.einsum("ki,kij,kj->k", states.conj(), theta, states).real
-        res_metric[nodes] = linalg.fro_norms(theta_recon - theta) / linalg.fro_norms(theta)
+        d.norm_phys[nodes] = np.einsum("ki,kij,kj->k", states.conj(), theta, states).real
+        d.res_metric[nodes] = linalg.fro_norms(theta_recon - theta) / linalg.fro_norms(theta)
         # the block's nodes but its last (and node 0) have both neighbours in wide
         wide = np.concatenate((before, ur))
         p = slice(1 - before.shape[0], blk.steps)
         k, at_k = slice(blk.first + p.start, blk.last), slice(2 * p.start, 2 * p.stop, 2)
         lhs = 1j * s.hbar * (wide[2:] - wide[:-2]) / (2.0 * s.grid.spacing)
-        res_naive[k] = linalg.fro_norms(lhs - ops.h_big[at_k] @ ur[p])
-        res_corrected[k] = linalg.fro_norms(lhs - ops.gen[at_k] @ ur[p])
+        d.res_naive[k] = linalg.fro_norms(lhs - ops.h_big[at_k] @ ur[p])
+        d.res_corrected[k] = linalg.fro_norms(lhs - ops.gen[at_k] @ ur[p])
         u0, naive0, corr0, before = u[-1], ur_naive[-1], ur_corr[-1], ur[-2:-1]
 
-    return EvolutionResult(s, norms, defect, res_naive, res_corrected, res_metric,
-                           omega_motion, qh, gap_naive, gap_corrected)
+    d.norm_drift[:] = np.abs(d.norm_phys / norm0 - 1.0)
+    return d
 
 
 def end_states(s: Scenario, probe: str, levels: int = 1) -> list[np.ndarray]:
@@ -550,7 +562,7 @@ def _nested_end_states(s: Scenario, probe: str, levels: int) -> list[np.ndarray]
     walk = ur_from_corrected_generator if probe == "ur_corr" else integrate_u
     for blk in grid_blocks(s.grid, s.dim):
         if probe == "u" and s.kind == "pair":
-            h = s.h(blk.half_times())
+            h = _given_generator(s, blk.half_times())
             stacks = [h[::k] for k in strides]
         else:   # only the walked stacks outlive the admission
             ops, _ = validate_scenario(s, os, blk, strides=strides)

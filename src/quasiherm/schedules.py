@@ -143,9 +143,10 @@ class OperatorSchedule:
             raise ValueError("snapshot count must match snapshot times")
         spacing = float(dt[0])
         slopes = np.empty_like(mats)
-        slopes[1:-1] = (mats[2:] - mats[:-2]) / (2.0 * spacing)
-        slopes[0] = (-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) / (2.0 * spacing)
-        slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * spacing)
+        with np.errstate(over="ignore", invalid="ignore"):   # the finiteness gates refuse inf
+            slopes[1:-1] = (mats[2:] - mats[:-2]) / (2.0 * spacing)
+            slopes[0] = (-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) / (2.0 * spacing)
+            slopes[-1] = (3.0 * mats[-1] - 4.0 * mats[-2] + mats[-3]) / (2.0 * spacing)
 
         def interval(t):   # the snapshot interval of each time and the offset in it, in [0, 1]
             j = np.clip(((t - ts[0]) / spacing).astype(int), 0, ts.size - 2)

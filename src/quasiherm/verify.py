@@ -1,33 +1,22 @@
 """Diagnostics columns, pass/fail verdicts and convergence-order checks.
 
-evolve forms every per-node column; this module cuts them to the interior
-nodes and judges them. convergence_order reads the end states of the N, 2N
-and (without an oracle) 4N grids from dynamics.end_states, one walk of the
-finest grid that admits its blocks as evolve does.
+evolve fills the one record of a run, dynamics.Diagnostics (re-exported
+here); this module cuts its columns to the interior nodes and judges each
+by its maximum, with no matrix arithmetic. convergence_order reads the end
+states of the N, 2N and (without an oracle) 4N grids from
+dynamics.end_states, one walk of the finest grid that admits its blocks as
+evolve does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .dynamics import EvolutionResult, Scenario, end_states, evolve
+from .dynamics import Diagnostics, Scenario, end_states, evolve
 from .errors import NotMeasurable
-
-
-class Diagnostics(NamedTuple):
-    """The report columns of one run, one entry per interior grid node."""
-    t: np.ndarray
-    unitarity_defect: np.ndarray
-    norm_phys: np.ndarray
-    res_naive: np.ndarray
-    res_corrected: np.ndarray
-    res_metric: np.ndarray
-    res_qh: np.ndarray
-    omega_motion: np.ndarray   # not a CSV column: ||omega^-1 omega_dot|| at every node, ends included
 
 
 @dataclass(frozen=True)
@@ -39,13 +28,10 @@ class Verdict:
     sense: str = "<="   # ">=" for must-exceed checks
 
 
-def diagnostics_from_result(res: EvolutionResult) -> Diagnostics:
-    """The columns evolve formed, as views cut to the interior nodes; omega_motion
-    keeps every node."""
-    k = slice(1, res.scenario.grid.steps)
-    return Diagnostics(res.scenario.grid.times()[k], res.unitarity_defect[k],
-                       res.norms_phys[k], res.res_naive[k], res.res_corrected[k],
-                       res.res_metric[k], res.qh_residual[k], res.omega_motion)
+def diagnostics_from_result(res: Diagnostics) -> Diagnostics:
+    """evolve's report cut to the interior nodes, as views; omega_motion keeps
+    every node."""
+    return Diagnostics(*(c[1:-1] for c in res))._replace(omega_motion=res.omega_motion)
 
 
 def run_diagnostics(s: Scenario) -> Diagnostics:
@@ -57,18 +43,11 @@ def max_omega_motion(d: Diagnostics) -> float:
     return float(d.omega_motion.max())
 
 
-def norm_drift(d: Diagnostics, s: Scenario) -> np.ndarray:
-    """|norm_phys / <phi0|theta(t0)|phi0> - 1| at each interior node of s's run d."""
-    norm0 = s.initial_norm(s.theta(s.grid.times()[:1])[0])   # evolve refused a bad one
-    return np.abs(d.norm_phys / norm0 - 1.0)
-
-
 def verdicts(d: Diagnostics, s: Scenario) -> list[Verdict]:
     """Judge each column by its largest entry; a nan anywhere in a column is
     its maximum, so the verdict that reads it fails with observed = nan."""
-    drift = float(norm_drift(d, s).max())
-    max_metric, max_qh, max_corr, max_naive = (
-        float(c.max()) for c in (d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
+    drift, max_metric, max_qh, max_corr, max_naive = (float(c.max()) for c in (
+        d.norm_drift, d.res_metric, d.res_qh, d.res_corrected, d.res_naive))
 
     corr_key = "corrected_fd" if s.fd_omega_dot else "corrected_analytic"
     out = [Verdict(name, x <= s.tol(k), x, s.tol(k)) for name, x, k in (

@@ -137,19 +137,25 @@ def _csv_text(d):
     return fh.getvalue()
 
 
+def _report(*columns):
+    """A Diagnostics of the seven CSV columns given, every other column zero."""
+    rows = len(columns[0])
+    return verify.Diagnostics(*columns, norm_drift=np.zeros(rows),
+                              omega_motion=np.zeros(rows + 2), gap_naive=np.zeros(rows),
+                              gap_corrected=np.zeros(rows))
+
+
 def test_rows_to_csv_matches_per_cell_formatting(growing_diag):
     assert verify.Diagnostics._fields[:len(cli.CSV_COLUMNS)] == cli.CSV_COLUMNS
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
-    shifted = verify.Diagnostics(*(np.array([odd[(i + j) % 7] for i in range(7)])
-                                   for j in range(7)), omega_motion=np.zeros(9))
-    empty = verify.Diagnostics(*[np.empty(0)] * 7, omega_motion=np.zeros(2))
+    shifted = _report(*(np.array([odd[(i + j) % 7] for i in range(7)]) for j in range(7)))
+    empty = _report(*[np.empty(0)] * 7)
     # two full chunks of rows and part of a third, and exactly one chunk
     n = 2 * cli.CSV_CHUNK_ROWS + 3
     rng = np.random.default_rng(5)
-    long = verify.Diagnostics(*(rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
-                                for _ in range(7)), omega_motion=np.zeros(n + 2))
-    one_chunk = verify.Diagnostics(*(c[:cli.CSV_CHUNK_ROWS] for c in long[:7]),
-                                   omega_motion=np.zeros(2))
+    long = _report(*(rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+                     for _ in range(7)))
+    one_chunk = _report(*(c[:cli.CSV_CHUNK_ROWS] for c in long[:7]))
     for d in (growing_diag, shifted, empty, long, one_chunk):
         assert _csv_text(d) == _csv_per_cell(d)
 
@@ -157,8 +163,7 @@ def test_rows_to_csv_matches_per_cell_formatting(growing_diag):
 def test_rows_to_csv_heap_peak_stays_flat_at_1e5_rows(tmp_path):
     """The whole text of 1e5 rows is 13 MB; formatting it at once peaked at 48 MB."""
     n = 100_000
-    d = verify.Diagnostics(*(np.linspace(1.0, 2.0, n) * np.pi ** k for k in range(7)),
-                           omega_motion=np.zeros(n + 2))
+    d = _report(*(np.linspace(1.0, 2.0, n) * np.pi ** k for k in range(7)))
     with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="") as fh:
         tracemalloc.start()
         try:
@@ -222,6 +227,48 @@ def test_run_invalid_scenario_exit_3(tmp_path):
     bad.write_text('{"model": {"kind": "builtin", "name": "nope"}}')
     code = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("name, err", [
+    # undecodable bytes are malformed content, as a JSON syntax error is: exit 3
+    # with one error line that names the file, not a traceback and exit 1
+    ("not-utf-8", "line 1: scenario {path!r} is not UTF-8: invalid start byte at byte 0"),
+    # finite snapshots whose interpolant's slopes overflow: h is nan from t = 0
+    # on, refused there by name, with no warning on the way
+    ("h-slopes-overflow", "pair-mode generator rejected: matrix entries must be finite at t=0"),
+], ids=["not-utf-8", "h-slopes-overflow"])
+def test_a_gate_file_is_refused_by_name(tmp_path, capsys, name, err):
+    [(_, args)] = [case for case in _same_output().gate_cases(str(tmp_path))
+                   if case[0] == f"run {name}"]
+    code = cli.main(args + ["--out", str(tmp_path / "x.csv")])
+    assert (code, capsys.readouterr().err) == (3, f"error: {err.format(path=args[2])}\n")
+
+
+def test_run_and_demo_evaluate_theta_only_inside_evolve(monkeypatch, tmp_path, capsys):
+    """evolve measures the initial norm it gates: no layer after it evaluates
+    theta(t0) a second time."""
+    s = make_builtin("growing-metric-2d")
+    depth, inside, outside = [0], [], []
+    evolve, call = dynamics.evolve, OperatorSchedule.__call__
+
+    def counted_evolve(scenario):
+        depth[0] += 1
+        try:
+            return evolve(scenario)
+        finally:
+            depth[0] -= 1
+
+    def traced_call(sched, ts):
+        if sched is s.theta:
+            (inside if depth[0] else outside).append(ts)
+        return call(sched, ts)
+
+    for mod in (dynamics, verify):   # every module that binds evolve by name
+        monkeypatch.setattr(mod, "evolve", counted_evolve)
+    monkeypatch.setattr(OperatorSchedule, "__call__", traced_call)
+    assert cli.cmd_run(s, str(tmp_path / "x.csv")) == 0
+    assert cli.cmd_demo(s) == 0
+    assert inside and outside == []
 
 
 def test_demo_default_pattern(capsys):

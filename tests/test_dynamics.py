@@ -163,9 +163,10 @@ def test_metric_reconstruction_builtins(name):
 
 
 def test_norm_conservation_growing(growing_result):
-    norms = growing_result.norms_phys
+    norms = growing_result.norm_phys
     assert norms[0] == pytest.approx(1.0)
     assert np.max(np.abs(norms / norms[0] - 1.0)) <= 1e-8
+    assert growing_result.norm_drift.max() <= 1e-8
 
 
 def test_zero_initial_state_rejected():
@@ -183,7 +184,7 @@ def test_direct_mode_accepts_quasi_hermitian():
         h_big=OperatorSchedule.constant_matrix(h_big, (0, 1)),
         initial_state=np.array([1.0, 0.0]))
     res = evolve(s)
-    assert np.max(np.abs(res.norms_phys / res.norms_phys[0] - 1.0)) <= 1e-8
+    assert np.max(np.abs(res.norm_phys / res.norm_phys[0] - 1.0)) <= 1e-8
 
 
 def test_direct_mode_rejects_violation():
@@ -200,8 +201,7 @@ def test_direct_mode_rejects_violation():
 def test_evolution_deterministic():
     a = evolve(make_builtin("growing-metric-2d", steps=300))
     b = evolve(make_builtin("growing-metric-2d", steps=300))
-    for f in dataclasses.fields(a)[1:]:   # every column, after the scenario
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+    _columns_equal(a, b)
 
 
 def test_evolve_heap_peak_is_flat_in_the_steps(sampled_pair_text):
@@ -328,15 +328,11 @@ def test_blocks_cut_off_the_chunks_stay_within_rounding_of_the_whole_run():
                                rtol=0.0, atol=100 * np.finfo(float).eps), a
 
 
-def test_run_bits_do_not_depend_on_the_block_size(monkeypatch, growing_result):
-    s = growing_result.scenario
+def test_run_bits_do_not_depend_on_the_block_size(monkeypatch, growing, growing_result):
     monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", 1 << 9)   # 64 steps a block at d = 2
-    blocks = dynamics.grid_blocks(s.grid, s.dim)
+    blocks = dynamics.grid_blocks(growing.grid, growing.dim)
     assert len(blocks) > 1 and all(b.first % dynamics.SCAN_CHUNK == 0 for b in blocks)
-    res = evolve(s)
-    for f in dataclasses.fields(res)[1:]:
-        assert np.array_equal(getattr(res, f.name), getattr(growing_result, f.name),
-                              equal_nan=True), f.name
+    _columns_equal(evolve(growing), growing_result)
 
 
 def test_constant_generator_steps_like_a_varying_one():
@@ -386,9 +382,9 @@ def test_validate_names_first_non_positive_metric_time():
         evolve(s)
 
 
-def test_unitarity_defect_stays_at_rounding_level(growing_result):
+def test_unitarity_defect_stays_at_rounding_level(growing, growing_result):
     # a step map folded into (I + D) would repeat its rounding every step: ~2e-13
-    assert growing_result.scenario.grid.steps == 2000
+    assert growing.grid.steps == 2000 and len(growing_result.t) == 2001
     assert np.max(growing_result.unitarity_defect) <= 1e-14
 
 
@@ -439,6 +435,26 @@ def test_evolve_gates_a_scenario_never_admitted(case):
         evolve(s)
 
 
+def _broken_after_half(kind, bad):
+    """Theta = I on [0, 1], N = 200, and the given generator sigma_x, but every
+    entry bad (nan or inf) at t > 0.5: from the half-grid time 0.5025 on."""
+    gen = _closed(lambda ts: np.where((ts > 0.5)[:, None, None], bad, SIGMA_X))
+    return dataclasses.replace(_unadmitted(kind, gen=gen), grid=TimeGrid(0.0, 1.0, 200))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, name", [("h", "pair"), ("h_big", "direct")])
+@pytest.mark.parametrize("run", ["evolve", "u", "ur_corr"])
+def test_a_non_finite_generator_is_refused_with_its_name_and_t(kind, name, bad, run):
+    """Refused before any RK4-stability test (an inf would read as too large a
+    step) and before any walk: no probe returns nan, and no warning escapes."""
+    s = _broken_after_half(kind, bad)
+    check = evolve if run == "evolve" else lambda s: verify.convergence_order(s, run)
+    with pytest.raises(ValidationError, match=rf"^{name}-mode generator rejected: matrix "
+                                              r"entries must be finite at t=0\.5025$"):
+        check(s)
+
+
 def _count_matrices(monkeypatch, name):
     """Count the matrices passed to np.linalg.<name> from now on."""
     count = [0]
@@ -467,8 +483,8 @@ def test_one_metric_root_per_half_grid_point(monkeypatch, sampled_pair_text):
 
 
 def _columns_equal(a, b):
-    for f in dataclasses.fields(a)[1:]:   # every column, after the scenario
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True), f.name
+    for name, x, y in zip(a._fields, a, b):   # every column of the two records
+        assert np.array_equal(x, y, equal_nan=True), name
 
 
 @pytest.mark.parametrize("factor, blocks", [(4, 1), (0.5, 8), (2 ** -8, 151)])
@@ -648,7 +664,7 @@ def test_every_walked_block_passes_the_h_gate_once(monkeypatch, sampled_pair_tex
 @pytest.mark.parametrize("k", [-3, 7])
 @pytest.mark.parametrize("which", ["growing-metric-2d", "sampled pair"])
 def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(
-        growing_result, sampled_pair_text, which, k):
+        growing, growing_result, sampled_pair_text, which, k):
     """(hbar, h) -> (2^k hbar, 2^k h) leaves h/hbar, and so every propagator,
     bit for bit as it was: every column but the two generator residuals is
     unchanged, and those are multiplied by exactly 2^k. The sampled pair walks
@@ -659,14 +675,17 @@ def test_scaling_hbar_and_h_by_a_power_of_two_scales_only_the_residuals(
     although the propagators are the same: the units defect of the verdicts
     that ROADMAP item 3 addresses.
     """
-    base = (growing_result if which == "growing-metric-2d"
-            else evolve(scenario_io.parse_scenario(sampled_pair_text)))
-    s, c = base.scenario, 2.0 ** k
+    if which == "growing-metric-2d":
+        s, base = growing, growing_result
+    else:
+        s = scenario_io.parse_scenario(sampled_pair_text)
+        base = evolve(s)
+    c = 2.0 ** k
     h = OperatorSchedule(s.dim, s.h.span, lambda ts: c * s.h(ts),
                          lambda ts: c * s.h.derivative(ts))
     scaled = evolve(dataclasses.replace(s, hbar=c * s.hbar, h=h))
-    for col in ("norms_phys", "unitarity_defect", "res_metric", "omega_motion",
-                "qh_residual", "gap_naive", "gap_corrected"):
+    for col in ("t", "norm_phys", "unitarity_defect", "res_metric", "omega_motion",
+                "res_qh", "norm_drift", "gap_naive", "gap_corrected"):
         assert np.array_equal(getattr(scaled, col), getattr(base, col), equal_nan=True), col
     for col in ("res_naive", "res_corrected"):
         assert np.array_equal(getattr(scaled, col), c * getattr(base, col),

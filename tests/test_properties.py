@@ -225,3 +225,37 @@ def test_the_blocks_of_a_grid_nest_in_those_of_its_refinements(dim, n, entries):
             assert max(b.steps for b in blocks) <= max(q, entries / (2 * dim * dim))
             cuts[k] = {4 // k * b.first for b in blocks}
     assert cuts[1] <= cuts[4] and cuts[2] <= cuts[4]
+
+
+def _sampled_pair(dim, steps, seed):
+    """A seeded pair of dimension dim on [0, 1], built in code: h(t) = h0 + t a
+    and theta(t) = Om(t)^dagger Om(t), Om(t) = 3 I + Om0 + t Om1, sampled on 9
+    snapshots. ||h|| stays below 2 sqrt(2) / dt at 3 steps: every grid is stable."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(scale):
+        return scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    h0, a = gaussian(0.3), gaussian(0.1)
+    om0, om1 = 3.0 * np.eye(dim) + gaussian(0.2), gaussian(0.2)
+    times = np.linspace(0.0, 1.0, 9)
+    hs = [h0 + h0.conj().T + t * (a + a.conj().T) for t in times]
+    thetas = [(om0 + t * om1).conj().T @ (om0 + t * om1) for t in times]
+    return dynamics.Scenario(name="sampled pair", grid=TimeGrid(0.0, 1.0, steps),
+                             theta=schedules.OperatorSchedule.sampled(times, thetas),
+                             h=schedules.OperatorSchedule.sampled(times, hs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(3, 700), st.integers(8, 18))
+def test_every_field_of_a_run_is_that_of_its_one_block_run(dim, n, log_entries):
+    """However BLOCK_ENTRIES cuts the grid, evolve's record has the bits of the
+    walk of the whole grid as one block, norm_drift included."""
+    s = _sampled_pair(dim, n, seed=dim)
+    with mock.patch.object(dynamics, "BLOCK_ENTRIES", 1 << 40):
+        assert len(dynamics.grid_blocks(s.grid, dim)) == 1
+        whole = dynamics.evolve(s)
+    with mock.patch.object(dynamics, "BLOCK_ENTRIES", 1 << log_entries):
+        cut = dynamics.evolve(s)
+    for name, x, y in zip(cut._fields, cut, whole):
+        assert np.array_equal(x, y, equal_nan=True), name

@@ -17,7 +17,9 @@ from quasiherm.verify import convergence_order, run_diagnostics, verdicts
 
 def test_rows_cover_interior_nodes(growing, growing_diag):
     n = growing.grid.steps
-    assert [len(c) for c in growing_diag] == [n - 1] * 7 + [n + 1]   # motion at every node
+    lengths = dict(zip(growing_diag._fields, map(len, growing_diag)))
+    assert lengths == {**dict.fromkeys(growing_diag._fields, n - 1),
+                       "omega_motion": n + 1}   # motion at every node
     dt = growing.grid.spacing
     assert growing_diag.t[0] == pytest.approx(dt)
     assert growing_diag.t[-1] == pytest.approx(1.0 - dt)
@@ -72,7 +74,7 @@ def test_naive_verdict_sense(builtin_diag):
 
 
 @pytest.mark.parametrize("column, verdict", [
-    ("norm_phys", "NORM_CONSERVED"), ("res_metric", "METRIC_RECONSTRUCTED"),
+    ("norm_drift", "NORM_CONSERVED"), ("res_metric", "METRIC_RECONSTRUCTED"),
     ("res_qh", "QH_HOLDS"), ("res_corrected", "CORRECTED_GENERATOR_OK"),
     ("res_naive", "NAIVE_FAILS_IFF_METRIC_MOVES"),
     ("omega_motion", "NAIVE_FAILS_IFF_METRIC_MOVES")])
@@ -237,11 +239,11 @@ def test_max_omega_motion_read_off_the_rows(sampled_pair_text, which, fd_omega_d
     assert motion > 0.1
 
 
-def _two_pass_columns(res):
-    """The CSV columns formed in two walks: the first stores u, U_R, theta, the
-    reconstructed theta, H and G at every node, block by block from the public
-    primitives, and the second takes every column from the stored series."""
-    s = res.scenario
+def _two_pass_columns(s, res):
+    """The CSV columns and the norm drift of s formed in two walks: the first
+    stores u, U_R, theta, the reconstructed theta, H and G at every node, block
+    by block from the public primitives, and the second takes every column from
+    the stored series. The quasi-Hermiticity residual is evolve's record res."""
     grid = s.grid
     os = s.omega_schedule()
     shape = (grid.steps + 1, s.dim, s.dim)
@@ -261,6 +263,7 @@ def _two_pass_columns(res):
         gen_series[nodes] = ops.gen[::2]
     states = np.einsum("kij,j->ki", ur, s.initial_state)
     norms = np.einsum("ki,kij,kj->k", states.conj(), theta, states).real
+    drift = np.abs(norms / s.initial_norm(theta[0]) - 1.0)
     defect = linalg.fro_norms(linalg.dagger(u) @ u - np.eye(s.dim))
     blocks = []
     for blk in dynamics.grid_blocks(grid, s.dim):
@@ -274,7 +277,8 @@ def _two_pass_columns(res):
             linalg.fro_norms(lhs - h_big_series[k] @ ur[k]),
             linalg.fro_norms(lhs - gen_series[k] @ ur[k]),
             linalg.fro_norms(theta_recon[k] - theta[k]) / linalg.fro_norms(theta[k]),
-            res.qh_residual[k],
+            res.res_qh[k],
+            drift[k],
         ))
     return [np.concatenate(c) for c in zip(*blocks)], ur
 
@@ -322,8 +326,8 @@ def test_one_pass_columns_match_the_two_pass_rows(sampled_pair_text, which):
         assert len(dynamics.grid_blocks(s.grid, s.dim)) == 4
     res = dynamics.evolve(s)
     d = verify.diagnostics_from_result(res)
-    columns, ur = _two_pass_columns(res)
-    assert all(map(np.array_equal, d[:7], columns))
+    columns, ur = _two_pass_columns(s, res)
+    assert all(map(np.array_equal, d[:8], columns))
     # a stacked matmul may round a longer stack differently: the walks agree to rounding
     for gap, whole in zip((res.gap_naive, res.gap_corrected), _whole_grid_gaps(s, ur)):
         assert np.allclose(gap, whole, rtol=0.0, atol=100 * np.finfo(float).eps)
