@@ -30,8 +30,10 @@ directory of its own:
   overflow, and a file that is not UTF-8;
 * ``quasiherm run`` on three sampled pair files whose omega_dot rows at the
   grid's ends once hung on rounding or on the metric's span, on a d = 3
-  pair file without ``initial_state`` and on a d = 6 pair file whose finest
-  convergence grid is walked in several blocks (EDGE_FILES);
+  pair file without ``initial_state``, on a d = 4 sampled pair file (the d = 3
+  and d = 4 files lie on either side of ``linalg.SMALL_DIM``, where products
+  change from rank-one updates to ``np.matmul``) and on a d = 6 pair file whose
+  finest convergence grid is walked in several blocks (EDGE_FILES);
 * ``quasiherm demo`` on the four builtins, and ``quasiherm list``;
 * ``verify.convergence_order`` with both probes on the four builtins at 250
   steps, on the benchmark's convergence-d8 files, the EDGE_FILES and every
@@ -46,7 +48,7 @@ difference is printed; the exit code is 1 if there is any, 0 if not. Two
 CSVs with the same header and row count are compared number by number: for
 each column that differs, the count of rows that differ, the largest
 |new - base| / |base| (inf where a value turned nan or left zero) and the t of
-its row. Other differences are shown as the first lines of a text diff.
+its row, and the largest |new - base|. Other differences are shown as the first lines of a text diff.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ def _sampled_pair(dim, steps, seed):
 # on the first two grids, a span test in floating point once gave node 1 (the
 # first) or node N - 1 (the second) a one-sided omega_dot row; on the third the
 # metric's span is wider than the grid's. The fourth, a d = 3 pair, gives no
-# initial_state, so it starts from e0 of theta's size. The fifth, a d = 6 pair,
+# initial_state, so it starts from e0 of theta's size. The fifth, a d = 4 pair,
+# is the least d whose products are np.matmul's (linalg.SMALL_DIM = 3), next to
+# the fourth on the other side. The sixth, a d = 6 pair,
 # is converged on grids of 200, 400 and 800 steps that all take the scan walk;
 # the one walk of the 800-step grid is cut into blocks of 256 steps, so the
 # coarser two grids' scans stay chunk-aligned only if those cuts are.
@@ -207,6 +211,7 @@ EDGE_FILES = {
         "theta": {"times": [0.0, 0.25, 0.5, 0.75, 1.0], "snapshots": [
             [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1 + t, 0], [0, 0]],
              [[0, 0], [0, 0], [1 + t * t, 0]]] for t in (0.0, 0.25, 0.5, 0.75, 1.0)]}}},
+    "pair-4d-sampled": _sampled_pair(4, 200, 4),
     "pair-6d-cut-finest-grid": _sampled_pair(6, 200, 6),
 }
 # gate file -> the flags it is run with besides none
@@ -301,8 +306,11 @@ def csv_differences(base: str, new: str) -> list[str] | None:
                 rel = np.abs(y[rows, j] - x[rows, j]) / np.abs(x[rows, j])
             rel[np.isnan(rel)] = np.inf
             k = int(np.argmax(rel))
+            with np.errstate(invalid="ignore"):   # inf - inf where a value stayed inf
+                gap = np.nanmax(np.abs(y[rows, j] - x[rows, j]), initial=0.0)
             out.append(f"{name}: {rows.size} rows differ, largest |new - base| / |base| "
-                       f"{rel[k]:.3g} at {a[0][0]}={a[rows[k] + 1][0]}")
+                       f"{rel[k]:.3g} at {a[0][0]}={a[rows[k] + 1][0]}, "
+                       f"largest |new - base| {gap:.3g}")
     return out
 
 

@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition, principal square roots, gated inverses and
-the Frobenius norm that every residual in the package is measured in.
+Stacked matrix products, Hermitian eigendecomposition, principal square
+roots, gated inverses and the Frobenius norm that every residual in the
+package is measured in.
 The decompositions and gates take one d x d matrix or a stack of them,
 shape (n, d, d); a gate on a stack checks every matrix and raises for the
 first one that fails, naming its time when the caller passes the stack's
@@ -20,6 +21,16 @@ is uncertain by about d eps cond relative, so the certificate admits no
 matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
 cond_max is: near 1/eps the SVD alone decides.
 
+Every stacked product of the package goes through ``matmul``. numpy's
+``np.matmul`` makes one BLAS call per matrix of a stack, so for tiny
+matrices its cost is call overhead, not arithmetic. For d <= SMALL_DIM
+``matmul`` forms a @ b over the whole stack as d rank-one updates, one
+broadcast multiply and add per k; above it is ``np.matmul``. Measured on a
+stack of 2001 complex matrices with one BLAS thread (numpy 2.4, 2-core
+x86-64 host), ``np.matmul`` against the rank-one updates: d = 2, 458 against
+91 us; d = 3, 513 against 235 us; d = 4, 501 against 498 us (even); d = 6,
+559 against 1673 us.
+
 The norms come from plain sums of squares. Where they overflow, the
 certificate does not hold. It needs no floor where squares underflow:
 ||A||_F ||X||_F >= ||AX||_F >= 1/2, so a norm small enough to lose
@@ -37,6 +48,8 @@ import numpy as np
 
 from .errors import IllConditioned, NotFinite, NotHermitian, NotPositiveDefinite
 
+# Largest d whose stacked products are formed as rank-one updates (matmul).
+SMALL_DIM = 3
 EPS_HERM = 1e-10
 EPS_POS = 1e-10
 COND_MAX = 1e8
@@ -104,6 +117,35 @@ def _plain_norms(m) -> np.ndarray:
     with np.errstate(over="ignore"):
         return np.sqrt(np.einsum("...ij,...ij->...", m.real, m.real)
                        + np.einsum("...ij,...ij->...", m.imag, m.imag))
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for arrays of matrices (ndim >= 2), broadcast over the leading axes
+    as np.matmul broadcasts them, written to out when it is given.
+
+    When no matrix has more than SMALL_DIM rows or columns, the product is the
+    sum over k of the rank-one updates a[..., :, k] b[..., k, :], added in
+    order of k, each an elementwise multiply over the whole stack; otherwise it
+    is np.matmul, bit for bit. Each entry is then an inner product of d terms
+    summed in one order, so it is within gamma_(d+2) (|a||b|)_ij of the exact
+    one, as np.matmul's is (Higham, Accuracy and Stability, section 3.6). An
+    out that may share memory with a or b is refused (ValueError): the updates
+    would read entries they have overwritten.
+    """
+    if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
+        raise ValueError("out must not share memory with an input")
+    d = a.shape[-1]
+    if max(d, a.shape[-2], b.shape[-1]) > SMALL_DIM:
+        return np.matmul(a, b, out=out)
+    if b.shape[-2] != d:
+        raise ValueError(f"matmul: inner dimensions differ, {a.shape} and {b.shape}")
+    prod = np.multiply(a[..., :1], b[..., :1, :], out=out)
+    if d > 1:
+        term = np.empty_like(prod)
+        for k in range(1, d):
+            np.multiply(a[..., k:k + 1], b[..., k:k + 1, :], out=term)
+            prod += term
+    return prod
 
 
 def dagger(a) -> np.ndarray:
@@ -181,7 +223,7 @@ def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
     eig = eig_hermitian(a, eps_herm, t)
     w, v = eig.eigenvalues, eig.eigenvectors
     _check_spectrum(w, eps_pos, t)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return matmul(v * np.sqrt(w)[..., None, :], dagger(v))
 
 
 def cond_2norm(a):
@@ -200,7 +242,9 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     since then cond_2(a) <= ||a||_2 ||X||_2 / (1 - r) <= 2 ||a||_F ||X||_F.
     r is the computed residual plus (d + 2)^2 eps ||a||_F ||X||_F, which
     bounds the rounding of the product aX (|fl(aX) - aX| <= gamma_(d+2)
-    |a||X| entrywise, and || |a||X| ||_F <= ||a||_F ||X||_F) and of the sum
+    |a||X| entrywise, for any order in which each entry's d terms are
+    summed, so for matmul's rank-one updates as for BLAS, and
+    || |a||X| ||_F <= ||a||_F ||X||_F) and of the sum
     of its d^2 squares (||aX||_F >= 1/2 when r <= 1/2). Above
     2 ||a||_F ||X||_F = 1/(16 (d + 2)^2 eps) nothing is certified, because
     there the SVD's cond, which the gate must reproduce, is itself only
@@ -226,7 +270,7 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     else:
         d = m.shape[-1]
         xs = x.reshape(stack.shape)
-        residual = stack @ xs
+        residual = matmul(stack, xs)
         residual -= np.eye(d)
         with np.errstate(over="ignore", invalid="ignore"):   # inf * 0: not certified
             norms = _plain_norms(stack) * _plain_norms(xs)

@@ -141,6 +141,6 @@ def quasi_hermiticity_defect(h_mat, theta):
     """
     th = linalg.as_matrices(theta)
     hm = linalg.as_matrices(h_mat)
-    th_hm = th @ hm
-    num = th_hm - linalg.dagger(hm) @ th
+    th_hm = linalg.matmul(th, hm)
+    num = th_hm - linalg.matmul(linalg.dagger(hm), th)
     return linalg.fro_norms(num) / np.maximum(linalg.fro_norms(th_hm), _TINY)

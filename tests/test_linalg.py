@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasiherm import linalg
 from quasiherm.errors import IllConditioned, NotHermitian, NotPositiveDefinite
@@ -256,3 +259,65 @@ def test_positive_definite_gate_agrees_with_principal_sqrt(rng, bad):
         linalg.principal_sqrt(a, t=ts)
     assert exc.value.t == ts[2]
     linalg.principal_sqrt(a[:2], t=ts[:2])
+
+
+# --- the stacked product ---
+
+_U = np.finfo(float).eps / 2   # unit roundoff
+
+
+def _gamma(n):
+    return n * _U / (1 - n * _U)
+
+
+# 0, or of magnitude 2^-20 to 2^20: no product of two entries underflows
+_ENTRY = st.floats(-2.0 ** 20, 2.0 ** 20, allow_subnormal=False).map(
+    lambda x: x if abs(x) >= 2.0 ** -20 else 0.0)
+
+
+def _complex_arrays(shape):
+    return st.tuples(*(arrays(np.float64, shape, elements=_ENTRY) for _ in range(2))).map(
+        lambda p: p[0] + 1j * p[1])
+
+
+PRODUCT_SHAPES = {   # name -> (n, d) -> (a's shape, b's shape)
+    "stacks": lambda n, d: ((n, d, d), (n, d, d)),
+    "stack times one matrix": lambda n, d: ((n, d, d), (d, d)),
+    "one matrix times stack": lambda n, d: ((d, d), (n, d, d)),
+    "scan nodes": lambda n, d: ((n, 5, d, d), (n, 1, d, d)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matmul_agrees_with_numpy_within_the_inner_product_bound(data):
+    """Entrywise within 2 gamma_(d+2) (|a||b|)_ij of np.matmul, each being within
+    gamma_(d+2) of the exact product (Higham, Accuracy and Stability, section 3.6);
+    np.matmul's bits above SMALL_DIM; into a strided out, the same bits."""
+    d, n = data.draw(st.integers(1, 5), label="d"), data.draw(st.integers(0, 6), label="n")
+    shape_a, shape_b = PRODUCT_SHAPES[data.draw(st.sampled_from(sorted(PRODUCT_SHAPES)))](n, d)
+    a, b = data.draw(_complex_arrays(shape_a)), data.draw(_complex_arrays(shape_b))
+    ref = np.matmul(a, b)
+    got = linalg.matmul(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    if d > linalg.SMALL_DIM:
+        assert np.array_equal(got, ref)
+    else:
+        assert (np.abs(got - ref) <= 2 * _gamma(d + 2) * (np.abs(a) @ np.abs(b))).all()
+    out = np.full(ref.shape[:-1] + (2 * d,), np.nan, dtype=complex)[..., ::2]
+    assert linalg.matmul(a, b, out=out) is out
+    assert np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("alias", ["a", "b", "a reversed", "b transposed"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_matmul_refuses_an_out_that_shares_memory_with_an_input(d, alias):
+    """On either side of SMALL_DIM: the rank-one updates would read what they
+    have overwritten."""
+    a = np.arange(3 * d * d, dtype=complex).reshape(3, d, d)
+    b = a[::-1].copy()
+    out = {"a": a, "b": b, "a reversed": a[::-1], "b transposed": np.swapaxes(b, -1, -2)}[alias]
+    before = (a.copy(), b.copy())
+    with pytest.raises(ValueError, match="share memory"):
+        linalg.matmul(a, b, out=out)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])

@@ -243,7 +243,8 @@ def _two_pass_columns(s, res):
     """The CSV columns and the norm drift of s formed in two walks: the first
     stores u, U_R, theta, the reconstructed theta, H and G at every node, block
     by block from the public primitives, and the second takes every column from
-    the stored series. The quasi-Hermiticity residual is evolve's record res."""
+    the stored series, forming its products with linalg.matmul as evolve does.
+    The quasi-Hermiticity residual is evolve's record res."""
     grid = s.grid
     os = s.omega_schedule()
     shape = (grid.steps + 1, s.dim, s.dim)
@@ -264,7 +265,7 @@ def _two_pass_columns(s, res):
     states = np.einsum("kij,j->ki", ur, s.initial_state)
     norms = np.einsum("ki,kij,kj->k", states.conj(), theta, states).real
     drift = np.abs(norms / s.initial_norm(theta[0]) - 1.0)
-    defect = linalg.fro_norms(linalg.dagger(u) @ u - np.eye(s.dim))
+    defect = linalg.fro_norms(linalg.matmul(linalg.dagger(u), u) - np.eye(s.dim))
     blocks = []
     for blk in dynamics.grid_blocks(grid, s.dim):
         k = slice(max(blk.first, 1), blk.last)
@@ -274,8 +275,8 @@ def _two_pass_columns(s, res):
             grid.times()[k],
             defect[k],
             norms[k],
-            linalg.fro_norms(lhs - h_big_series[k] @ ur[k]),
-            linalg.fro_norms(lhs - gen_series[k] @ ur[k]),
+            linalg.fro_norms(lhs - linalg.matmul(h_big_series[k], ur[k])),
+            linalg.fro_norms(lhs - linalg.matmul(gen_series[k], ur[k])),
             linalg.fro_norms(theta_recon[k] - theta[k]) / linalg.fro_norms(theta[k]),
             res.res_qh[k],
             drift[k],
@@ -426,3 +427,31 @@ def test_corrected_generator_is_not_an_observable_builtins(name, hbar):
 def test_corrected_generator_is_not_an_observable_rotating_frame(d, seed):
     """The same identity under the rotating frame's moving metric (at most 3.1e-15 at N = 200)."""
     assert _observable_defect(_rotating_frame(d, 200, seed)) <= 1e-13
+
+
+@pytest.mark.parametrize("which", builtin_names() + ["rotating-frame-3d"])
+def test_the_small_matrix_product_moves_every_column_by_rounding_only(monkeypatch, which):
+    """Every column of a d <= SMALL_DIM run, with its products as rank-one
+    updates and with every product np.matmul's (SMALL_DIM = 0), agrees within
+    1e-14 absolute, and every verdict passes or fails alike. The central
+    differences res_naive and res_corrected divide a change of U_R by
+    2 dt / hbar: they agree within 1e-14 hbar / (2 dt). (At N = 2000, with
+    hbar / (2 dt) = 1000, they moved by at most 6.3e-13 and every other column
+    by at most 1.6e-15.) The rotating frame's draw fails CORRECTED_GENERATOR_OK
+    both ways."""
+    s = _rotating_frame(3, 2000, seed=2) if which == "rotating-frame-3d" else make_builtin(which)
+    assert s.dim <= linalg.SMALL_DIM
+    rank_one = evolve(s)
+    monkeypatch.setattr(linalg, "SMALL_DIM", 0)
+    blas = evolve(s)
+    # the two are not the same product
+    assert not all(np.array_equal(x, y, equal_nan=True) for x, y in zip(rank_one, blas))
+    wide = {"res_naive", "res_corrected"}
+    for name, x, y in zip(rank_one._fields, rank_one, blas):
+        bound = 1e-14 * (s.hbar / (2.0 * s.grid.spacing) if name in wide else 1.0)
+        assert np.array_equal(np.isnan(x), np.isnan(y)), name
+        assert np.nanmax(np.abs(x - y), initial=0.0) <= bound, name
+    passed = [[v.passed for v in verdicts(verify.diagnostics_from_result(r), s)]
+              for r in (rank_one, blas)]
+    assert passed[0] == passed[1]
+    assert (which == "rotating-frame-3d") == (not all(passed[0]))
