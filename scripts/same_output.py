@@ -24,7 +24,10 @@ directory of its own:
   whose metric or propagator would overflow, and a sampled metric on two
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
-  integer) or negative, a ``dimension`` that is not theta's, a metric
+  integer) or negative, an ``hbar`` given as the string ``"1"``, as ``-1``
+  or as JSON ``NaN`` and an ``initial_state`` with a JSON ``NaN`` entry (each
+  refused when its Scenario is built, with the text that the same Scenario
+  built in code gets), a ``dimension`` that is not theta's, a metric
   refused both at a half-time that only the finest grid of convergence_order
   has and, later, on every grid, a sampled h whose interpolant's slopes
   overflow, and a file that is not UTF-8;
@@ -126,6 +129,12 @@ GATE_FILES = {
     # tolerances are refused as given: a JSON integer 0 is named as 0, not 0.0
     "tolerance-integer-zero": {"model": _BUILTIN, "tolerances": {"qh": 0}},
     "negative-naive-floor": {"model": _BUILTIN, "tolerances": {"naive_floor": -1e-3}},
+    # hbar is checked as a tolerance is, and initial_state's entries must be finite
+    "hbar-string": {"model": _BUILTIN, "hbar": "1"},
+    "hbar-negative": {"model": _BUILTIN, "hbar": -1},
+    "hbar-nan": '{"model": ' + json.dumps(_BUILTIN) + ', "hbar": NaN}',
+    "initial-state-nan-entry": ('{"model": ' + json.dumps(_BUILTIN)
+                                + ', "initial_state": [[1, 0], [NaN, 0]]}'),
     "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,
                                                       "theta": _EYE}},
     # h snapshots alternating +-1e308 are finite, but the slopes of their

@@ -23,25 +23,21 @@ step by step.
 
 Every product over a stack (the step maps, the scan's partial products and
 nodes, U_R from its definition, the reconstructed metric, H, omega^-1
-omega_dot and the residuals) is linalg.matmul: for d <= linalg.SMALL_DIM = 3
-d rank-one updates over the whole stack, not one BLAS call per matrix. On a
-stack of 2001 complex 2x2 matrices that took 91 us against np.matmul's 458
-us, at d = 3 235 against 513 us, and at d = 4 the two were even (498 and 501
-us, one BLAS thread, 2-core x86-64 host). The walk over single matrices
-(_walk: the chunk starts, the tail and the step-by-step walk) keeps
-np.matmul, where the extra ufunc calls would not pay.
+omega_dot and the residuals) is linalg.matmul, whose timings linalg gives;
+the walk over single matrices (_walk: the chunk starts, the tail and the
+step-by-step walk) keeps np.matmul, where the extra ufunc calls would not pay.
 
 A Scenario checks itself when built, in code as from a file: its dim is
-theta's, its initial state defaults to e0, its schedules cover the grid, its
-hbar is a finite positive real number (kept as a float) and its tolerances
-are known keys with finite positive values. evolve walks the
-grid a block of steps at a time, keeps no node series and fills the run's one
-record, Diagnostics, with every per-node column: among them the residuals of
-the central difference of U_R against H (positive as dt -> 0 whenever the
-metric moves) and against G (shrinking like dt^2), and the norm drift against
-the initial physical norm, the one evaluation of theta(t0) a run takes. It
-refuses an initial state of no measurable physical norm once the first block
-is admitted, before any walk.
+theta's, its initial state defaults to e0 and has finite entries, its
+schedules cover the grid, its hbar is a finite positive real number (kept as
+a float) and its tolerances are known keys with finite positive values.
+evolve walks the grid a block of steps at a time, keeps no node series and
+fills the run's one record, Diagnostics, with every per-node column: among
+them the residuals of the central difference of U_R against H (positive as
+dt -> 0 whenever the metric moves) and against G (shrinking like dt^2), and
+the norm drift against the initial physical norm, the one evaluation of
+theta(t0) a run takes. It refuses an initial state of no measurable physical
+norm once the first block is admitted, before any walk.
 end_states walks one probe (u or U_corr) to the end of the grids of N, 2N,
 ... steps in one walk of the finest grid's blocks, whose stacks every coarser
 grid reads at its own half-times, every 2nd or 4th point; grid_blocks cuts
@@ -298,6 +294,19 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
             for k, rate in zip(strides, rates)]
 
 
+def _finite_positive(what: str, value) -> float:
+    """value as a float if it is a finite positive real number, not a bool; else a
+    ValidationError naming what and the value as given (a JSON 0 reads 0, not 0.0)."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"expected a number, got {json.dumps(value, default=repr)}")
+        if not (np.isfinite(float(value)) and value > 0):   # Overflow: a huge int
+            raise ValueError(f"expected a finite positive number, got {value}")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"bad {what}: {e}") from None
+    return float(value)
+
+
 @dataclass
 class Scenario:
     """Full problem description for one run, checked when it is built.
@@ -320,27 +329,14 @@ class Scenario:
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
-        if isinstance(self.hbar, bool) or not isinstance(self.hbar, numbers.Real):
-            raise ValidationError("hbar must be a finite positive number, got "
-                                  + json.dumps(self.hbar, default=repr))
-        try:
-            self.hbar = float(self.hbar)
-        except OverflowError:   # an int too large for a double
-            self.hbar = np.inf
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise ValidationError(f"hbar must be a finite positive number, got {self.hbar:g}")
-        for key, value in self.tolerances.items():   # as given: a JSON 0 reads 0, not 0.0
-            try:
-                if key not in DEFAULT_TOLERANCES:
-                    raise ValueError("not a known tolerance "
-                                     f"(known: {', '.join(DEFAULT_TOLERANCES)})")
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise TypeError(f"expected a number, got {json.dumps(value, default=repr)}")
-                if not (np.isfinite(float(value)) and value > 0):   # Overflow: a huge int
-                    raise ValueError(f"expected a finite positive number, got {value!r}")
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ValidationError(f"bad tolerances.{key}: {e}") from None
-        self.tolerances = {key: float(value) for key, value in self.tolerances.items()}
+        self.hbar = _finite_positive("hbar", self.hbar)
+        tolerances = {}
+        for key, value in self.tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ValidationError(f"bad tolerances.{key}: not a known tolerance "
+                                      f"(known: {', '.join(DEFAULT_TOLERANCES)})")
+            tolerances[key] = _finite_positive(f"tolerances.{key}", value)
+        self.tolerances = tolerances
         ends = np.array([self.grid.t_start, self.grid.t_end])
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
             if sched is None:
@@ -354,6 +350,8 @@ class Scenario:
                 raise ValidationError(f"{what} does not cover the grid: {e}") from None
         v = np.asarray(np.eye(self.dim)[0] if self.initial_state is None
                        else self.initial_state, dtype=complex)
+        if not np.isfinite(v).all():
+            raise ValidationError("bad initial_state: vector entries must be finite")
         if v.shape != (self.dim,):
             raise ValidationError(f"initial_state has shape {v.shape}, "
                                   f"dimension is {self.dim}")

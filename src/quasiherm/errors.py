@@ -5,40 +5,39 @@ class QuasihermError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(QuasihermError):
-    def __init__(self, defect: float, t: float | None = None):
-        self.defect = defect
+class LocatedError(QuasihermError):
+    """A refused matrix: the message reads "matrix <what>[ at t=<t>]<detail>",
+    naming the matrix's time t only when it is given."""
+    def __init__(self, what: str, t: float | None, detail: str = ""):
         self.t = t
         loc = "" if t is None else f" at t={t:g}"
-        super().__init__(f"matrix is not Hermitian{loc} (defect {defect:.3e})")
+        super().__init__(f"matrix {what}{loc}{detail}")
 
 
-class NotPositiveDefinite(QuasihermError):
+class NotHermitian(LocatedError):
+    def __init__(self, defect: float, t: float | None = None):
+        self.defect = defect
+        super().__init__("is not Hermitian", t, f" (defect {defect:.3e})")
+
+
+class NotPositiveDefinite(LocatedError):
     def __init__(self, lambda_min: float, lambda_max: float, t: float | None = None):
         self.lambda_min = lambda_min
         self.lambda_max = lambda_max
-        self.t = t
-        loc = "" if t is None else f" at t={t:g}"
-        super().__init__(
-            f"matrix is not positive definite{loc} "
-            f"(lambda_min={lambda_min:.6g}, lambda_max={lambda_max:.6g})"
-        )
+        super().__init__("is not positive definite", t,
+                         f" (lambda_min={lambda_min:.6g}, lambda_max={lambda_max:.6g})")
 
 
-class IllConditioned(QuasihermError):
+class IllConditioned(LocatedError):
     def __init__(self, cond: float, t: float | None = None):
         self.cond = cond
-        self.t = t
-        loc = "" if t is None else f" at t={t:g}"
-        super().__init__(f"matrix is ill-conditioned{loc} (cond={cond:.3e})")
+        super().__init__("is ill-conditioned", t, f" (cond={cond:.3e})")
 
 
-class NotFinite(QuasihermError, ValueError):
+class NotFinite(LocatedError, ValueError):
     """A matrix entry is inf or nan: given so, or overflowed in the arithmetic."""
     def __init__(self, t: float | None = None):
-        self.t = t
-        loc = "" if t is None else f" at t={t:g}"
-        super().__init__(f"matrix entries must be finite{loc}")
+        super().__init__("entries must be finite", t)
 
 
 class SpaceMismatch(QuasihermError):

@@ -18,8 +18,9 @@ A <schedule> is either a constant matrix or a sampled schedule
 
 parse_scenario converts JSON numbers and matrices and checks "dimension"
 against theta, whose size is Scenario.dim; the Scenario checks the rest as
-for one built in code: an absent initial_state is e0, and the tolerances,
-passed on as given, must be known keys with finite positive values.
+for one built in code: an absent initial_state is e0, hbar, passed on as
+given, must be a finite positive number, and so must the tolerances, whose
+keys must be known.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def parse_scenario(text: str) -> Scenario:
             _convert("time.end", _finite, time.get("end", 1.0)))
     steps = _convert("time.steps", _integer, time.get("steps", models.DEFAULT_STEPS))
     grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
-    hbar = _convert("hbar", lambda v: float(_number(v)), obj.get("hbar", 1.0))
-    tolerances = _section(obj, "tolerances")   # Scenario checks keys and values
+    hbar = obj.get("hbar", 1.0)   # Scenario checks hbar and the tolerances' keys and values
+    tolerances = _section(obj, "tolerances")
     initial = obj.get("initial_state")
     initial_state = (None if initial is None
                      else _convert("initial_state", linalg.vector_from_pairs, initial))

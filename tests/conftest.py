@@ -41,8 +41,13 @@ def rng():
     return np.random.default_rng(20260823)
 
 
-def _pairs(m):
-    return [[[z.real, z.imag] for z in row] for row in m]
+def pairs(m):
+    """A vector, a matrix or a nest of them as the [re, im] pairs a scenario file
+    holds; test modules import it (from conftest import pairs)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in m]
+    return [pairs(row) for row in m]
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +71,7 @@ def sampled_pair_text():
         "time": {"start": 0.0, "end": 1.0, "steps": 600},
         "model": {"kind": "pair",
                   "h": {"times": times.tolist(),
-                        "snapshots": [_pairs(h0 + t * a) for t in times]},
+                        "snapshots": [pairs(h0 + t * a) for t in times]},
                   "theta": {"times": times.tolist(),
-                            "snapshots": [_pairs(om.conj().T @ om) for om in oms]}},
+                            "snapshots": [pairs(om.conj().T @ om) for om in oms]}},
     })

@@ -16,16 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import pairs
 from quasiherm import cli, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _pairs(m):
-    m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [_pairs(row) for row in m]
 
 
 def _write_pair_file(path, steps):
@@ -39,13 +33,13 @@ def _write_pair_file(path, steps):
     thetas, hs = [], []
     for t in times:
         om = om0 + t * om1
-        thetas.append(_pairs(om.conj().T @ om))
-        hs.append(_pairs(h0 + t * np.diag([1.0, 0.0, -1.0])))
+        thetas.append(pairs(om.conj().T @ om))
+        hs.append(pairs(h0 + t * np.diag([1.0, 0.0, -1.0])))
     doc = {"dimension": 3, "time": {"start": 0.0, "end": 1.0, "steps": steps},
            "model": {"kind": "pair",
                      "h": {"times": list(times), "snapshots": hs},
                      "theta": {"times": list(times), "snapshots": thetas}},
-           "initial_state": _pairs([1.0, 0.0, 0.0])}
+           "initial_state": pairs([1.0, 0.0, 0.0])}
     path.write_text(json.dumps(doc))
     return str(path)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import pairs
 from quasiherm import cli, dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.errors import ParseError, QuasihermError, ValidationError
 from quasiherm.schedules import OperatorSchedule, TimeGrid
@@ -419,14 +420,48 @@ def test_a_bad_tolerance_is_refused_in_code_as_in_a_file(tmp_path, capsys, key, 
 
 def test_hbar_in_code_is_checked_as_a_tolerance_is():
     """A finite positive real number, not a bool, stored as a float; anything
-    else is a ValidationError (a file's hbar is refused while it is parsed)."""
+    else is a ValidationError with the text a tolerance gets. Scenario checks it
+    when built, for a file's hbar as for one set in code."""
     base = make_builtin("growing-metric-2d")
-    for hbar, shown in ((True, "true"), ("1", '"1"'), (10**400, "inf"), (-1, "-1"),
-                        (math.nan, "nan")):
+    for hbar, why in ((True, "expected a number, got true"),
+                      ("1", 'expected a number, got "1"'),
+                      (10**400, "int too large to convert to float"),
+                      (-1, "expected a finite positive number, got -1"),
+                      (np.float64(-1), "expected a finite positive number, got -1.0"),
+                      (math.nan, "expected a finite positive number, got nan")):
         with pytest.raises(ValidationError) as exc:
             dataclasses.replace(base, hbar=hbar)
-        assert str(exc.value) == f"hbar must be a finite positive number, got {shown}"
+        assert str(exc.value) == f"bad hbar: {why}"
     assert type(dataclasses.replace(base, hbar=2).hbar) is float
+
+
+# name -> (the value in code, its JSON text)
+_BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0"),
+                "negative": (-1, "-1"), "inf": (math.inf, "1e999"), "nan": (math.nan, "NaN"),
+                "huge-int": (10**400, "1" + 400 * "0")}
+
+
+@pytest.mark.parametrize("field, kwargs, text", [
+    *[pytest.param("hbar", {"hbar": v}, f'"hbar": {t}', id=f"hbar-{name}")
+      for name, (v, t) in _BAD_SCALARS.items()],
+    *[pytest.param("tolerances.qh", {"tolerances": {"qh": v}}, f'"tolerances": {{"qh": {t}}}',
+                   id=f"qh-{name}") for name, (v, t) in _BAD_SCALARS.items()],
+    pytest.param("initial_state", {"initial_state": np.array([math.nan, 0])},
+                 '"initial_state": [[NaN, 0], [0, 0]]', id="initial-state-nan"),
+    pytest.param("initial_state", {"initial_state": np.array([1, complex(0, math.inf)])},
+                 '"initial_state": [[1, 0], [0, 1e999]]', id="initial-state-inf"),
+])
+def test_a_file_and_code_refuse_a_bad_value_with_one_text(tmp_path, capsys, field, kwargs,
+                                                          text):
+    """A scenario file and the same Scenario built in code are refused when built,
+    with one text that names the field, and the file ends in exit 3."""
+    with pytest.raises(ValidationError) as exc:
+        make_builtin("growing-metric-2d", **kwargs)
+    assert str(exc.value).startswith(f"bad {field}: ")
+    path = tmp_path / "scenario.json"
+    path.write_text('{"model": {"kind": "builtin", "name": "growing-metric-2d"}, ' + text + "}")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 @pytest.mark.parametrize("doc, err", [
@@ -443,11 +478,6 @@ def test_a_dimension_that_disagrees_is_refused_naming_both_sizes(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
-def _pairs(m):
-    """A real matrix as the nest of [re, im] pairs a scenario file holds."""
-    return [[[float(x), 0.0] for x in row] for row in m]
-
-
 def test_a_scenario_without_initial_state_starts_from_e0_of_thetas_size(tmp_path):
     """Built in code as read from a file: no initial_state is e0, and the
     dimension is theta's."""
@@ -459,7 +489,7 @@ def test_a_scenario_without_initial_state_starts_from_e0_of_thetas_size(tmp_path
     assert s.initial_state.dtype == complex and np.array_equal(s.initial_state, [1, 0, 0])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"dimension": 3, "time": {"steps": 50}, "model": {
-        "kind": "pair", "h": _pairs(np.ones((3, 3))), "theta": _pairs(theta)}}))
+        "kind": "pair", "h": pairs(np.ones((3, 3))), "theta": pairs(theta)}}))
     read = cli.load_scenario(str(path))
     assert np.array_equal(read.initial_state, s.initial_state)
     assert np.array_equal(verify.run_diagnostics(read).norm_phys,

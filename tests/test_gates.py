@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairs
 from quasiherm import cli, linalg
 from quasiherm.errors import IllConditioned
 
@@ -154,13 +155,6 @@ def test_inverse_counts_the_rounding_of_the_residual(rng, monkeypatch):
     assert seen == [1]
 
 
-def _pairs(m):
-    m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [_pairs(row) for row in m]
-
-
 def test_sampled_pair_run_takes_no_svd_and_no_eigvalsh(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(3)
     times = np.linspace(0.0, 1.0, 5)
@@ -170,9 +164,9 @@ def test_sampled_pair_run_takes_no_svd_and_no_eigvalsh(tmp_path, monkeypatch, ca
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({
         "dimension": 3, "time": {"steps": 500},
-        "model": {"kind": "pair", "h": _pairs(h0 + h0.conj().T),
+        "model": {"kind": "pair", "h": pairs(h0 + h0.conj().T),
                   "theta": {"times": list(times),
-                            "snapshots": [_pairs((om0 + t * om1).conj().T @ (om0 + t * om1))
+                            "snapshots": [pairs((om0 + t * om1).conj().T @ (om0 + t * om1))
                                           for t in times]}}}))
     svd_matrices, eigvalsh_calls, cond_calls = [], [], []
     svd, cond_2norm = np.linalg.svd, linalg.cond_2norm

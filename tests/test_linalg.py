@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quasiherm import linalg
-from quasiherm.errors import IllConditioned, NotHermitian, NotPositiveDefinite
+from quasiherm.errors import IllConditioned, NotFinite, NotHermitian, NotPositiveDefinite
 
 SQ3 = np.sqrt(3.0)
 
@@ -321,3 +321,22 @@ def test_matmul_refuses_an_out_that_shares_memory_with_an_input(d, alias):
     with pytest.raises(ValueError, match="share memory"):
         linalg.matmul(a, b, out=out)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+@pytest.mark.parametrize("err, t, text", [
+    (NotHermitian(1.5e-3), None, "matrix is not Hermitian (defect 1.500e-03)"),
+    (NotHermitian(1.5e-3, t=0.25), 0.25, "matrix is not Hermitian at t=0.25 (defect 1.500e-03)"),
+    (NotPositiveDefinite(-0.5, 2.0), None,
+     "matrix is not positive definite (lambda_min=-0.5, lambda_max=2)"),
+    (NotPositiveDefinite(-0.5, 2.0, t=0.4), 0.4,
+     "matrix is not positive definite at t=0.4 (lambda_min=-0.5, lambda_max=2)"),
+    (IllConditioned(1e13), None, "matrix is ill-conditioned (cond=1.000e+13)"),
+    (IllConditioned(1e13, t=1e-7), 1e-7, "matrix is ill-conditioned at t=1e-07 (cond=1.000e+13)"),
+    (NotFinite(), None, "matrix entries must be finite"),
+    (NotFinite(t=5e298), 5e298, "matrix entries must be finite at t=5e+298"),
+], ids=[f"{name}{at}" for name in ("hermitian", "positive", "cond", "finite")
+        for at in ("", "-at-t")])
+def test_a_located_error_names_its_time_only_when_given(err, t, text):
+    assert str(err) == text and err.args == (text,)
+    assert err.t == t
+    assert isinstance(err, ValueError) == isinstance(err, NotFinite)
