@@ -17,7 +17,9 @@ directory of its own:
 * ``quasiherm run`` on the scenario files the benchmark generates for each
   workload (``perfbench/scenarios.generate``) at seeds 1 and 2;
 * ``quasiherm run`` on files that the admission gates refuse: a metric that
-  is not positive definite, an ill-conditioned root, a direct-mode generator
+  is not positive definite, an ill-conditioned root (at t = 0 for d = 2, and at
+  an interior t for d = 4, past admitted roots that the certificate of
+  ``linalg.inverse`` misses), a direct-mode generator
   that is not quasi-Hermitian (also run with ``--steps 300``), entries too
   large for a double or given as JSON bools, grids on which RK4 is unstable
   (two of them for spectra that a column bound on ||h||_2 would miss), runs
@@ -89,6 +91,11 @@ for probe in ("u", "ur_corr"):
 _SIGMA_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 _EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 _BUILTIN = {"kind": "builtin", "name": "growing-metric-2d"}
+
+
+def _pairs(m):
+    """A matrix as a scenario file gives it: [re, im] pairs, row by row."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 # name -> scenario file (a JSON document, its text or its bytes); every one of
 # them ends in exit 3
@@ -169,6 +176,28 @@ def metric_dips_off_the_coarse_grids(steps):
 GATE_FILES["metric-dips-off-the-coarse-grids"] = metric_dips_off_the_coarse_grids(2100)
 
 
+def ill_conditioned_mid_span():
+    """A d = 4 sampled pair file with cond_max 50, whose roots are inverted on
+    the np.matmul side of linalg.SMALL_DIM. theta(t) = R diag(1, 2, 3, q(t)) R,
+    R = I - J/2 (J all ones) a reflection, and q(t) = 0.01 - 0.0396 t (1 - t),
+    a quadratic that the interpolant reproduces: lambda_min/lambda_max = q/3 is
+    1/300 at both ends and 1/30000 at t = 0.5. cond(omega) = sqrt(3/q) is 17.3
+    at t = 0 and passes 50 near t = 1/3, the interior t that the refusal names.
+    The certificate 2 ||omega||_F ||omega^-1||_F <= 50 holds at t = 0 (49.5) and
+    fails from about t = 0.006 on, so cond_2norm admits the roots between."""
+    r = np.eye(4) - 0.5
+    times = np.linspace(0.0, 1.0, 9)
+    h = np.eye(4, k=1) + np.eye(4, k=-1)
+    return {"dimension": 4, "time": {"steps": 100}, "tolerances": {"cond_max": 50},
+            "model": {"kind": "pair", "h": _pairs(h), "theta": {
+                "times": times.tolist(), "snapshots": [
+                    _pairs(r @ np.diag([1.0, 2.0, 3.0, 0.01 - 0.0396 * t * (1 - t)]) @ r)
+                    for t in times]}}}
+
+
+GATE_FILES["ill-conditioned-mid-span"] = ill_conditioned_mid_span()
+
+
 def _moving_pair(start, end, steps, snapshots_span=None):
     """A d = 2 pair file: h = sigma_x and theta(t) = diag(1, 1 + t^2) + 0.1 t sigma_x
     on 9 snapshots over snapshots_span (the grid's span by default)."""
@@ -186,18 +215,15 @@ def _sampled_pair(dim, steps, seed):
     def gaussian(scale):
         return scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
-    def pairs(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
     h0, a = gaussian(1.0), gaussian(0.1)
     om0, om1 = 3.0 * np.eye(dim) + gaussian(0.2), gaussian(0.2)
     times = np.linspace(0.0, 1.0, 9)
     oms = [om0 + t * om1 for t in times]
     return {"dimension": dim, "time": {"steps": steps}, "model": {"kind": "pair",
         "h": {"times": times.tolist(),
-              "snapshots": [pairs(h0 + h0.conj().T + t * (a + a.conj().T)) for t in times]},
+              "snapshots": [_pairs(h0 + h0.conj().T + t * (a + a.conj().T)) for t in times]},
         "theta": {"times": times.tolist(),
-                  "snapshots": [pairs(om.conj().T @ om) for om in oms]}}}
+                  "snapshots": [_pairs(om.conj().T @ om) for om in oms]}}}
 
 
 # name -> scenario file that the gates admit, each run and converged as it is:

@@ -10,7 +10,11 @@ from the corrected generator G = H - i hbar omega^-1 omega_dot.
 Every operator is evaluated once per point of the half-step grid, as a
 stack: theta, omega, omega^-1, omega^-1 omega_dot, h, H and G. omega and
 omega_dot come from the one OmegaSchedule of a walk (on_block), which alone
-decides which metric roots each block takes. The integrators take
+decides which metric roots each block takes. A root's inverse is not a
+second factorization: on_block hands out X = V diag(1/sqrt(lambda)) V^dagger
+from the eigendecomposition that took the root, and linalg.inverse admits it
+by the certificate that holds for any X (falling back, matrix by matrix,
+to inv and the SVD where it does not certify). The integrators take
 their generator as that stack, never as a function of t. Because the ODEs are
 linear, one RK4 step is a matrix map u -> u + D u with D a polynomial in
 the generator at t, t + dt/2 and t + dt; D is formed for all steps at
@@ -277,12 +281,13 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
                         strides=(1,)) -> list[Operators]:
     """The operator stacks on every stride-th point of blk's half grid, one
     Operators per stride. Each operator is evaluated once per time: a stride's
-    h, H, omega and omega^-1 are views of the stacks on every point. omega and
-    each stride's own omega_dot come from os.on_block (os the omega schedule
-    of blk's grid, which roots each point of a walk once)."""
+    h, H, omega and omega^-1 are views of the stacks on every point. The roots
+    (omega and the X that os.omega_inv certifies as omega^-1) and each
+    stride's own omega_dot come from os.on_block (os the omega schedule of
+    blk's grid, which roots each point of a walk once)."""
     ts = blk.half_times()
-    w, *w_dots = os.on_block(blk, strides)
-    wi = os.omega_inv(ts, omega=w)
+    roots, *w_dots = os.on_block(blk, strides)
+    w, wi = roots[0], os.omega_inv(ts, roots)
     rates = [linalg.matmul(wi[::k], w_dot) for k, w_dot in zip(strides, w_dots)]
     del w_dots   # each is read once: free them before h and H are formed
     given = _given_generator(s, ts)
@@ -294,12 +299,21 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
             for k, rate in zip(strides, rates)]
 
 
+def _shown(value) -> str:
+    """value as its JSON text, as a file gives it (a JSON 0 reads 0, not 0.0), or
+    by its repr where JSON cannot encode it (a code-built array or complex)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _finite_positive(what: str, value) -> float:
     """value as a float if it is a finite positive real number, not a bool; else a
-    ValidationError naming what and the value as given (a JSON 0 reads 0, not 0.0)."""
+    ValidationError naming what and the value as given (_shown)."""
     try:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"expected a number, got {json.dumps(value, default=repr)}")
+            raise TypeError(f"expected a number, got {_shown(value)}")
         if not (np.isfinite(float(value)) and value > 0):   # Overflow: a huge int
             raise ValueError(f"expected a finite positive number, got {value}")
     except (TypeError, ValueError, OverflowError) as e:

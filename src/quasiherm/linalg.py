@@ -10,14 +10,19 @@ times as ``t``.
 
 The inverse is gated certificate first: it tries a cheap certificate that
 the gate passes, and falls back to the exact spectral test only where it
-fails. With X = inv(A) as computed and r = ||AX - I||_F <= 1/2,
+fails. For any X with r = ||AX - I||_F <= 1/2,
 cond_2(A) <= ||A||_2 ||X||_2 / (1 - ||I - AX||_2) <= 2 ||A||_F ||X||_F,
-however inaccurate X is. The r that counts is the computed one plus its
-rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F. A matrix with
-2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the others (and
-every stack on which inv fails) go to ``cond_2norm``, and a matrix that
-inv cannot invert is refused whatever its cond. The SVD's own cond
-is uncertain by about d eps cond relative, so the certificate admits no
+however inaccurate X is (Higham, Accuracy and Stability, section 3.6 and
+chapter 14). So X need not be inv(A): ``principal_sqrt`` hands out the
+inverse of each root from the same eigendecomposition,
+V diag(1/sqrt(lambda)) V^dagger, and ``inverse`` certifies that candidate
+instead of inverting the root a second time; a matrix whose candidate
+misses is inverted by inv, alone, as without one. The r that counts is the
+computed one plus its rounding error, at most (d + 2)^2 eps ||A||_F ||X||_F.
+A matrix with 2 ||A||_F ||X||_F <= cond_max is admitted without an SVD; the
+others (and every stack on which inv fails) go to ``cond_2norm``, and a
+matrix that inv cannot invert is refused whatever its cond. The SVD's own
+cond is uncertain by about d eps cond relative, so the certificate admits no
 matrix with 2 ||A||_F ||X||_F above 1/(16 (d + 2)^2 eps), whatever
 cond_max is: near 1/eps the SVD alone decides.
 
@@ -215,15 +220,22 @@ def _check_spectrum(w, eps_pos: float, t) -> None:
 
 
 def principal_sqrt(a, eps_herm: float = EPS_HERM, eps_pos: float = EPS_POS,
-                   t=None) -> np.ndarray:
-    """Unique Hermitian positive-definite S with S @ S == a.
+                   t=None, inverse: bool = False):
+    """Unique Hermitian positive-definite S with S @ S == a; with inverse=True
+    the pair (S, X), X = V diag(1/sqrt(lambda)) V^dagger the inverse of S from
+    the same eigendecomposition, a candidate for ``inverse`` to certify.
 
     Positivity gate is relative: lambda_min must exceed eps_pos * lambda_max.
     """
     eig = eig_hermitian(a, eps_herm, t)
     w, v = eig.eigenvalues, eig.eigenvectors
     _check_spectrum(w, eps_pos, t)
-    return matmul(v * np.sqrt(w)[..., None, :], dagger(v))
+    root, vh = np.sqrt(w)[..., None, :], dagger(v)
+    scaled = v * root
+    s = matmul(scaled, vh)
+    if not inverse:
+        return s
+    return s, matmul(np.divide(v, root, out=scaled), vh)   # X reuses the scaled-V buffer
 
 
 def cond_2norm(a):
@@ -234,12 +246,45 @@ def cond_2norm(a):
     return float(c) if c.ndim == 0 else c
 
 
-def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
+def _uncertified(stack, xs, cond_max: float) -> np.ndarray:
+    """A flag per matrix of stack that xs, its candidate inverse, does not
+    certify: not both r <= 1/2 and 2 ||a||_F ||X||_F <= min(cond_max, the ceiling)."""
+    d = stack.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0: not certified
+        residual = matmul(stack, xs)
+        residual -= np.eye(d)
+        norms = _plain_norms(stack) * _plain_norms(xs)
+        r = _plain_norms(residual) + (d + 2) ** 2 * _EPS * norms
+        ceiling = min(cond_max, 1.0 / (16 * (d + 2) ** 2 * _EPS))
+        return ~((r <= 0.5) & (2.0 * norms <= ceiling))
+
+
+def _inv(stack, cond_max: float):
+    """(X, singular, undecided) for a stack: X = inv(stack) as computed, matrix
+    by matrix where inv refuses the stack (singular flags the matrices it
+    cannot invert), and undecided the matrices X does not certify (all of
+    them where inv refused the stack)."""
+    try:
+        x = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:   # inv refuses the stack: invert matrix by matrix
+        x = np.zeros_like(stack)
+        singular = np.zeros(len(stack), dtype=bool)
+        for k, mk in enumerate(stack):
+            try:
+                x[k] = np.linalg.inv(mk)
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return x, singular, np.ones(len(stack), dtype=bool)
+    return x, np.zeros(len(stack), dtype=bool), _uncertified(stack, x, cond_max)
+
+
+def inverse(a, cond_max: float = COND_MAX, t=None, candidate=None) -> np.ndarray:
     """Matrix inverse, refused above a condition-number ceiling.
 
-    Certificate first: X = inv(a) is computed, and a matrix with
-    r = ||aX - I||_F <= 1/2 and 2 ||a||_F ||X||_F <= cond_max is admitted,
-    since then cond_2(a) <= ||a||_2 ||X||_2 / (1 - r) <= 2 ||a||_F ||X||_F.
+    Certificate first: for X = candidate when given, else X = inv(a) as
+    computed, a matrix with r = ||aX - I||_F <= 1/2 and
+    2 ||a||_F ||X||_F <= cond_max is admitted, since then, for any X,
+    cond_2(a) <= ||a||_2 ||X||_2 / (1 - r) <= 2 ||a||_F ||X||_F.
     r is the computed residual plus (d + 2)^2 eps ||a||_F ||X||_F, which
     bounds the rounding of the product aX (|fl(aX) - aX| <= gamma_(d+2)
     |a||X| entrywise, for any order in which each entry's d terms are
@@ -251,37 +296,36 @@ def inverse(a, cond_max: float = COND_MAX, t=None) -> np.ndarray:
     known to about d eps cond relative. The others, and the whole stack
     when inv fails on it, have their condition number taken by cond_2norm,
     which decides and names the first refusal; a matrix inv cannot invert
-    is refused whatever its cond. The result is inv(a) as computed.
+    is refused whatever its cond.
+
+    The certificate vouches for the decision, not for X's accuracy: a
+    candidate must be the inverse of a to working accuracy, as the X of
+    principal_sqrt is. Each matrix is decided alone: its inverse is its
+    candidate where that certifies, else inv's as computed, which the
+    certificate and then cond_2norm decide as without a candidate. So no
+    matrix's inverse depends on the others in the stack, no certified matrix
+    can have an SVD cond above cond_max, and a refusal is the one without a
+    candidate. A candidate that certifies every matrix is the result, uncopied.
     """
     m = as_matrices(a, t)
     stack = m.reshape((-1,) + m.shape[-2:])
-    singular = np.zeros(len(stack), dtype=bool)
-    try:
-        x = np.linalg.inv(m)
-    except np.linalg.LinAlgError:   # inv refuses the stack: invert matrix by matrix
-        x = np.zeros_like(stack)
-        for k, mk in enumerate(stack):
-            try:
-                x[k] = np.linalg.inv(mk)
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        x = x.reshape(m.shape)
-        undecided = np.ones(len(stack), dtype=bool)
+    if candidate is None:
+        x, singular, undecided = _inv(stack, cond_max)
     else:
-        d = m.shape[-1]
-        xs = x.reshape(stack.shape)
-        residual = matmul(stack, xs)
-        residual -= np.eye(d)
-        with np.errstate(over="ignore", invalid="ignore"):   # inf * 0: not certified
-            norms = _plain_norms(stack) * _plain_norms(xs)
-            r = _plain_norms(residual) + (d + 2) ** 2 * _EPS * norms
-            ceiling = min(cond_max, 1.0 / (16 * (d + 2) ** 2 * _EPS))
-            undecided = ~((r <= 0.5) & (2.0 * norms <= ceiling))
+        x = np.asarray(candidate, dtype=complex)
+        if x.shape != m.shape:
+            raise ValueError(f"candidate inverse has shape {x.shape}, not {m.shape}")
+        x = x.reshape(stack.shape)
+        missed = _uncertified(stack, x, cond_max)
+        singular, undecided = np.zeros_like(missed), missed.copy()
+        if missed.any():   # inv and its certificate on those matrices alone
+            x = x.copy()
+            x[missed], singular[missed], undecided[missed] = _inv(stack[missed], cond_max)
     c = np.atleast_1d(cond_2norm(stack[undecided]))   # an empty stack when all are certified
     k = _first_failure(~(c <= cond_max) | singular[undecided])
     if k is not None:
         raise IllConditioned(float(c[k]), t=_at(t, np.flatnonzero(undecided)[k]))
-    return x
+    return x.reshape(m.shape)
 
 
 # --- [re, im] pair encoding used by scenario files and fixtures ---

@@ -5,6 +5,9 @@ closed form, a fixed matrix (constant_matrix), or the cubic Hermite
 interpolant of uniform snapshots with its exact derivative (sampled). The
 omega schedule of a grid serves omega, its inverse and its time derivative
 from a metric schedule, with a finite-difference fallback for the derivative.
+A root's inverse comes from the eigendecomposition that takes the root,
+X = V diag(1/sqrt(lambda)) V^dagger, and linalg.inverse certifies it as it
+would certify inv(omega).
 
 Every evaluator takes a 1-D array of times and returns a stack of shape
 (n, d, d), one matrix per time: closed forms, the analytic omega, omega_dot
@@ -17,10 +20,10 @@ clipped to the grid. A walk that also serves the coarser grids of every 2nd
 or 4th point (stride 2 or 4) widens the window to 4 x stride points a side, and
 omega_dot takes each grid's difference at its own spacing from every
 stride-th point of the same window. OmegaSchedule.on_block roots each point
-of the window once, at its own half-time, and keeps the roots that the next
-block reads back (the seam); the central rows are two slices of the window,
-and only the first two and last two points of each grid's half grid take
-the one-sided rule.
+of the window once, at its own half-time, and keeps the roots, each with its
+X, that the next block reads back (the seam); the central rows are two
+slices of the window, and only the first two and last two points of each
+grid's half grid take the one-sided rule.
 """
 
 from __future__ import annotations
@@ -201,8 +204,9 @@ class OmegaSchedule:
     of a 1-D array of times that returns a stack. omega_dot or omega_inv may
     be None: the derivative is then a central difference of omega on the
     grid's own half-times, taken on a block of the grid (on_block), and the
-    inverse the gated inverse of omega. Each method takes a 1-D array of
-    times and returns a stack, like the schedules.
+    inverse the gated inverse of omega, which linalg.inverse certifies from
+    each root's own X (see omega). Each method takes a 1-D array of times and
+    returns a stack, like the schedules.
     """
 
     def __init__(self, theta_schedule: OperatorSchedule, grid: TimeGrid,
@@ -214,19 +218,25 @@ class OmegaSchedule:
         self._eps_herm = eps_herm
         self._eps_pos = eps_pos
         self._cond_max = cond_max
-        self._seam = (0, None)   # (j, roots): omega at the half-grid indices j, j + 1, ...
+        self._seam = (0, None)   # (j, roots): self.omega at the half-grid indices j, j + 1, ...
 
-    def omega(self, ts: np.ndarray) -> np.ndarray:
+    def omega(self, ts: np.ndarray) -> tuple:
+        """The roots (omega, X) at the times ts: X = V diag(1/sqrt(lambda)) V^dagger,
+        the inverse of each root from the eigendecomposition that takes it, for
+        omega_inv to certify; X is None where omega is analytic."""
         if self._omega_fn is not None:
-            return self._omega_fn(ts)
-        return linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts)
+            return self._omega_fn(ts), None
+        return linalg.principal_sqrt(self.theta(ts), self._eps_herm, self._eps_pos, t=ts,
+                                     inverse=True)
 
-    def omega_inv(self, ts: np.ndarray, omega=None) -> np.ndarray:
-        """omega^-1 at the times ts; pass omega = self.omega(ts) if it is already at hand."""
+    def omega_inv(self, ts: np.ndarray, roots=None) -> np.ndarray:
+        """omega^-1 at the times ts: the analytic form if given, else
+        linalg.inverse of omega with X as its candidate, from roots =
+        self.omega(ts) (pass roots if they are at hand, as on_block gives them)."""
         if self._omega_inv_fn is not None:
             return self._omega_inv_fn(ts)
-        w = self.omega(ts) if omega is None else omega
-        return linalg.inverse(w, self._cond_max, t=ts)
+        w, x = self.omega(ts) if roots is None else roots
+        return linalg.inverse(w, self._cond_max, t=ts, candidate=x)
 
     def omega_dot(self, ts: np.ndarray, window=None, lead=0, stride=1) -> np.ndarray:
         """d/dt omega at the times ts, on the grid of every stride-th point of
@@ -265,32 +275,41 @@ class OmegaSchedule:
         out /= 2.0 * ((g.t_end - g.t_start) / steps)   # that grid's spacing, as TimeGrid's
         return out
 
-    def on_block(self, blk: GridBlock, strides=(1,)) -> tuple[np.ndarray, ...]:
-        """(omega, omega_dot, ...) on the half grid of blk, a block of this
-        schedule's grid: omega_dot once per stride, on every stride-th point
+    def on_block(self, blk: GridBlock, strides=(1,)) -> tuple:
+        """(roots, omega_dot, ...) on the half grid of blk, a block of this
+        schedule's grid: roots the pair (omega, X) as omega gives it, for
+        omega_inv, and omega_dot once per stride, on every stride-th point
         (omega_dot's stride).
 
         omega is taken on a window of the grid's half-times: blk's points
         and, for a central difference, the 2r = 4 points of the grid of the
         widest stride on either side, 4 * max(strides) of this grid's. The roots
-        kept around the last node of the block before (the seam) serve a
-        window that starts among them, as the next block of a walk does, and
-        only the points they lack are taken, in one call (none if they lack
-        none); any other block takes its whole window. So a walk takes each
-        point once, and no answer depends on the blocks asked for before.
+        kept around the last node of the block before (the seam), each with its
+        X, serve a window that starts among them, as the next block of a walk
+        does, and only the points they lack are taken, in one call (none if
+        they lack none); any other block takes its whole window. So a walk takes
+        each point once, and no answer depends on the blocks asked for before.
         """
         if blk.grid != self.grid:
             raise ValueError("the block is not a block of this schedule's grid")
         hts = self.grid.half_times()
         reach = 0 if self._omega_dot_fn is not None else 2 * _R * max(strides)
         lo, hi = max(0, 2 * blk.first - reach), min(hts.size, 2 * blk.last + 1 + reach)
-        j, roots = self._seam
-        kept = roots[lo - j:hi - j] if roots is not None and j <= lo < j + len(roots) else None
-        n = 0 if kept is None else len(kept)
-        new = self.omega(hts[lo + n:hi]) if lo + n < hi else kept[:0]   # no call for no point
-        window = new if kept is None else np.concatenate((kept, new))
+        j, kept = self._seam
+        in_seam = kept is not None and j <= lo < j + len(kept[0])
+        kept = _each(lambda a: a[lo - j:hi - j], kept) if in_seam else None
+        n = 0 if kept is None else len(kept[0])
+        new = (self.omega(hts[lo + n:hi]) if lo + n < hi
+               else _each(lambda a: a[:0], kept))   # no call for no point
+        window = new if kept is None else _each(lambda a, b: np.concatenate((a, b)), kept, new)
         keep = max(lo, 2 * blk.last - reach)
-        self._seam = (keep, window[keep - lo:].copy())
+        self._seam = (keep, _each(lambda a: a[keep - lo:].copy(), window))
         ts, lead = blk.half_times(), 2 * blk.first - lo
-        return (window[lead:lead + ts.size],
-                *(self.omega_dot(ts[::k], window, lead, k) for k in strides))
+        return (_each(lambda a: a[lead:lead + ts.size], window),
+                *(self.omega_dot(ts[::k], window[0], lead, k) for k in strides))
+
+
+def _each(f, *roots):
+    """f across the stacks of (omega, X) pairs, stack by stack; X stays None
+    where omega is analytic."""
+    return tuple(None if stacks[0] is None else f(*stacks) for stacks in zip(*roots))

@@ -69,7 +69,7 @@ def _oracle_end(s: Scenario, probe: str) -> np.ndarray:
         return u_end
     os, ts = s.omega_schedule(), s.grid.times()
     # the definition evaluated with the exact u
-    return os.omega_inv(ts[-1:])[0] @ u_end @ os.omega(ts[:1])[0]
+    return os.omega_inv(ts[-1:])[0] @ u_end @ os.omega(ts[:1])[0][0]
 
 
 def convergence_order(s: Scenario, probe: str = "u") -> float:

@@ -435,6 +435,23 @@ def test_hbar_in_code_is_checked_as_a_tolerance_is():
     assert type(dataclasses.replace(base, hbar=2).hbar) is float
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("hbar", lambda v: {"hbar": v}),
+    ("tolerances.qh", lambda v: {"tolerances": {"qh": v}})], ids=["hbar", "qh"])
+def test_a_value_json_cannot_encode_is_shown_by_its_repr(tmp_path, capsys, field, kwargs):
+    """A code-built array or complex is shown unquoted, by its repr; a file's
+    string of the same characters keeps its JSON quotes."""
+    for value, shown in ((np.array(2.0), "array(2.)"), (1 + 0j, "(1+0j)")):
+        with pytest.raises(ValidationError) as exc:
+            make_builtin("growing-metric-2d", **kwargs(value))
+        assert str(exc.value) == f"bad {field}: expected a number, got {shown}"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"model": {"kind": "builtin", "name": "growing-metric-2d"},
+                                **kwargs("(1+0j)")}))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f'error: bad {field}: expected a number, got "(1+0j)"\n'
+
+
 # name -> (the value in code, its JSON text)
 _BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0"),
                 "negative": (-1, "-1"), "inf": (math.inf, "1e999"), "nan": (math.nan, "NaN"),
@@ -655,7 +672,7 @@ def test_omega_dot_rows_are_chosen_by_half_grid_index(tmp_path, name, t, res_cor
     path.write_text(json.dumps(_same_output().EDGE_FILES[name]))
     s = cli.load_scenario(str(path))
     n = s.grid.steps
-    w, w_dot = s.omega_schedule().on_block(dynamics.GridBlock(s.grid, 0, n))
+    (w, _), w_dot = s.omega_schedule().on_block(dynamics.GridBlock(s.grid, 0, n))
     for i in (2, 2 * n - 2):
         assert np.array_equal(w_dot[i], (w[i + 2] - w[i - 2]) / (2.0 * s.grid.spacing)), i
     out = tmp_path / "x.csv"
@@ -699,8 +716,9 @@ def test_run_passes_every_verdict_without_runtime_warnings(tmp_path, capsys, sce
 
 # gate files whose first refusal in a run is a gate on the metric, which the u
 # probe of a pair scenario never reads
-THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "theta-overflows",
-                 "two-step-sampled-metric", "metric-dips-off-the-coarse-grids")
+THETA_REFUSED = ("not-positive-definite", "ill-conditioned", "ill-conditioned-mid-span",
+                 "theta-overflows", "two-step-sampled-metric",
+                 "metric-dips-off-the-coarse-grids")
 
 
 def test_convergence_order_refuses_every_gate_file_with_the_run_message(tmp_path, capsys):

@@ -77,7 +77,7 @@ def test_ur_definition_identity_metric():
     ).omega_schedule()
     u = integrate_u(on_half_grid(lambda t: SIGMA_X, grid), grid)
     ur = ur_from_definition(u, os_ident.omega_inv(grid.times()),
-                            os_ident.omega(grid.times()[:1])[0])
+                            os_ident.omega(grid.times()[:1])[0][0])
     assert np.allclose(ur, u)
 
 
@@ -508,6 +508,29 @@ def test_block_layout_does_not_change_the_result(monkeypatch, sampled_pair_text,
     assert verify.convergence_order(s.with_steps(100), "ur_corr") == order
 
 
+def test_each_omega_inverse_is_decided_alone_whatever_block_holds_it(monkeypatch,
+                                                                    sampled_pair_text):
+    """With cond_max inside the span of 2 ||omega||_F ||X||_F over the run
+    (16.68 to 17.68 here, while cond(omega) stays below 2.1), X certifies
+    omega^-1 at the earlier roots and not at the later ones, and every root is
+    admitted. Each omega^-1 is X or inv(omega) by its own root alone, so the
+    run has the same bits in one block as in eight."""
+    s = scenario_io.parse_scenario(sampled_pair_text).with_steps(601)
+    w, x = s.omega_schedule().omega(s.grid.half_times())
+    bound = 2.0 * np.linalg.norm(w, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1))
+    cond_max = float(np.median(bound))
+    assert linalg.cond_2norm(w).max() < 2.1 < 16.6 < bound.min() < cond_max < bound.max()
+    text = json.dumps({**json.loads(sampled_pair_text), "tolerances": {"cond_max": cond_max}})
+    s = scenario_io.parse_scenario(text).with_steps(601)
+    entries = dynamics.BLOCK_ENTRIES
+    results = []
+    for factor, blocks in ((4, 1), (0.5, 8)):
+        monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", int(factor * entries))
+        assert len(dynamics.grid_blocks(s.grid, s.dim)) == blocks
+        results.append(evolve(s))
+    _columns_equal(*results)
+
+
 def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
     """One omega schedule walks blocks 0 to 3, then is asked for block 0
     again and for block 3 after block 0: each answer has the bits of a fresh
@@ -517,11 +540,40 @@ def test_a_block_out_of_walk_order_roots_its_whole_window(sampled_pair_text):
     assert len(blocks) == 4
     os = s.omega_schedule()
     for k in (0, 1, 2, 3, 0, 3):
-        got, fresh = os.on_block(blocks[k]), s.omega_schedule().on_block(blocks[k])
-        for a, b in zip(got, fresh):
+        (roots, *dots), (fresh, *fresh_dots) = (os.on_block(blocks[k]),
+                                                s.omega_schedule().on_block(blocks[k]))
+        for a, b in zip((*roots, *dots), (*fresh, *fresh_dots)):   # omega, X, omega_dot
             assert np.array_equal(a, b), k
     with pytest.raises(ValueError, match="not a block of this schedule's grid"):
         os.on_block(GridBlock(s.with_steps(100).grid, 0, 10))
+
+
+def test_a_sampled_walk_inverts_omega_through_its_roots_eigendecomposition(
+        monkeypatch, sampled_pair_text):
+    """A sampled run's omega^-1 is X = V diag(1/sqrt(lambda)) V^dagger from the
+    eigendecomposition that roots theta, certified by linalg.inverse: the walk
+    calls np.linalg.inv on U_R alone (metric_from_ur, once a block), never on
+    omega. X is inv(omega) to 1e-14 relative per matrix (3.7e-15 measured),
+    and max res_qh is no larger than the 4.5487e-15 it read when omega^-1 was
+    inv(omega)."""
+    s = scenario_io.parse_scenario(sampled_pair_text)
+    inverted, urs = [], []
+    inv, from_ur = np.linalg.inv, dynamics.metric_from_ur
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    monkeypatch.setattr(dynamics, "metric_from_ur",
+                        lambda ur, *rest: urs.append(ur) or from_ur(ur, *rest))
+    res_qh = evolve(s).res_qh
+    blocks = dynamics.grid_blocks(s.grid, s.dim)
+    assert len(urs) == len(blocks) == 4
+    assert len(inverted) == len(urs)   # each call takes a whole U_R stack
+    assert all(np.shares_memory(a, ur) and a.size == ur.size for a, ur in zip(inverted, urs))
+    assert np.nanmax(res_qh) <= 4.548667180921778e-15
+    os = s.omega_schedule()
+    for blk in blocks:
+        ops = dynamics.half_grid_operators(s, os, blk)[0]
+        ref = inv(ops.omega)
+        err = np.linalg.norm(ops.omega_inv - ref, axis=(-2, -1))
+        assert (err <= 1e-14 * np.linalg.norm(ref, axis=(-2, -1))).all()
 
 
 def test_end_state_is_the_last_node_of_the_walk_of_the_whole_grid(sampled_pair_text):

@@ -1,7 +1,8 @@
 """The certificate-first inverse gate decides exactly as the spectral test.
 
-``linalg.inverse`` admits a matrix from its computed inverse alone when
-2 ||A||_F ||X||_F <= cond_max and ||AX - I||_F <= 1/2. The reference below
+``linalg.inverse`` admits a matrix from its computed inverse alone, or from
+a candidate inverse X it is given, when 2 ||A||_F ||X||_F <= cond_max and
+||AX - I||_F <= 1/2. The reference below
 is the gate as it was before the certificate: an SVD condition number for
 every matrix, then ``inv``. Both sides must admit the same stacks, return
 the same inverse and raise the same exception with the same values and time.
@@ -98,6 +99,93 @@ def test_inverse_decides_as_the_svd_reference(case):
     stack, cond_max, ts = case
     assert_same(outcome(linalg.inverse, stack, cond_max, ts),
                 outcome(reference_inverse, stack, cond_max, ts))
+
+
+CANDIDATE_KINDS = ("exact", "times 10", "times 0.1", "perturbed", "zero", "inf entry")
+_NEVER = ("times 10", "times 0.1", "zero", "inf entry")   # r >= 0.9 sqrt(d), or not finite
+
+
+@st.composite
+def candidate_cases(draw):
+    """An inverse case, a candidate inverse per matrix and whether the
+    candidate certifies it: True, False, or None where the draw leaves it open.
+
+    A candidate is the matrix's inverse as inv (pinv where inv refuses it)
+    computes it, scaled by 10 or by 0.1, perturbed by 1e-6 of its largest
+    entry, a zero matrix, or its inverse with one entry inf. Half the cases
+    are clean: every matrix has cond <= min(cond_max, 1/(16 (d + 2)^2 eps))
+    / (4d) and its exact inverse as candidate, which certifies it, since then
+    2 ||A||_F ||X||_F <= 2 d cond is at most half the bar and r is far below
+    1/2. Scaled, zero and inf-entry candidates never certify (r is at least
+    0.9 sqrt(d), or nan), nor do candidates of matrices scaled by 1e200 or
+    1e-200, whose Frobenius norms overflow."""
+    stack, cond_max, ts = draw(inverse_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = stack.shape[:2]
+    clean = draw(st.booleans())
+    if clean:
+        bar = min(cond_max, 1.0 / (16 * (d + 2) ** 2 * np.finfo(float).eps)) / (4 * d)
+        stack = np.array([conditioned(rng, d, bar ** rng.uniform()) for _ in range(n)])
+    scaled = np.abs(stack).max(axis=(-2, -1)) > 1e100
+    scaled |= (np.abs(stack).max(axis=(-2, -1)) < 1e-100) & (stack != 0).any(axis=(-2, -1))
+    cands, certifies = [], []
+    for a, big_or_small in zip(stack, scaled):
+        kind = "exact" if clean else draw(st.sampled_from(CANDIDATE_KINDS))
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            x = np.linalg.pinv(a)
+        if kind in ("times 10", "times 0.1"):
+            x = float(kind.split()[1]) * x
+        elif kind == "perturbed":
+            x = x + 1e-6 * np.abs(x).max() * (rng.normal(size=(d, d))
+                                                + 1j * rng.normal(size=(d, d)))
+        elif kind == "zero":
+            x = np.zeros_like(x)
+        elif kind == "inf entry":
+            x[rng.integers(d), rng.integers(d)] = np.inf
+        cands.append(x)
+        certifies.append(True if clean else False if kind in _NEVER or big_or_small else None)
+    return stack, cond_max, ts, np.array(cands), certifies
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_cases())
+def test_a_candidate_inverse_decides_as_the_svd_reference(case):
+    """Given a candidate, the gate admits or refuses as the SVD reference does,
+    with the same exception, values and t. Each matrix's inverse is decided
+    alone: its candidate, bit for bit, where that certifies it, else inv's
+    inverse of that matrix."""
+    stack, cond_max, ts, cand, certifies = case
+    got = outcome(linalg.inverse, stack, cond_max, ts, cand)
+    want = outcome(reference_inverse, stack, cond_max, ts)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1:] == want[1:]
+        return
+    for x, c, w, certified in zip(got[1], cand, want[1], certifies):
+        from_candidate, from_inv = np.array_equal(x, c), np.array_equal(x, w)
+        if certified is None:
+            assert from_candidate or from_inv
+        else:
+            assert from_candidate if certified else from_inv
+
+
+def test_a_certified_candidate_is_returned_without_inv(rng, monkeypatch):
+    """A candidate that certifies every matrix is the result, and inv is not
+    called; one that misses a matrix is replaced there alone, by inv's inverse
+    of that matrix."""
+    stack = np.array([conditioned(rng, 5, 10.0) for _ in range(4)])
+    cand, inv_calls = np.linalg.inv(stack), []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv_calls.append(len(a)) or inv(a))
+    assert np.shares_memory(linalg.inverse(stack, 1e8, candidate=cand), cand)
+    assert inv_calls == []
+    cand[2] *= 10.0
+    got = linalg.inverse(stack, 1e8, candidate=cand)
+    assert np.array_equal(got[2], inv(stack[2])) and np.array_equal(np.delete(got, 2, 0),
+                                                                    np.delete(cand, 2, 0))
+    assert inv_calls == [1]
 
 
 @pytest.mark.parametrize("cond_max", [1e2, 1e8, 1e12, 1e15])

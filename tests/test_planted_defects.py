@@ -73,11 +73,17 @@ def test_h_big_set_to_h_fails_quasi_hermiticity_and_the_corrected_generator(monk
 def test_omega_as_theta_to_the_three_quarters_fails_the_metric_identities(monkeypatch):
     """omega = theta^(3/4) is invertible but not a root of theta: the norm,
     the reconstructed metric and H's quasi-Hermiticity all miss, while G still
-    generates U_R = omega^-1 u omega_0, as for any invertible map."""
-    def three_quarters(a, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS, t=None):
+    generates U_R = omega^-1 u omega_0, as for any invertible map. The planted
+    root comes with its own inverse, V diag(lambda^(-3/4)) V^dagger, as the
+    candidate that linalg.inverse certifies."""
+    def three_quarters(a, eps_herm=linalg.EPS_HERM, eps_pos=linalg.EPS_POS, t=None,
+                       inverse=False):
         eig = linalg.eig_hermitian(a, eps_herm, t)
         w, v = eig.eigenvalues, eig.eigenvectors
-        return linalg.matmul(v * (w ** 0.75)[..., None, :], linalg.dagger(v))
+        root = linalg.matmul(v * (w ** 0.75)[..., None, :], linalg.dagger(v))
+        if not inverse:
+            return root
+        return root, linalg.matmul(v * (w ** -0.75)[..., None, :], linalg.dagger(v))
 
     s = _growing(omega_analytic=None)   # omega from the schedule's root, omega_dot by differences
     assert _failed(s) == []

@@ -188,7 +188,7 @@ def test_fd_slices_equal_the_weighted_stencil(steps, start, length, dim, data):
     ref, read = weighted_fd(w[lo:hi + 1], 2 * blk.first - lo, 2 * blk.first,
                             blk.half_times().size, hts.size, grid.spacing)
     assert read.min() >= 0 and read.max() <= hi - lo
-    for got_w, got in answers:
+    for (got_w, _), got in answers:
         assert np.array_equal(got_w, w[2 * blk.first:2 * blk.last + 1])
         assert np.array_equal(got, ref)
 

@@ -93,7 +93,7 @@ def test_evaluators_refuse_a_bare_time():
                 evaluate(t)
     # the central difference reads omega on a window around half-grid times
     hts = grid.half_times()
-    w = os.omega(hts)
+    w = os.omega(hts)[0]
     for ts, window, lead in ((hts, None, 0), (hts[4:9], w[1:13], 3), (hts[4:9], w[:12], 4),
                              (hts[4:9] + 1e-3, w, 4)):
         with pytest.raises(ValueError, match="window around them"):
@@ -176,7 +176,7 @@ def test_sampled_needs_four_uniform_snapshots():
 
 def test_omega_schedule_hand_values():
     os = OmegaSchedule(growing_theta(), FINE)
-    assert np.allclose(os.omega(at(1.0))[0], np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)
+    assert np.allclose(os.omega(at(1.0))[0][0], np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)
     assert np.allclose(os.omega_inv(at(1.0))[0], np.diag([1.0, 1.0 / np.sqrt(2.0)]),
                        atol=1e-12)
     # d/dt sqrt(1+t^2) = t / sqrt(1+t^2); finite-difference route
@@ -324,21 +324,22 @@ def test_stacked_span_check_names_first_bad_time():
 
 def test_stacked_omega_matches_scalar_and_reference():
     os = OmegaSchedule(growing_theta(), GRID)
-    w, wd = os.on_block(WHOLE)
-    wi = os.omega_inv(HALF_GRID)
-    assert np.array_equal(w, os.omega(HALF_GRID))
+    roots, wd = os.on_block(WHOLE)
+    w, wi = roots[0], os.omega_inv(HALF_GRID)
+    for a, b in zip(roots, os.omega(HALF_GRID)):   # omega and its X
+        assert np.array_equal(a, b)
     for k, t in enumerate(HALF_GRID):
-        assert np.allclose(w[k], os.omega(at(t))[0], rtol=0, atol=1e-15)
+        assert np.allclose(w[k], os.omega(at(t))[0][0], rtol=0, atol=1e-15)
         assert np.allclose(wi[k], os.omega_inv(at(t))[0], rtol=0, atol=1e-15)
         # the first two and last two points take the one-sided rule
-        ref = fd_reference(lambda x: os.omega(at(x))[0], t, 0.1, 0.0, 1.0)
+        ref = fd_reference(lambda x: os.omega(at(x))[0][0], t, 0.1, 0.0, 1.0)
         assert np.allclose(wd[k], ref, rtol=0, atol=1e-13)
         # a one-step block of a fresh schedule roots only its own window, at the
         # grid's half-times: the same bits
         node = min(k // 2, GRID.steps - 1)
         one = OmegaSchedule(growing_theta(), GRID).on_block(GridBlock(GRID, node, node + 1))
         assert np.array_equal(one[1][k - 2 * node], wd[k])
-    assert np.array_equal(os.omega_inv(HALF_GRID, omega=w), wi)
+    assert np.array_equal(os.omega_inv(HALF_GRID, roots), wi)
     assert np.array_equal(os.omega_dot(HALF_GRID, w), wd)   # the window is the grid
 
 
