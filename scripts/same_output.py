@@ -27,9 +27,11 @@ directory of its own:
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
   integer) or negative, an ``hbar`` given as the string ``"1"``, as ``-1``
-  or as JSON ``NaN`` and an ``initial_state`` with a JSON ``NaN`` entry (each
-  refused when its Scenario is built, with the text that the same Scenario
-  built in code gets), a ``dimension`` that is not theta's, a metric
+  or as JSON ``NaN``, an ``initial_state`` with a JSON ``NaN`` entry, a
+  ``time.steps`` of ``2.5``, a ``time.start`` of ``true``, a ``time.end`` of
+  ``1e999`` and ``tolerances`` given as ``[]`` (each refused when its TimeGrid
+  or Scenario is built, with the text that the same one built in code gets),
+  a ``dimension`` that is not theta's, a metric
   refused both at a half-time that only the finest grid of convergence_order
   has and, later, on every grid, a sampled h whose interpolant's slopes
   overflow, and a file that is not UTF-8;
@@ -140,6 +142,11 @@ GATE_FILES = {
     "hbar-string": {"model": _BUILTIN, "hbar": "1"},
     "hbar-negative": {"model": _BUILTIN, "hbar": -1},
     "hbar-nan": '{"model": ' + json.dumps(_BUILTIN) + ', "hbar": NaN}',
+    # the time fields are checked by TimeGrid, and the tolerances' section by Scenario
+    "time-steps-fraction": {"model": _BUILTIN, "time": {"steps": 2.5}},
+    "time-start-bool": {"model": _BUILTIN, "time": {"start": True}},
+    "time-end-inf": '{"model": ' + json.dumps(_BUILTIN) + ', "time": {"end": 1e999}}',
+    "tolerances-not-object": {"model": _BUILTIN, "tolerances": []},
     "initial-state-nan-entry": ('{"model": ' + json.dumps(_BUILTIN)
                                 + ', "initial_state": [[1, 0], [NaN, 0]]}'),
     "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,

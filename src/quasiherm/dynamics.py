@@ -31,10 +31,11 @@ omega_dot and the residuals) is linalg.matmul, whose timings linalg gives;
 the walk over single matrices (_walk: the chunk starts, the tail and the
 step-by-step walk) keeps np.matmul, where the extra ufunc calls would not pay.
 
-A Scenario checks itself when built, in code as from a file: its dim is
-theta's, its initial state defaults to e0 and has finite entries, its
-schedules cover the grid, its hbar is a finite positive real number (kept as
-a float) and its tolerances are known keys with finite positive values.
+A Scenario checks itself when built, in code as from a file, with a file's
+texts: its dim is theta's, its initial state defaults to e0 and has finite
+entries, its schedules cover its grid (a TimeGrid, which checks itself), and
+its hbar and tolerances, a mapping of known keys, are finite positive real
+numbers (kept as floats), checked as every scalar field is (schedules._scalar).
 evolve walks the grid a block of steps at a time, keeps no node series and
 fills the run's one record, Diagnostics, with every per-node column: among
 them the residuals of the central difference of U_R against H (positive as
@@ -58,8 +59,7 @@ a time, coarsest first, so the refusal names the coarsest grid that fails.
 
 from __future__ import annotations
 
-import json
-import numbers
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import linalg, spaces
 from .errors import NotHermitian, OutOfRange, QuasihermError, ValidationError
-from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
+from .schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid, _scalar, _shown
 
 DEFAULT_TOLERANCES = {
     "eps_herm": linalg.EPS_HERM,
@@ -299,28 +299,6 @@ def half_grid_operators(s: "Scenario", os: OmegaSchedule, blk: GridBlock,
             for k, rate in zip(strides, rates)]
 
 
-def _shown(value) -> str:
-    """value as its JSON text, as a file gives it (a JSON 0 reads 0, not 0.0), or
-    by its repr where JSON cannot encode it (a code-built array or complex)."""
-    try:
-        return json.dumps(value)
-    except (TypeError, ValueError):
-        return repr(value)
-
-
-def _finite_positive(what: str, value) -> float:
-    """value as a float if it is a finite positive real number, not a bool; else a
-    ValidationError naming what and the value as given (_shown)."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"expected a number, got {_shown(value)}")
-        if not (np.isfinite(float(value)) and value > 0):   # Overflow: a huge int
-            raise ValueError(f"expected a finite positive number, got {value}")
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(f"bad {what}: {e}") from None
-    return float(value)
-
-
 @dataclass
 class Scenario:
     """Full problem description for one run, checked when it is built.
@@ -343,13 +321,16 @@ class Scenario:
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValueError("set exactly one of h (pair) or h_big (direct)")
-        self.hbar = _finite_positive("hbar", self.hbar)
+        self.hbar = _scalar("hbar", self.hbar, "finite positive")
+        if not isinstance(self.tolerances, Mapping):
+            raise ValidationError(f"bad tolerances: expected a JSON object, "
+                                  f"got {_shown(self.tolerances)}")
         tolerances = {}
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ValidationError(f"bad tolerances.{key}: not a known tolerance "
                                       f"(known: {', '.join(DEFAULT_TOLERANCES)})")
-            tolerances[key] = _finite_positive(f"tolerances.{key}", value)
+            tolerances[key] = _scalar(f"tolerances.{key}", value, "finite positive")
         self.tolerances = tolerances
         ends = np.array([self.grid.t_start, self.grid.t_end])
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
@@ -403,11 +384,7 @@ class Scenario:
                              cond_max=self.tol("cond_max"))
 
     def with_steps(self, steps: int) -> "Scenario":
-        try:
-            grid = TimeGrid(self.grid.t_start, self.grid.t_end, steps)
-        except ValueError as e:
-            raise ValidationError(f"bad time: {e}") from e
-        return replace(self, grid=grid)
+        return replace(self, grid=TimeGrid(self.grid.t_start, self.grid.t_end, steps))
 
     @property
     def fd_omega_dot(self) -> bool:

@@ -13,6 +13,8 @@ integration oracle. They differ in the metric schedule:
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .dynamics import Scenario
@@ -88,16 +90,17 @@ def builtin_names() -> list[str]:
 
 
 def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
-                 initial_state=None, tolerances=None) -> Scenario:
+                 initial_state=None, tolerances=MappingProxyType({})) -> Scenario:
     try:
         metric = BUILTINS[name]
     except (KeyError, TypeError):   # TypeError: a name that is not even hashable
         raise ValidationError(
             f"unknown builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         ) from None
+    grid = TimeGrid(span[0], span[1], steps)   # first: metric(span) floats a bad span
     theta, omega_analytic = metric(span)
     return Scenario(
-        name=name, grid=TimeGrid(span[0], span[1], steps), theta=theta,
+        name=name, grid=grid, theta=theta,
         h=OperatorSchedule.constant_matrix(SIGMA_X, span), initial_state=initial_state, hbar=hbar,
-        tolerances=tolerances or {}, omega_analytic=omega_analytic,
+        tolerances=tolerances, omega_analytic=omega_analytic,
         u_oracle=u_oracle_sigma_x)

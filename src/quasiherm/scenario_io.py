@@ -16,22 +16,23 @@ Schema (all matrices are row-major nests of [re, im] pairs):
 A <schedule> is either a constant matrix or a sampled schedule
 {"times": [...], "snapshots": [<matrix>, ...]}.
 
-parse_scenario converts JSON numbers and matrices and checks "dimension"
-against theta, whose size is Scenario.dim; the Scenario checks the rest as
-for one built in code: an absent initial_state is e0, hbar, passed on as
-given, must be a finite positive number, and so must the tolerances, whose
-keys must be known.
+parse_scenario maps the JSON onto a TimeGrid and a Scenario and checks no
+number itself: it converts the matrices, passes time.start, time.end,
+time.steps, hbar and the tolerances on as given, and the TimeGrid and the
+Scenario check them as they check the same values in code, with the same
+texts. It checks only the file's own structure: "time" is a JSON object,
+model.kind is known, and "dimension" (an integer, checked as time.steps
+is) is theta's size, Scenario.dim. An absent initial_state is e0.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 from . import linalg, models
 from .dynamics import Scenario
 from .errors import ParseError, ValidationError
-from .schedules import OperatorSchedule, TimeGrid
+from .schedules import OperatorSchedule, TimeGrid, _scalar
 
 
 def _convert(what: str, conv, value):
@@ -48,28 +49,6 @@ def _section(obj: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"bad {key}: expected a JSON object, got {json.dumps(value)}")
     return value
-
-
-def _number(value) -> int | float:
-    """A JSON number, refusing the bools and strings float() and int() would take."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return value
-
-
-def _finite(value) -> float:
-    """A finite float; JSON turns a number too large for a double into inf."""
-    x = float(_number(value))
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x!r}")
-    return x
-
-
-def _integer(value) -> int:
-    """An integer, refusing the truncation int() would apply to 2.5."""
-    if isinstance(_number(value), float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
 
 
 def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
@@ -95,22 +74,21 @@ def parse_scenario(text: str) -> Scenario:
     kind = model["kind"]
 
     time = _section(obj, "time")
-    span = (_convert("time.start", _finite, time.get("start", 0.0)),
-            _convert("time.end", _finite, time.get("end", 1.0)))
-    steps = _convert("time.steps", _integer, time.get("steps", models.DEFAULT_STEPS))
-    grid = _convert("time", lambda span: TimeGrid(*span, steps), span)
-    hbar = obj.get("hbar", 1.0)   # Scenario checks hbar and the tolerances' keys and values
-    tolerances = _section(obj, "tolerances")
+    grid = TimeGrid(time.get("start", 0.0), time.get("end", 1.0),
+                    time.get("steps", models.DEFAULT_STEPS))
+    span = (grid.t_start, grid.t_end)
+    hbar = obj.get("hbar", 1.0)   # Scenario checks hbar and the tolerances
+    tolerances = obj.get("tolerances", {})
     initial = obj.get("initial_state")
     initial_state = (None if initial is None
                      else _convert("initial_state", linalg.vector_from_pairs, initial))
 
     if kind == "builtin":
-        return models.make_builtin(model.get("name", ""), steps=steps, span=span, hbar=hbar,
+        return models.make_builtin(model.get("name", ""), steps=grid.steps, span=span, hbar=hbar,
                                    initial_state=initial_state, tolerances=tolerances)
     if kind not in ("pair", "direct"):
         raise ValidationError(f"unknown model kind {kind!r}")
-    dim = _convert("dimension", _integer, obj.get("dimension", 0))
+    dim = _scalar("dimension", obj.get("dimension", 0), "integer")
     if dim < 1:
         raise ValidationError("missing or invalid dimension")
     theta = _parse_schedule(model.get("theta"), span, "theta")

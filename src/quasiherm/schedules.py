@@ -28,6 +28,9 @@ grid's half grid take the one-sided rule.
 
 from __future__ import annotations
 
+import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,30 +46,67 @@ _EPS = np.finfo(float).eps
 MAX_STEPS = 10**7   # a d=2 `quasiherm run` peaks near 100 B/step (tracemalloc): ~1 GB here
 
 
+def _shown(value) -> str:
+    """value as its JSON text, as a file gives it (a JSON 0 reads 0, not 0.0), or
+    by its repr where JSON cannot encode it (a code-built array or complex)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _scalar(what: str, value, want: str):
+    """value checked as one scalar field, in code as from a file: a real number,
+    not a bool, that is an integer (want "integer", returned as an int) or a
+    "finite" or "finite positive" float. Anything else is a ValidationError
+    naming what and the value as given (_shown)."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"expected a number, got {_shown(value)}")
+        if want == "integer":
+            if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+                raise ValueError(f"expected an integer, got {_shown(value)}")
+            return int(value)
+        x = float(value)   # Overflow: an int too large for a double
+        if not (math.isfinite(x) and (want == "finite" or x > 0)):
+            raise ValueError(f"expected a {want} number, got {value}")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"bad {what}: {e}") from None
+    return x
+
+
 @dataclass(frozen=True)
 class TimeGrid:
+    """steps steps from t_start to t_end, checked when built, in code as from a
+    file: finite ends (kept as floats), an integer count (kept as an int) from 2
+    to MAX_STEPS, a normal spacing and strictly increasing half-grid times. A
+    refusal is a ValidationError with a file's text, "bad time[.<field>]: ..."."""
     t_start: float
     t_end: float
     steps: int
 
     def __post_init__(self):
+        for name, what, want in (("t_start", "time.start", "finite"),
+                                 ("t_end", "time.end", "finite"),
+                                 ("steps", "time.steps", "integer")):
+            object.__setattr__(self, name, _scalar(what, getattr(self, name), want))
         if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+            raise ValidationError("bad time: t_end must exceed t_start")
         if not 2 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"need from 2 to {MAX_STEPS} steps, got {self.steps}")
+            raise ValidationError(f"bad time: need from 2 to {MAX_STEPS} steps, got {self.steps}")
+        span = f"[{self.t_start:.15g}, {self.t_end:.15g}]"
         if not np.isfinite(self.t_end - self.t_start):
-            raise ValueError(f"the span [{self.t_start:.15g}, {self.t_end:.15g}] is too long: "
-                             "its length overflows")
+            raise ValidationError(f"bad time: the span {span} is too long: its length overflows")
         if not self.spacing >= _TINY:
-            raise ValueError(f"the spacing {self.spacing:g} of {self.steps} steps over "
-                             f"[{self.t_start:.15g}, {self.t_end:.15g}] is zero or subnormal")
+            raise ValidationError(f"bad time: the spacing {self.spacing:g} of {self.steps} steps "
+                                  f"over {span} is zero or subnormal")
         # Each half-grid time is off by at most a few eps * max|t|, so a half
         # step above 8 eps * max|t| keeps them strictly increasing; below
         # that, the times themselves are compared.
         top = max(abs(self.t_start), abs(self.t_end))
         if not (0.5 * self.spacing > 8 * _EPS * top or np.all(np.diff(self.half_times()) > 0)):
-            raise ValueError(f"{self.steps} steps over [{self.t_start:.15g}, {self.t_end:.15g}] "
-                             "give times that do not strictly increase")
+            raise ValidationError(f"bad time: {self.steps} steps over {span} give times that "
+                                  "do not strictly increase")
 
     @property
     def spacing(self) -> float:

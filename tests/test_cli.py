@@ -467,6 +467,16 @@ _BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0")
                  '"initial_state": [[NaN, 0], [0, 0]]', id="initial-state-nan"),
     pytest.param("initial_state", {"initial_state": np.array([1, complex(0, math.inf)])},
                  '"initial_state": [[1, 0], [0, 1e999]]', id="initial-state-inf"),
+    *[pytest.param("time.start", {"span": (v, 1.0)}, f'"time": {{"start": {t}}}',
+                   id=f"start-{name}") for name, (v, t) in
+      {"bool": (True, "true"), "string": ("0", '"0"'), "nan": (math.nan, "NaN")}.items()],
+    *[pytest.param("time.end", {"span": (0.0, v)}, f'"time": {{"end": {t}}}',
+                   id=f"end-{name}") for name, (v, t) in
+      {"inf": (math.inf, "1e999"), "huge-int": _BAD_SCALARS["huge-int"]}.items()],
+    pytest.param("time.steps", {"steps": 2.5}, '"time": {"steps": 2.5}', id="steps-fraction"),
+    pytest.param("time.steps", {"steps": "abc"}, '"time": {"steps": "abc"}', id="steps-string"),
+    pytest.param("time", {"steps": 1}, '"time": {"steps": 1}', id="steps-one"),
+    pytest.param("tolerances", {"tolerances": []}, '"tolerances": []', id="tolerances-list"),
 ])
 def test_a_file_and_code_refuse_a_bad_value_with_one_text(tmp_path, capsys, field, kwargs,
                                                           text):
@@ -479,6 +489,36 @@ def test_a_file_and_code_refuse_a_bad_value_with_one_text(tmp_path, capsys, fiel
     path.write_text('{"model": {"kind": "builtin", "name": "growing-metric-2d"}, ' + text + "}")
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_a_time_grid_built_in_code_is_refused_with_a_files_text():
+    """TimeGrid checks its own fields, for make_builtin and with_steps as for a file."""
+    for kwargs, text in (({"steps": 2.5}, "bad time.steps: expected an integer, got 2.5"),
+                         ({"steps": 1}, "bad time: need from 2 to 10000000 steps, got 1"),
+                         ({"span": (0, True)}, "bad time.end: expected a number, got true"),
+                         ({"span": (math.nan, 1)},
+                          "bad time.start: expected a finite number, got nan")):
+        with pytest.raises(ValidationError) as exc:
+            make_builtin("growing-metric-2d", **kwargs)
+        assert str(exc.value) == text
+    with pytest.raises(ValidationError, match="^bad time: t_end must exceed t_start$"):
+        TimeGrid(1.0, 0.0, 4)
+    with pytest.raises(ValidationError, match="^bad time.steps: expected a number, got true$"):
+        make_builtin("growing-metric-2d").with_steps(True)
+
+
+def test_a_whole_step_count_of_any_numeric_type_runs_as_the_int():
+    """steps 300.0 and numpy's int64 300 are the grid of 300 steps: stored as an
+    int, and run bit for bit as steps=300 in every Diagnostics column."""
+    scenarios = (make_builtin("growing-metric-2d", steps=300),
+                 make_builtin("growing-metric-2d", steps=300.0),
+                 make_builtin("growing-metric-2d", steps=np.int64(300)),
+                 make_builtin("growing-metric-2d").with_steps(np.int64(300)))
+    assert all(type(s.grid.steps) is int for s in scenarios)
+    runs = [dynamics.evolve(s) for s in scenarios]
+    for d in runs[1:]:
+        for name, want, got in zip(dynamics.Diagnostics._fields, runs[0], d):
+            assert np.array_equal(want, got, equal_nan=True), name
 
 
 @pytest.mark.parametrize("doc, err", [

@@ -3,7 +3,7 @@ import pytest
 
 from quasiherm import dynamics, linalg
 from quasiherm.dynamics import grid_blocks
-from quasiherm.errors import NotPositiveDefinite, OutOfRange
+from quasiherm.errors import NotPositiveDefinite, OutOfRange, ValidationError
 from quasiherm.schedules import GridBlock, OmegaSchedule, OperatorSchedule, TimeGrid
 
 
@@ -41,9 +41,9 @@ def test_grid_basics():
     g = TimeGrid(0.0, 1.0, 4)
     assert g.spacing == 0.25
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TimeGrid(1.0, 0.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         TimeGrid(0.0, 1.0, 1)
 
 
@@ -54,7 +54,7 @@ def test_grid_basics():
     (1e6, 1e6 + 1e-6, 10**4, "do not strictly increase"),
 ])
 def test_grid_refuses_degenerate_spacing(start, end, steps, why):
-    with pytest.raises(ValueError, match=why):
+    with pytest.raises(ValidationError, match=why):
         TimeGrid(start, end, steps)
 
 
