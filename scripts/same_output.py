@@ -27,7 +27,8 @@ directory of its own:
   steps, too few for the central difference of omega (also run with
   ``--steps 3``, which the gates admit), tolerances that are zero (a JSON
   integer) or negative, an ``hbar`` given as the string ``"1"``, as ``-1``
-  or as JSON ``NaN``, an ``initial_state`` with a JSON ``NaN`` entry, a
+  or as JSON ``NaN``, an ``initial_state`` with a JSON ``NaN`` entry, with
+  a string ``"a"`` or a ``null`` entry, or empty (``[]``), a
   ``time.steps`` of ``2.5``, a ``time.start`` of ``true``, a ``time.end`` of
   ``1e999`` and ``tolerances`` given as ``[]`` (each refused when its TimeGrid
   or Scenario is built, with the text that the same one built in code gets),
@@ -149,6 +150,11 @@ GATE_FILES = {
     "tolerances-not-object": {"model": _BUILTIN, "tolerances": []},
     "initial-state-nan-entry": ('{"model": ' + json.dumps(_BUILTIN)
                                 + ', "initial_state": [[1, 0], [NaN, 0]]}'),
+    # an entry that is not a number gets the text of "1" and true; [] that of a
+    # vector of the wrong length
+    "initial-state-string": {"model": _BUILTIN, "initial_state": [["a", 0], [0, 0]]},
+    "initial-state-null": {"model": _BUILTIN, "initial_state": [[None, 0], [0, 0]]},
+    "initial-state-empty": {"model": _BUILTIN, "initial_state": []},
     "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,
                                                       "theta": _EYE}},
     # h snapshots alternating +-1e308 are finite, but the slopes of their

@@ -32,10 +32,10 @@ the walk over single matrices (_walk: the chunk starts, the tail and the
 step-by-step walk) keeps np.matmul, where the extra ufunc calls would not pay.
 
 A Scenario checks itself when built, in code as from a file, with a file's
-texts: its dim is theta's, its initial state defaults to e0 and has finite
-entries, its schedules cover its grid (a TimeGrid, which checks itself), and
-its hbar and tolerances, a mapping of known keys, are finite positive real
-numbers (kept as floats), checked as every scalar field is (schedules._scalar).
+texts: one of h and h_big is set, its initial state (e0 by default) is first a
+nonzero reference-space ket of theta's size, its schedules cover its grid (a
+TimeGrid, which checks itself), and hbar and the tolerances, a mapping of known
+keys, are finite positive real numbers, checked as every scalar field is.
 evolve walks the grid a block of steps at a time, keeps no node series and
 fills the run's one record, Diagnostics, with every per-node column: among
 them the residuals of the central difference of U_R against H (positive as
@@ -320,7 +320,17 @@ class Scenario:
 
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
-            raise ValueError("set exactly one of h (pair) or h_big (direct)")
+            raise ValidationError("bad model: set exactly one of h (pair) or h_big (direct)")
+        try:   # first, as a file's initial_state is decoded before the rest is checked
+            v = spaces.reference_ket(np.eye(self.dim)[0] if self.initial_state is None
+                                     else self.initial_state).components
+        except (ValueError, OverflowError) as e:
+            raise ValidationError(f"bad initial_state: {e}") from None
+        if v.size != self.dim:
+            raise ValidationError(f"initial_state has shape {v.shape}, dimension is {self.dim}")
+        if not v.any():
+            raise ValidationError("initial_state is the zero vector")
+        self.initial_state = v
         self.hbar = _scalar("hbar", self.hbar, "finite positive")
         if not isinstance(self.tolerances, Mapping):
             raise ValidationError(f"bad tolerances: expected a JSON object, "
@@ -343,16 +353,6 @@ class Scenario:
                 sched.check_span(ends)
             except OutOfRange as e:
                 raise ValidationError(f"{what} does not cover the grid: {e}") from None
-        v = np.asarray(np.eye(self.dim)[0] if self.initial_state is None
-                       else self.initial_state, dtype=complex)
-        if not np.isfinite(v).all():
-            raise ValidationError("bad initial_state: vector entries must be finite")
-        if v.shape != (self.dim,):
-            raise ValidationError(f"initial_state has shape {v.shape}, "
-                                  f"dimension is {self.dim}")
-        if not v.any():
-            raise ValidationError("initial_state is the zero vector")
-        self.initial_state = v
 
     @property
     def dim(self) -> int:

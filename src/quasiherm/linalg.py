@@ -47,7 +47,6 @@ values and time, as the exact test alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -328,30 +327,32 @@ def inverse(a, cond_max: float = COND_MAX, t=None, candidate=None) -> np.ndarray
     return x.reshape(m.shape)
 
 
-# --- [re, im] pair encoding used by scenario files and fixtures ---
+# --- entries, and the [re, im] pair encoding of scenario files ---
 
-def _numbers_only(pairs) -> None:
-    """Refuse true, false and strings among the entries of [re, im] pairs:
-    numpy's float conversion reads them as numbers, whatever the nest around them."""
-    if {bool, str} & set(map(type, chain.from_iterable(pairs))):
-        raise TypeError("entries must be JSON numbers, not true, false or strings")
-
-
-def matrix_from_pairs(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ValueError(f"expected an n x n x 2 nest of [re, im] pairs, got shape {arr.shape}")
-    _numbers_only(chain.from_iterable(obj))
-    if not np.isfinite(arr).all():   # before 1j * inf, which warns
-        raise NotFinite()
-    return as_matrix(arr[..., 0] + 1j * arr[..., 1])
+def complex_entries(values) -> np.ndarray:
+    """values, a nest of numbers, as a complex ndarray; the one entry rule, for a file and
+    for code: a bool (numpy's too), string, None or list, which numpy converts, is a ValueError."""
+    entries = np.asarray(values, dtype=object)
+    if not all(issubclass(t, (int, float, complex, np.number)) and t is not bool
+               for t in set(map(type, entries.flat))):
+        raise ValueError("entries must be JSON numbers, not true, false or strings")
+    return entries.astype(complex)
 
 
 def vector_from_pairs(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an n x 2 list of [re, im] pairs, got shape {arr.shape}")
-    _numbers_only(obj)
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-    return arr[:, 0] + 1j * arr[:, 1]
+    """The vector an n x 2 list of [re, im] pairs encodes, [] the empty one. Its
+    entries pass complex_entries; Scenario refuses inf and nan as in code."""
+    pairs = np.asarray(obj, dtype=object)
+    if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"expected an n x 2 list of [re, im] pairs, got shape {pairs.shape}")
+    p = complex_entries(pairs).real.reshape(-1, 2)
+    with np.errstate(invalid="ignore"):   # 1j * inf is nan + inf j: the caller refuses it
+        return p[:, 0] + 1j * p[:, 1]
+
+
+def matrix_from_pairs(obj) -> np.ndarray:
+    """The matrix an n x n x 2 nest of [re, im] pairs encodes; as_matrix refuses inf and nan."""
+    pairs = np.asarray(obj, dtype=object)
+    if pairs.ndim != 3 or pairs.shape[0] != pairs.shape[1] or pairs.shape[2] != 2:
+        raise ValueError(f"expected an n x n x 2 nest of [re, im] pairs, got shape {pairs.shape}")
+    return as_matrix(vector_from_pairs(pairs.reshape(-1, 2)).reshape(pairs.shape[:2]))

@@ -17,12 +17,12 @@ A <schedule> is either a constant matrix or a sampled schedule
 {"times": [...], "snapshots": [<matrix>, ...]}.
 
 parse_scenario maps the JSON onto a TimeGrid and a Scenario and checks no
-number itself: it converts the matrices, passes time.start, time.end,
-time.steps, hbar and the tolerances on as given, and the TimeGrid and the
-Scenario check them as they check the same values in code, with the same
-texts. It checks only the file's own structure: "time" is a JSON object,
-model.kind is known, and "dimension" (an integer, checked as time.steps
-is) is theta's size, Scenario.dim. An absent initial_state is e0.
+number itself: it decodes the [re, im] pairs of the matrices and the initial
+state (each entry meets linalg.complex_entries, as a vector built in code
+does), passes the time fields, hbar and the tolerances on as given, and the
+TimeGrid and the Scenario check them as in code, with the same texts. It
+checks only the file's own structure: "time" is a JSON object, model.kind is
+known, and "dimension" (an integer, checked as time.steps is) is theta's size.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ def _convert(what: str, conv, value):
         return conv(value)
     except (KeyError, ValueError, TypeError, OverflowError) as e:   # Overflow: a huge JSON int
         raise ValidationError(f"bad {what}: {e}") from e
-
-
-def _section(obj: dict, key: str) -> dict:
-    """obj[key] as a JSON object, {} when absent; anything else names key."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ValidationError(f"bad {key}: expected a JSON object, got {json.dumps(value)}")
-    return value
 
 
 def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
@@ -73,7 +65,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("missing model.kind")
     kind = model["kind"]
 
-    time = _section(obj, "time")
+    time = obj.get("time", {})
+    if not isinstance(time, dict):
+        raise ValidationError(f"bad time: expected a JSON object, got {json.dumps(time)}")
     grid = TimeGrid(time.get("start", 0.0), time.get("end", 1.0),
                     time.get("steps", models.DEFAULT_STEPS))
     span = (grid.t_start, grid.t_end)

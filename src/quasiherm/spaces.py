@@ -29,11 +29,11 @@ class SpaceTaggedVector:
     components: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.components, dtype=complex)
+        v = linalg.complex_entries(self.components)   # numbers, not bools or strings
         if v.ndim != 1 or v.size < 1:
-            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+            raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("vector components must be finite")
+            raise ValueError("vector entries must be finite")
         object.__setattr__(self, "components", v)
 
     @property
@@ -42,11 +42,11 @@ class SpaceTaggedVector:
 
 
 def standard_ket(components) -> SpaceTaggedVector:
-    return SpaceTaggedVector(Space.STANDARD, np.asarray(components, dtype=complex))
+    return SpaceTaggedVector(Space.STANDARD, components)
 
 
 def reference_ket(components) -> SpaceTaggedVector:
-    return SpaceTaggedVector(Space.REFERENCE, np.asarray(components, dtype=complex))
+    return SpaceTaggedVector(Space.REFERENCE, components)
 
 
 def _require(space: Space, *vectors: SpaceTaggedVector):

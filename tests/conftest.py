@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quasiherm import builtin_names, dynamics, make_builtin, verify
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# failing draw can be replayed; without it each run draws afresh.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from quasiherm.errors import ParseError, QuasihermError, ValidationError
 from quasiherm.schedules import OperatorSchedule, TimeGrid
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+EYE_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 # theta = I and H = [[0, 1], [0, 0]]: H is not quasi-Hermitian, residual sqrt(2)
 DIRECT_NOT_QH = json.dumps({
@@ -477,14 +478,31 @@ _BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0")
     pytest.param("time.steps", {"steps": "abc"}, '"time": {"steps": "abc"}', id="steps-string"),
     pytest.param("time", {"steps": 1}, '"time": {"steps": 1}', id="steps-one"),
     pytest.param("tolerances", {"tolerances": []}, '"tolerances": []', id="tolerances-list"),
+    *[pytest.param("initial_state", {"initial_state": v}, f'"initial_state": {t}',
+                   id=f"initial-state-{name}") for name, (v, t) in
+      {"bool": ([True, False], "[[true, 0], [false, 0]]"),
+       "string": (["1", "0"], '[["1", 0], ["0", 0]]'),
+       "unparsable-string": (["a", "0"], '[["a", 0], ["0", 0]]'),
+       "null": ([None, 0], "[[null, 0], [0, 0]]")}.items()],
+    # code only: a file gives no span, and its model.kind picks h or H
+    *[pytest.param("time", {"span": v}, None, id=f"span-{name}") for name, v in
+      {"one-value": (0,), "three-values": (0, 1, 2), "number": 5}.items()],
+    pytest.param("model", lambda: dynamics.Scenario(
+        name="neither", grid=TimeGrid(0.0, 1.0, 20),
+        theta=OperatorSchedule.constant_matrix(np.eye(2), (0.0, 1.0))), None,
+        id="neither-h-nor-h-big"),
 ])
 def test_a_file_and_code_refuse_a_bad_value_with_one_text(tmp_path, capsys, field, kwargs,
                                                           text):
     """A scenario file and the same Scenario built in code are refused when built,
-    with one text that names the field, and the file ends in exit 3."""
+    with one text that names the field, and the file ends in exit 3. kwargs are
+    make_builtin's, or a function that builds the Scenario; text is None for a
+    value only code can give."""
     with pytest.raises(ValidationError) as exc:
-        make_builtin("growing-metric-2d", **kwargs)
+        kwargs() if callable(kwargs) else make_builtin("growing-metric-2d", **kwargs)
     assert str(exc.value).startswith(f"bad {field}: ")
+    if text is None:
+        return
     path = tmp_path / "scenario.json"
     path.write_text('{"model": {"kind": "builtin", "name": "growing-metric-2d"}, ' + text + "}")
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
@@ -505,6 +523,34 @@ def test_a_time_grid_built_in_code_is_refused_with_a_files_text():
         TimeGrid(1.0, 0.0, 4)
     with pytest.raises(ValidationError, match="^bad time.steps: expected a number, got true$"):
         make_builtin("growing-metric-2d").with_steps(True)
+
+
+@pytest.mark.parametrize("what, doc", [
+    ("matrix for h", {"dimension": 2, "model": {
+        "kind": "pair", "h": [[[0, 0], [1, 0]], [[1, 0], [0, "ENTRY"]]], "theta": EYE_PAIRS}}),
+    ("sampled schedule for theta", {"dimension": 2, "model": {
+        "kind": "pair", "h": EYE_PAIRS, "theta": {"times": [0, 1 / 3, 2 / 3, 1], "snapshots": [
+            EYE_PAIRS, EYE_PAIRS, [[[1, 0], [0, 0]], [[0, 0], ["ENTRY", 0]]], EYE_PAIRS]}}}),
+])
+@pytest.mark.parametrize("entry", [True, "1", "a", None], ids=["true", "1", "a", "null"])
+def test_a_file_entry_that_is_not_a_number_gets_one_text(tmp_path, capsys, what, doc, entry):
+    """Whatever the entry and wherever it sits, in a matrix or a snapshot as in the
+    initial state (test_a_file_and_code_refuse_a_bad_value_with_one_text), a
+    file's entry that is not a JSON number gets one text."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"ENTRY"', json.dumps(entry)))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == (f"error: bad {what}: entries must be JSON numbers, "
+                                       "not true, false or strings\n")
+
+
+def test_an_initial_state_array_runs_as_the_list():
+    """initial_state as a numpy array of ints is the list of the same numbers,
+    bit for bit in every Diagnostics column."""
+    want, got = (dynamics.evolve(make_builtin("growing-metric-2d", steps=300, initial_state=v))
+                 for v in ([1, 0], np.array([1, 0])))
+    for name, a, b in zip(dynamics.Diagnostics._fields, want, got):
+        assert np.array_equal(a, b, equal_nan=True), name
 
 
 def test_a_whole_step_count_of_any_numeric_type_runs_as_the_int():

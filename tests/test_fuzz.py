@@ -61,8 +61,10 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _mutate(doc, data):
-    path = data.draw(st.sampled_from(list(_paths(doc))))
+def _mutate(doc, data, keep=lambda path: True):
+    """doc with one value replaced, one key deleted or one key added, at a path
+    drawn from those that keep accepts."""
+    path = data.draw(st.sampled_from([p for p in _paths(doc) if keep(p)]))
     if not path:
         return data.draw(LEAVES)
     parent = doc

@@ -176,6 +176,7 @@ def test_pair_encoding_roundtrip():
     assert np.array_equal(linalg.matrix_from_pairs([[[1, 2], [3, 0]], [[0, 0], [0, -1]]]), m)
     v = np.array([1j, 2.5])
     assert np.array_equal(linalg.vector_from_pairs([[0, 1], [2.5, 0]]), v)
+    assert linalg.vector_from_pairs([]).shape == (0,)   # for Scenario to refuse as in code
 
 
 # --- stacks: each matrix gated and decomposed as if on its own ---

@@ -52,6 +52,16 @@ def test_inner_standard_values():
     assert inner_standard(standard_ket([1j, 0]), e1) == -1j
 
 
+@pytest.mark.parametrize("ket", [standard_ket, reference_ket])
+@pytest.mark.parametrize("components", [["1", "0"], [True, False], np.array([True, False])],
+                         ids=["strings", "bools", "numpy-bools"])
+def test_a_ket_of_bools_or_strings_is_refused(ket, components):
+    """A ket takes the entry rule of an initial state: numpy would read these as (1, 0)."""
+    with pytest.raises(ValueError,
+                       match="^entries must be JSON numbers, not true, false or strings$"):
+        ket(components)
+
+
 def test_inner_reference_rejects_standard_tag():
     """The reference space offers only the physical product; each product
     refuses a vector of the other space."""
