@@ -32,6 +32,8 @@ directory of its own:
   ``time.steps`` of ``2.5``, a ``time.start`` of ``true``, a ``time.end`` of
   ``1e999`` and ``tolerances`` given as ``[]`` (each refused when its TimeGrid
   or Scenario is built, with the text that the same one built in code gets),
+  sampled snapshot times given as strings (``sampled-times-string``) or ending
+  in ``true`` (``sampled-times-bool``), refused by the entry rule as in code,
   a ``dimension`` that is not theta's, a metric
   refused both at a half-time that only the finest grid of convergence_order
   has and, later, on every grid, a sampled h whose interpolant's slopes
@@ -157,6 +159,13 @@ GATE_FILES = {
     "initial-state-empty": {"model": _BUILTIN, "initial_state": []},
     "theta-not-dimension": {"dimension": 3, "model": {"kind": "pair", "h": _SIGMA_X,
                                                       "theta": _EYE}},
+    # snapshot times are JSON numbers under the entry rule, as matrix entries are
+    "sampled-times-string": {"dimension": 2, "time": {"steps": 20}, "model": {
+        "kind": "pair", "h": _SIGMA_X,
+        "theta": {"times": ["0", "0.25", "0.5", "0.75", "1"], "snapshots": [_EYE] * 5}}},
+    "sampled-times-bool": {"dimension": 2, "time": {"steps": 20}, "model": {
+        "kind": "pair", "h": _SIGMA_X,
+        "theta": {"times": [0, 0.25, 0.5, 0.75, True], "snapshots": [_EYE] * 5}}},
     # h snapshots alternating +-1e308 are finite, but the slopes of their
     # interpolant overflow, so h is nan from t = 0 on
     "h-slopes-overflow": {"dimension": 2, "time": {"steps": 100}, "model": {

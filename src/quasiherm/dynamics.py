@@ -34,8 +34,8 @@ step-by-step walk) keeps np.matmul, where the extra ufunc calls would not pay.
 A Scenario checks itself when built, in code as from a file, with a file's
 texts: one of h and h_big is set, its initial state (e0 by default) is first a
 nonzero reference-space ket of theta's size, its schedules cover its grid (a
-TimeGrid, which checks itself), and hbar and the tolerances, a mapping of known
-keys, are finite positive real numbers, checked as every scalar field is.
+TimeGrid, which checks itself) and yield matrices of that size, and hbar and
+the tolerances, a mapping of known keys, are finite positive reals (_scalar).
 evolve walks the grid a block of steps at a time, keeps no node series and
 fills the run's one record, Diagnostics, with every per-node column: among
 them the residuals of the central difference of U_R against H (positive as
@@ -305,7 +305,7 @@ class Scenario:
 
     Exactly one of h (pair mode: Hermitian generator given) or h_big
     (direct mode: quasi-Hermitian generator given) is set; the other is
-    derived through the metric root. dim is theta's size.
+    derived through the metric root. dim is theta's size, as theta yields it.
     """
     name: str
     grid: TimeGrid
@@ -317,10 +317,12 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
     omega_analytic: tuple | None = None      # (omega, omega_dot, omega_inv): times -> stack
     u_oracle: Callable | None = None         # u_oracle(elapsed, hbar) -> matrix
+    dim: int = field(init=False)
 
     def __post_init__(self):
         if (self.h is None) == (self.h_big is None):
             raise ValidationError("bad model: set exactly one of h (pair) or h_big (direct)")
+        self.dim = np.shape(self.theta(np.array(self.theta.span[:1])))[-1]   # a time theta covers
         try:   # first, as a file's initial_state is decoded before the rest is checked
             v = spaces.reference_ket(np.eye(self.dim)[0] if self.initial_state is None
                                      else self.initial_state).components
@@ -346,17 +348,14 @@ class Scenario:
         for what, sched in (("theta", self.theta), ("h", self.h), ("H", self.h_big)):
             if sched is None:
                 continue
-            if sched.dim != self.dim:
-                raise ValidationError(f"{what} is {sched.dim}x{sched.dim}, "
-                                      f"dimension is {self.dim}")
             try:
                 sched.check_span(ends)
             except OutOfRange as e:
                 raise ValidationError(f"{what} does not cover the grid: {e}") from None
-
-    @property
-    def dim(self) -> int:
-        return self.theta.dim
+            shape = np.shape(sched(ends[:1]))[1:]
+            if shape != (self.dim, self.dim):
+                raise ValidationError(f"{what} is {'x'.join(map(str, shape))}, "
+                                      f"dimension is {self.dim}")
 
     @property
     def kind(self) -> str:

@@ -76,8 +76,8 @@ def as_matrices(a, t=None) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray, rejecting non-finite entries."""
-    m = as_matrices(a)
+    """a, entries under complex_entries, as a square complex ndarray; inf or nan is NotFinite."""
+    m = as_matrices(complex_entries(a))
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -330,8 +330,9 @@ def inverse(a, cond_max: float = COND_MAX, t=None, candidate=None) -> np.ndarray
 # --- entries, and the [re, im] pair encoding of scenario files ---
 
 def complex_entries(values) -> np.ndarray:
-    """values, a nest of numbers, as a complex ndarray; the one entry rule, for a file and
-    for code: a bool (numpy's too), string, None or list, which numpy converts, is a ValueError."""
+    """values, a nest of numbers, as a new complex ndarray; the one entry rule for the matrices,
+    snapshot times and initial state of a file and of code: a bool (numpy's too), string, None or
+    list, which numpy converts, is a ValueError."""
     entries = np.asarray(values, dtype=object)
     if not all(issubclass(t, (int, float, complex, np.number)) and t is not bool
                for t in set(map(type, entries.flat))):
@@ -340,19 +341,17 @@ def complex_entries(values) -> np.ndarray:
 
 
 def vector_from_pairs(obj) -> np.ndarray:
-    """The vector an n x 2 list of [re, im] pairs encodes, [] the empty one. Its
-    entries pass complex_entries; Scenario refuses inf and nan as in code."""
+    """The vector an n x 2 list of [re, im] pairs encodes, complex(re, im) bit for bit, [] the
+    empty one. Its entries pass complex_entries; Scenario refuses inf and nan as in code."""
     pairs = np.asarray(obj, dtype=object)
     if pairs.shape != (0,) and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"expected an n x 2 list of [re, im] pairs, got shape {pairs.shape}")
-    p = complex_entries(pairs).real.reshape(-1, 2)
-    with np.errstate(invalid="ignore"):   # 1j * inf is nan + inf j: the caller refuses it
-        return p[:, 0] + 1j * p[:, 1]
+    return np.ascontiguousarray(complex_entries(pairs).real.reshape(-1, 2)).view(complex)[:, 0]
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
-    """The matrix an n x n x 2 nest of [re, im] pairs encodes; as_matrix refuses inf and nan."""
+    """The matrix an n x n x 2 nest of [re, im] pairs encodes; its schedule refuses inf and nan."""
     pairs = np.asarray(obj, dtype=object)
     if pairs.ndim != 3 or pairs.shape[0] != pairs.shape[1] or pairs.shape[2] != 2:
         raise ValueError(f"expected an n x n x 2 nest of [re, im] pairs, got shape {pairs.shape}")
-    return as_matrix(vector_from_pairs(pairs.reshape(-1, 2)).reshape(pairs.shape[:2]))
+    return vector_from_pairs(pairs.reshape(-1, 2)).reshape(pairs.shape[:2])

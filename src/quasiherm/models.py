@@ -101,7 +101,7 @@ def make_builtin(name: str, steps=DEFAULT_STEPS, span=DEFAULT_SPAN, hbar=1.0,
         t_start, t_end = span
     except (TypeError, ValueError):   # not iterable, or not two values
         raise ValidationError(f"bad time: expected a span of two values, got {span!r}") from None
-    grid = TimeGrid(t_start, t_end, steps)   # first: metric(span) floats a bad span
+    grid = TimeGrid(t_start, t_end, steps)   # first, for a file's text on a bad span
     theta, omega_analytic = metric(span)
     return Scenario(
         name=name, grid=grid, theta=theta,

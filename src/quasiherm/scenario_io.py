@@ -16,13 +16,14 @@ Schema (all matrices are row-major nests of [re, im] pairs):
 A <schedule> is either a constant matrix or a sampled schedule
 {"times": [...], "snapshots": [<matrix>, ...]}.
 
-parse_scenario maps the JSON onto a TimeGrid and a Scenario and checks no
-number itself: it decodes the [re, im] pairs of the matrices and the initial
-state (each entry meets linalg.complex_entries, as a vector built in code
-does), passes the time fields, hbar and the tolerances on as given, and the
-TimeGrid and the Scenario check them as in code, with the same texts. It
+parse_scenario maps the JSON onto a TimeGrid, schedules and a Scenario and
+checks no number itself: it decodes the [re, im] pairs of the matrices and the
+initial state, passes them, the snapshot times, the time fields, hbar and the
+tolerances on, and the schedules, TimeGrid and Scenario check them as in code
+(entries and times under linalg.complex_entries), with the same texts. It
 checks only the file's own structure: "time" is a JSON object, model.kind is
-known, and "dimension" (an integer, checked as time.steps is) is theta's size.
+known, and "dimension" (an integer, checked as time.steps is) is the built
+Scenario's dim.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def _parse_schedule(obj, span, what: str) -> OperatorSchedule:
         linalg.matrix_from_pairs(o), span), obj)
 
 
+def _initial_state(obj):   # decoded after the schedules, which code builds first
+    v = obj.get("initial_state")
+    return None if v is None else _convert("initial_state", linalg.vector_from_pairs, v)
+
+
 def parse_scenario(text: str) -> Scenario:
     """The Scenario a file describes, checked for structure only: types, grid,
     dimensions, span coverage, initial_state and tolerances. Walking admits it."""
@@ -73,13 +79,10 @@ def parse_scenario(text: str) -> Scenario:
     span = (grid.t_start, grid.t_end)
     hbar = obj.get("hbar", 1.0)   # Scenario checks hbar and the tolerances
     tolerances = obj.get("tolerances", {})
-    initial = obj.get("initial_state")
-    initial_state = (None if initial is None
-                     else _convert("initial_state", linalg.vector_from_pairs, initial))
 
     if kind == "builtin":
         return models.make_builtin(model.get("name", ""), steps=grid.steps, span=span, hbar=hbar,
-                                   initial_state=initial_state, tolerances=tolerances)
+                                   initial_state=_initial_state(obj), tolerances=tolerances)
     if kind not in ("pair", "direct"):
         raise ValidationError(f"unknown model kind {kind!r}")
     dim = _scalar("dimension", obj.get("dimension", 0), "integer")
@@ -88,8 +91,9 @@ def parse_scenario(text: str) -> Scenario:
     theta = _parse_schedule(model.get("theta"), span, "theta")
     what, field = ("h", "h") if kind == "pair" else ("H", "h_big")
     gen = _parse_schedule(model.get(what), span, what)
-    if theta.dim != dim:
-        raise ValidationError(f"theta is {theta.dim}x{theta.dim}, dimension is {dim}")
-    return Scenario(name=obj.get("name", "custom"), grid=grid, theta=theta,
-                    initial_state=initial_state, hbar=hbar, tolerances=tolerances,
-                    **{field: gen})
+    s = Scenario(name=obj.get("name", "custom"), grid=grid, theta=theta,
+                 initial_state=_initial_state(obj), hbar=hbar, tolerances=tolerances,
+                 **{field: gen})
+    if s.dim != dim:
+        raise ValidationError(f"theta is {s.dim}x{s.dim}, dimension is {dim}")
+    return s

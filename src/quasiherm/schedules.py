@@ -160,7 +160,7 @@ class OperatorSchedule:
     def __init__(self, dim, span, value_fn, deriv_fn):
         """value_fn and deriv_fn map a 1-D array of times to a stack."""
         self.dim = dim
-        self.span = (float(span[0]), float(span[1]))
+        self.span = tuple(_scalar("schedule span", span[k], "finite") for k in (0, 1))
         self._value = value_fn
         self._deriv = deriv_fn
 
@@ -172,8 +172,13 @@ class OperatorSchedule:
     @classmethod
     def sampled(cls, times, snapshots):
         """The cubic Hermite interpolant of the snapshots with central-difference
-        slopes (one-sided at the ends), and its exact, continuous derivative."""
-        ts = np.asarray(times, dtype=float)
+        slopes (one-sided at the ends), and its exact, continuous derivative. Times and
+        entries (every snapshot's first, as a file's) meet linalg.complex_entries."""
+        entries = [linalg.complex_entries(s) for s in snapshots]
+        mats, ts = np.stack(list(map(linalg.as_matrices, entries))), linalg.complex_entries(times)
+        if ts.imag.any() or not np.isfinite(ts).all():
+            raise ValueError("snapshot times must be finite real numbers")
+        ts = ts.real
         if ts.ndim != 1 or ts.size < 4:
             raise ValueError("sampled schedules need at least 4 snapshot times")
         dt = np.diff(ts)
@@ -181,7 +186,6 @@ class OperatorSchedule:
             raise ValueError("snapshot times must be strictly increasing")
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             raise ValueError("snapshot times must be uniformly spaced")
-        mats = np.stack([linalg.as_matrix(s) for s in snapshots])
         if mats.shape[0] != ts.size:
             raise ValueError("snapshot count must match snapshot times")
         spacing = float(dt[0])

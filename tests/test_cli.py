@@ -12,7 +12,7 @@ import pytest
 from conftest import pairs
 from quasiherm import cli, dynamics, linalg, make_builtin, scenario_io, spaces, verify
 from quasiherm.errors import ParseError, QuasihermError, ValidationError
-from quasiherm.schedules import OperatorSchedule, TimeGrid
+from quasiherm.schedules import OperatorSchedule, TimeGrid, constant_fn
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 EYE_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -453,6 +453,20 @@ def test_a_value_json_cannot_encode_is_shown_by_its_repr(tmp_path, capsys, field
     assert capsys.readouterr().err == f'error: bad {field}: expected a number, got "(1+0j)"\n'
 
 
+def _pair_file(**model) -> str:
+    """A whole d = 2 pair file of 20 steps: h and theta the identity unless model gives them."""
+    return json.dumps({"dimension": 2, "time": {"steps": 20},
+                       "model": {"kind": "pair", "h": EYE_PAIRS, "theta": EYE_PAIRS, **model}})
+
+
+def _yielding(value):
+    """A schedule declared 3 x 3 on [0, 1] whose function yields value at every time."""
+    return OperatorSchedule(3, (0.0, 1.0), constant_fn(value), constant_fn(0 * value))
+
+
+_SNAPSHOT_TIMES = [0, 0.25, 0.5, 0.75, 1]
+_SPAN = (0.0, 1.0)
+
 # name -> (the value in code, its JSON text)
 _BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0"),
                 "negative": (-1, "-1"), "inf": (math.inf, "1e999"), "nan": (math.nan, "NaN"),
@@ -491,22 +505,65 @@ _BAD_SCALARS = {"bool": (True, "true"), "string": ("1", '"1"'), "zero": (0, "0")
         name="neither", grid=TimeGrid(0.0, 1.0, 20),
         theta=OperatorSchedule.constant_matrix(np.eye(2), (0.0, 1.0))), None,
         id="neither-h-nor-h-big"),
+    # a schedule's snapshot times and matrix entries meet the entry rule, in code as in a file
+    *[pytest.param("sampled schedule for theta",
+                   lambda times=times: OperatorSchedule.sampled(times, [np.eye(2)] * 5),
+                   _pair_file(theta={"times": times, "snapshots": [EYE_PAIRS] * 5}),
+                   id=f"sampled-times-{name}") for name, times in
+      {"string": ["0", "0.25", "0.5", "0.75", "1"], "bool": [0, 0.25, 0.5, 0.75, True]}.items()],
+    pytest.param("matrix for h", lambda: OperatorSchedule.constant_matrix(
+        np.array([[True, False], [False, True]]), _SPAN),
+        _pair_file(h=[[[True, 0], [False, 0]], [[False, 0], [True, 0]]]), id="matrix-numpy-bool"),
+    pytest.param("matrix for h", lambda: OperatorSchedule.constant_matrix(
+        [["1", "0"], ["0", "1"]], _SPAN),
+        _pair_file(h=[[["1", 0], ["0", 0]], [["0", 0], ["1", 0]]]), id="matrix-numeric-strings"),
+    pytest.param("sampled schedule for theta", lambda: OperatorSchedule.sampled(
+        _SNAPSHOT_TIMES, [np.eye(2)] * 4 + [[[1, 0], [0, np.True_]]]),
+        _pair_file(theta={"times": _SNAPSHOT_TIMES, "snapshots": [EYE_PAIRS] * 4 + [
+            [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]]}), id="snapshot-bool"),
+    # code only: JSON has no complex time, and a file's span is its grid's or its times'
+    pytest.param("sampled schedule for theta", lambda: OperatorSchedule.sampled(
+        np.array(_SNAPSHOT_TIMES) + 0.5j, [np.eye(2)] * 5), None, id="sampled-times-complex"),
+    pytest.param("schedule span", lambda: OperatorSchedule(
+        2, (0, True), constant_fn(np.eye(2)), constant_fn(np.zeros((2, 2)))), None,
+        id="schedule-span-bool"),
 ])
 def test_a_file_and_code_refuse_a_bad_value_with_one_text(tmp_path, capsys, field, kwargs,
                                                           text):
     """A scenario file and the same Scenario built in code are refused when built,
     with one text that names the field, and the file ends in exit 3. kwargs are
-    make_builtin's, or a function that builds the Scenario; text is None for a
-    value only code can give."""
-    with pytest.raises(ValidationError) as exc:
+    make_builtin's, or a function that builds the Scenario or a schedule; text is the
+    file's fields after a builtin model, or a whole file, and None for a value only
+    code can give. A schedule refuses with a ValueError, whose text a file gives after
+    its field (bad matrix for h: ...)."""
+    schedule = field.startswith(("matrix for ", "sampled schedule for "))
+    with pytest.raises(ValueError if schedule else ValidationError) as exc:
         kwargs() if callable(kwargs) else make_builtin("growing-metric-2d", **kwargs)
-    assert str(exc.value).startswith(f"bad {field}: ")
+    refusal = f"bad {field}: {exc.value}" if schedule else str(exc.value)
+    assert refusal.startswith(f"bad {field}: ")
     if text is None:
         return
     path = tmp_path / "scenario.json"
-    path.write_text('{"model": {"kind": "builtin", "name": "growing-metric-2d"}, ' + text + "}")
+    path.write_text(text if text.startswith("{") else
+                    '{"model": {"kind": "builtin", "name": "growing-metric-2d"}, ' + text + "}")
     assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 3
-    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize("theta, h, text", [
+    (_yielding(np.eye(2)), OperatorSchedule.constant_matrix(np.eye(3), _SPAN),
+     "h is 3x3, dimension is 2"),
+    (OperatorSchedule.constant_matrix(np.eye(3), _SPAN), _yielding(np.eye(2)),
+     "h is 2x2, dimension is 3"),
+    (_yielding(np.ones((2, 3))), _yielding(np.eye(3)), "theta is 2x3, dimension is 3"),
+], ids=["theta-yields-2x2", "h-yields-2x2", "theta-yields-2x3"])
+def test_a_schedule_that_yields_another_size_is_refused_when_built(theta, h, text):
+    """The dimension is the size theta yields, whatever a schedule declares, and a
+    schedule that yields another is refused with a file's text, not left to fail
+    in a product of the walk."""
+    with pytest.raises(ValidationError) as exc:
+        dynamics.Scenario(name="size", grid=TimeGrid(0.0, 1.0, 20), theta=theta, h=h)
+    assert str(exc.value) == text
 
 
 def test_a_time_grid_built_in_code_is_refused_with_a_files_text():
@@ -551,6 +608,24 @@ def test_an_initial_state_array_runs_as_the_list():
                  for v in ([1, 0], np.array([1, 0])))
     for name, a, b in zip(dynamics.Diagnostics._fields, want, got):
         assert np.array_equal(a, b, equal_nan=True), name
+
+
+def test_a_numeric_ndarray_matrix_builds_as_the_list():
+    """A matrix or a snapshot given as an int64, float64 or complex128 ndarray builds
+    the schedule of the same nested list, bit for bit in its values and derivative."""
+    ts, times = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)
+    for dtype, nest in ((np.int64, [[2, 1], [1, 3]]),
+                        (np.float64, [[2.5, 0.1], [0.1, 1 / 3]]),
+                        (np.complex128, [[2.5, 0.1 + 0.2j], [0.1 - 0.2j, 1 / 3]])):
+        snapshots = [[[x + k * k for x in row] for row in nest] for k in range(5)]
+        want = (OperatorSchedule.constant_matrix(nest, _SPAN),
+                OperatorSchedule.sampled(times, snapshots))
+        got = (OperatorSchedule.constant_matrix(np.array(nest, dtype=dtype), _SPAN),
+               OperatorSchedule.sampled(times, [np.array(s, dtype=dtype) for s in snapshots]))
+        for a, b in zip(want, got):
+            for f, g in ((a, b), (a.derivative, b.derivative)):
+                assert f(ts).dtype == g(ts).dtype == complex
+                assert f(ts).tobytes() == g(ts).tobytes(), dtype
 
 
 def test_a_whole_step_count_of_any_numeric_type_runs_as_the_int():
